@@ -36,9 +36,10 @@ of :func:`repro.simulation.sparse.select_engine`):
   nodes, ``O(n²)`` memory and per-round work above that;
 * ``"sparse"`` keeps the graph in CSR form
   (:class:`repro.simulation.sparse.CSRAdjacency`) and computes the same
-  two quantities as integer segment sums over the ``O(n + m)`` edge
-  structure -- this is what opens the ``n >= 10^4`` scenarios the
-  ROADMAP calls for.
+  two quantities with a transmitter-driven scatter-add over the
+  transmitters' CSR rows -- ``O(n + m)`` memory and work proportional
+  to the transmitters' degrees, which is what opens the ``n >= 10^4``
+  scenarios.
 
 Both engines evaluate the identical collision rule on exactly the same
 draws, so they agree bit for bit; the engine axis is orthogonal to the
@@ -116,8 +117,12 @@ class DrawStreams:
         count = len(self._generators)
         self._buffer = np.empty((count, block), dtype=np.float64)
         for row, generator in enumerate(self._generators):
-            self._buffer[row] = generator.random(block)
-        self._position = np.zeros(count, dtype=np.int64)
+            generator.random(out=self._buffer[row])
+        # Stream ``i``'s next draw is ``flat[cursor[i]]``; the cursor
+        # stays inside row ``i``, in ``[i * block, row_end[i])``.
+        self._flat = self._buffer.reshape(-1)
+        self._cursor = np.arange(count, dtype=np.int64) * block
+        self._row_end = self._cursor + block
 
     def take(self, wanted: np.ndarray) -> np.ndarray:
         """Return the next draw of every stream where ``wanted`` is True.
@@ -127,14 +132,16 @@ class DrawStreams:
         that were not requested (callers use the draws only in comparisons,
         where ``nan`` compares False).
         """
-        indices = np.nonzero(wanted)[0]
-        exhausted = indices[self._position[indices] == self._block]
-        for row in exhausted:
-            self._buffer[row] = self._generators[row].random(self._block)
-            self._position[row] = 0
-        draws = np.full(wanted.shape, np.nan)
-        draws[indices] = self._buffer[indices, self._position[indices]]
-        self._position[indices] += 1
+        cursor = self._cursor
+        draws = np.where(wanted, self._flat[cursor], np.nan)
+        cursor += wanted
+        # A row is refilled as soon as its last draw is handed out, which
+        # keeps every cursor inside its row.  Each generator feeds only
+        # its own row, so refilling early changes no draw.
+        exhausted = np.flatnonzero(cursor == self._row_end)
+        for row in exhausted.tolist():
+            self._generators[row].random(out=self._buffer[row])
+        cursor[exhausted] -= self._block
         return draws
 
 
@@ -238,9 +245,8 @@ class VectorizedCompeteEngine:
         :class:`DrawStreams` -- the round-exact parity mode this
         docstring describes.  ``"decoupled"`` evaluates the stateless
         counter-based hash of
-        :class:`~repro.simulation.rng.DecoupledStreams` instead (and,
-        on the sparse engine, the transmitter-driven reception kernel):
-        much faster at large ``n``, still exactly reproducible from the
+        :class:`~repro.simulation.rng.DecoupledStreams` instead: much
+        faster at large ``n``, still exactly reproducible from the
         seeds, but only *distributionally* equivalent to the reference
         (``tests/test_rng_decoupled.py`` enforces that contract
         statistically).
@@ -322,6 +328,7 @@ class VectorizedCompeteEngine:
         self._adjacency: Optional[np.ndarray] = None
         if engine == "sparse":
             self._csr, nodes = CSRAdjacency.from_graph(graph)
+            dtype = np.float64  # the scatter-add's weighted bincount
         else:
             matrix, nodes = graph.adjacency_matrix()
             # float32 matmuls are ~2x faster and remain exact as long as
@@ -329,6 +336,8 @@ class VectorizedCompeteEngine:
             # are <= n and rank sums are <= n * n (ranks are dense, so < n).
             dtype = np.float32 if len(nodes) ** 2 < 2**24 else np.float64
             self._adjacency = matrix.astype(dtype)
+        # A unique transmitter's rank passes through this float dtype.
+        self._kernel_dtype = np.dtype(dtype)
         self._nodes = tuple(nodes)
         self._dynamics = dynamics
         if dynamics is not None and tuple(dynamics.nodes) != self._nodes:
@@ -393,13 +402,14 @@ class VectorizedCompeteEngine:
         the transmitted-rank sum (meaningful only where ``unique``).
         Silent air is the complement of the two masks.  Both kernels
         compute identical values -- the dense one as float matrix
-        products (exact below the dtype's integer range, see
-        ``__init__``), the sparse one as int64 segment sums.
+        products, the sparse one as a transmitter-driven scatter-add --
+        as long as every rank is an exact integer in the kernel's float
+        dtype, which :meth:`run_batch` checks.
 
         ``faults`` (a :class:`repro.dynamics.RoundFaults`) masks churned
         links out of the structure for this round: the dense kernel
         multiplies against a copy with the down pairs zeroed, the sparse
-        kernels drop the down CSR entries.  Both see the identical
+        kernel drops the down CSR entries.  Both see the identical
         ``edge_up`` array, so they keep agreeing bit for bit.
         """
         if self._engine == "dense":
@@ -420,18 +430,9 @@ class VectorizedCompeteEngine:
         entry_mask = None
         if faults is not None and faults.edge_up is not None:
             entry_mask = faults.edge_up[self._dynamics.entry_edge_ids]
-        if self._rng == "decoupled":
-            # The decoupled fast mode pairs the hash RNG with the
-            # transmitter-driven kernel (identical values, far less
-            # gather work); replay keeps the original all-edges kernel
-            # so the reference-parity path stays byte-identical.
-            counts, received = self._csr.transmitter_counts_and_rank_sums(
-                transmit, ranks, entry_mask
-            )
-        else:
-            counts, received = self._csr.counts_and_rank_sums(
-                transmit, ranks, entry_mask
-            )
+        counts, received = self._csr.transmitter_counts_and_rank_sums(
+            transmit, ranks, entry_mask
+        )
         return counts == 1, counts >= 2, received
 
     def run_batch(
@@ -469,6 +470,16 @@ class VectorizedCompeteEngine:
             )
         if (ranks < NO_MESSAGE).any():
             raise ConfigurationError("ranks must be >= 0 (0 = no message)")
+        # The kernel's float dtype holds every integer up to
+        # 2**(mantissa + 1) exactly: 2**24 in float32, 2**53 in float64.
+        # A larger rank would come back rounded to a different rank.
+        rank_bits = np.finfo(self._kernel_dtype).nmant + 1
+        if (ranks > 2**rank_bits).any():
+            raise ConfigurationError(
+                f"ranks must be <= 2**{rank_bits}, the exact-integer range "
+                f"of the {self._engine} kernel's {self._kernel_dtype} "
+                f"arithmetic, got {int(ranks.max())}"
+            )
 
         ranks = ranks.copy()
         adopted = np.full(ranks.shape, -1, dtype=np.int64)

@@ -3,7 +3,8 @@
 Property-style: randomized graphs are converted both ways and the CSR
 form must round-trip against the dense adjacency matrix exactly --
 including the degenerate shapes (single node, isolated nodes, empty edge
-set) the reduceat-based segment-sum kernel is most likely to mishandle.
+set) -- and the reception kernel must match a dense matmul over that
+matrix, down links and empty rows included.
 """
 
 import numpy as np
@@ -161,49 +162,23 @@ def test_csr_adjacency_validation():
         CSRAdjacency(np.array([0, 1]), np.array([5]))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_counts_and_rank_sums_match_dense_matmul(seed):
-    # The kernel behind the sparse engine, checked against the dense
-    # formulation on random transmit patterns and ranks -- including a
-    # graph with isolated nodes (empty CSR rows).
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 30))
-    graph = Graph(nodes=range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.2:
-                graph.add_edge(u, v)
-    csr, nodes = CSRAdjacency.from_graph(graph)
-    dense, _ = graph.adjacency_matrix()
+def dense_counts_and_rank_sums(dense, transmit, ranks):
+    """The kernel's oracle: ``transmit @ A`` and ``(transmit * ranks) @ A``."""
     dense_f = dense.astype(np.float64)
-
-    trials = 4
-    transmit = rng.random((trials, n)) < 0.4
-    ranks = rng.integers(0, n, size=(trials, n)).astype(np.int64)
-    counts, sums = csr.counts_and_rank_sums(transmit, ranks)
-    expected_counts = (transmit.astype(np.float64) @ dense_f).astype(np.int64)
-    expected_sums = (
-        (transmit * ranks).astype(np.float64) @ dense_f
-    ).astype(np.int64)
-    assert counts.dtype == np.int64 and sums.dtype == np.int64
-    assert np.array_equal(counts, expected_counts)
-    assert np.array_equal(sums, expected_sums)
+    counts = (transmit.astype(np.float64) @ dense_f).astype(np.int64)
+    sums = ((transmit * ranks).astype(np.float64) @ dense_f).astype(np.int64)
+    return counts, sums
 
 
-def test_counts_on_edgeless_graph_are_zero():
-    csr, _ = CSRAdjacency.from_graph(Graph(nodes=range(4)))
-    transmit = np.ones((2, 4), dtype=bool)
-    ranks = np.arange(8, dtype=np.int64).reshape(2, 4)
-    counts, sums = csr.counts_and_rank_sums(transmit, ranks)
-    assert not counts.any() and not sums.any()
-
-
+@pytest.mark.parametrize("down_rate", [None, 0.0, 0.3, 1.0])
 @pytest.mark.parametrize("seed", range(6))
-def test_transmitter_kernel_is_identical_to_all_edges_kernel(seed):
-    # The transmitter-driven kernel (the decoupled-rng hot path) must be
-    # bit-identical to the all-edges gather on every input -- it is an
-    # optimization, never an approximation.  Random graphs with isolated
-    # nodes, random transmit patterns from empty to full.
+def test_transmitter_kernel_matches_dense_matmul(seed, down_rate):
+    # The kernel behind the sparse engine, checked against the dense
+    # formulation on random graphs with isolated nodes (empty CSR rows)
+    # and transmit patterns from empty to full.  ``down_rate`` is the
+    # share of links an edge-churn entry mask holds down (None: no
+    # mask); a down link is masked in both directions, exactly as the
+    # dense kernel zeroes both of its matrix cells.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 40))
     graph = Graph(nodes=range(n))
@@ -212,15 +187,27 @@ def test_transmitter_kernel_is_identical_to_all_edges_kernel(seed):
             if rng.random() < 0.15:
                 graph.add_edge(u, v)
     csr, _ = CSRAdjacency.from_graph(graph)
+    dense = csr.to_dense()
+    if down_rate is None:
+        entry_mask, up = None, dense
+    else:
+        down = np.triu(rng.random((n, n)) < down_rate, 1)
+        down |= down.T
+        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+        entry_mask, up = ~down[rows, csr.indices], dense & ~down
     trials = 3
     ranks = rng.integers(0, 10 * n, size=(trials, n)).astype(np.int64)
     for density in (0.0, 0.05, 0.5, 1.0):
         transmit = rng.random((trials, n)) < density
-        expected = csr.counts_and_rank_sums(transmit, ranks)
-        actual = csr.transmitter_counts_and_rank_sums(transmit, ranks)
-        assert actual[0].dtype == np.int64 and actual[1].dtype == np.int64
-        assert np.array_equal(actual[0], expected[0])
-        assert np.array_equal(actual[1], expected[1])
+        counts, sums = csr.transmitter_counts_and_rank_sums(
+            transmit, ranks, entry_mask
+        )
+        expected_counts, expected_sums = dense_counts_and_rank_sums(
+            up, transmit, ranks
+        )
+        assert counts.dtype == np.int64 and sums.dtype == np.int64
+        assert np.array_equal(counts, expected_counts)
+        assert np.array_equal(sums, expected_sums)
 
 
 def test_transmitter_kernel_empty_and_edgeless_cases():

@@ -19,6 +19,7 @@ from repro.errors import ConfigurationError
 from repro.network.messages import Message
 from repro.simulation.vectorized import (
     NO_MESSAGE,
+    DrawStreams,
     VectorizedCompeteEngine,
     rank_messages,
 )
@@ -84,6 +85,60 @@ def test_engine_draw_block_size_is_invisible(engine):
         assert np.array_equal(first.final_ranks, other.final_ranks)
         assert np.array_equal(first.adopted_rounds, other.adopted_rounds)
         assert np.array_equal(first.transmissions, other.transmissions)
+
+
+@pytest.mark.parametrize("block", [1, 3, 128])
+def test_draw_streams_replay_independent_node_streams(block):
+    # Each (trial, node) stream must hand out exactly the draws of a
+    # generator built on its own from the same spawned seed, whatever
+    # the block size and however the requests fall across refills.
+    seeds, num_nodes = [5, 11], 6
+    streams = DrawStreams(seeds, num_nodes, block)
+    oracles = [
+        np.random.default_rng(child)
+        for seed in seeds
+        for child in np.random.SeedSequence(seed).spawn(num_nodes)
+    ]
+    rng = np.random.default_rng(block)
+    size = len(seeds) * num_nodes
+    for round_number in range(400):
+        if round_number % 40 == 0:
+            wanted = np.zeros(size, dtype=bool)
+        elif round_number % 40 == 1:
+            wanted = np.ones(size, dtype=bool)
+        else:
+            wanted = rng.random(size) < rng.random()
+        draws = streams.take(wanted)
+        assert draws.shape == wanted.shape
+        assert np.isnan(draws[~wanted]).all()
+        expected = [oracles[i].random() for i in np.flatnonzero(wanted)]
+        assert draws[wanted].tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "engine, exact_limit", [("dense", 2**24), ("sparse", 2**53)]
+)
+def test_ranks_beyond_the_kernel_exact_range_are_rejected(
+    engine, exact_limit
+):
+    # The dense kernel on 8 nodes multiplies in float32, the sparse one
+    # adds in float64; a larger rank would come back rounded (2**24 + 1
+    # reads as 2**24 in float32, so the flood never saturates).
+    graph = topology.path_graph(8)
+    fast = VectorizedCompeteEngine(
+        graph, decay_steps=3, max_rounds=200, engine=engine
+    )
+
+    def run(rank):
+        ranks = np.zeros((1, graph.num_nodes), dtype=np.int64)
+        ranks[0, 0] = rank
+        return fast.run_batch(ranks, rank, [0])
+
+    assert run(exact_limit).saturated.all()
+    with pytest.raises(ConfigurationError, match="exact-integer range"):
+        run(exact_limit + 1)
+    if engine == "sparse":
+        assert run(2**24 + 1).saturated.all()
 
 
 def test_engine_input_validation():
