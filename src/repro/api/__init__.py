@@ -8,8 +8,7 @@ This layer is the single front door for *how* and *what* to run:
   as separate keyword arguments through every entry point.
   :func:`~repro.api.config.resolve_execution` binds a config to a
   concrete graph -- deriving the round budget, compiling the strategy's
-  :class:`~repro.schedules.transmission.TransmissionSchedule`, and
-  resolving ``engine="auto"`` through the edge-density heuristic in
+  :class:`~repro.schedules.transmission.TransmissionSchedule`, in
   exactly one place.
 * :class:`~repro.api.registry.AlgorithmRegistry` -- algorithms
   (``broadcast``, ``leader-election``, the classical

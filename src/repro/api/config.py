@@ -27,14 +27,10 @@ a concrete graph into everything a run needs -- the derived
 :class:`~repro.core.parameters.CompeteParameters` round budget, the
 strategy compiled to a
 :class:`~repro.schedules.transmission.TransmissionSchedule`, the
-``"auto"`` engine resolved through the edge-density heuristic
-(:func:`repro.simulation.sparse.select_engine` -- applied here and only
-here for internal callers, so the dense/sparse crossover has a single
-source of truth), and the normalised collision model.  The per-node
+normalised collision model and the fault schedule.  The per-node
 seeding policy (the ``DrawStreams`` replay and its pre-draw block size)
 also lives behind it: :meth:`ResolvedExecution.build_engine` constructs
-the vectorized engine with the config's ``draw_block`` and the already
-concrete kernel.
+the vectorized engine with the config's ``draw_block``.
 
 The legacy per-function kwargs keep working for one release through
 :func:`coerce_execution_config`, which emits a single
@@ -63,11 +59,10 @@ from repro.core.compete import (
 )
 from repro.schedules.transmission import TransmissionSchedule
 from repro.simulation.rng import RNG_MODES
-from repro.simulation.sparse import resolve_engine
 from repro.simulation.vectorized import (
     DEFAULT_DRAW_BLOCK,
-    ENGINES,
     VectorizedCompeteEngine,
+    check_engine,
 )
 from repro.topology.validation import validate_radio_topology
 
@@ -97,9 +92,9 @@ class ExecutionConfig:
         :class:`~repro.simulation.runner.ProtocolRunner`) or
         ``"vectorized"`` (the round-exact NumPy batch engine).
     engine:
-        Kernel selector for the vectorized backend: ``"auto"`` (the
-        edge-density heuristic), ``"dense"`` or ``"sparse"``.  Ignored
-        by the reference backend.
+        Kernel selector for the vectorized backend: ``"auto"`` or
+        ``"sparse"``, which both name the one CSR kernel.  Ignored by
+        the reference backend.
     strategy:
         The Compete inner-loop strategy: a registered name
         (:data:`repro.core.compete.STRATEGIES`) or a custom
@@ -150,10 +145,7 @@ class ExecutionConfig:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
+        check_engine(self.engine)
         if not isinstance(self.strategy, CompeteStrategy) and (
             self.strategy not in STRATEGIES
         ):
@@ -305,10 +297,9 @@ class ResolvedExecution:
 
     Produced by :func:`resolve_execution`; holds everything downstream
     code needs to run: the validated graph, the derived (or supplied)
-    round budget, the strategy instance, the concrete vectorized kernel
-    (``"auto"`` already resolved through the density heuristic), and --
-    built lazily, because cluster decomposition is not free -- the
-    compiled :class:`TransmissionSchedule`.
+    round budget, the strategy instance, and -- built lazily, because
+    cluster decomposition is not free -- the compiled
+    :class:`TransmissionSchedule`.
     """
 
     def __init__(
@@ -317,13 +308,11 @@ class ResolvedExecution:
         config: ExecutionConfig,
         parameters: CompeteParameters,
         strategy: CompeteStrategy,
-        engine: str,
     ) -> None:
         self._graph = graph
         self._config = config
         self._parameters = parameters
         self._strategy = strategy
-        self._engine = engine
         self._schedule: Optional[TransmissionSchedule] = None
         self._fault_schedule: Optional[FaultSchedule] = None
 
@@ -355,8 +344,8 @@ class ResolvedExecution:
 
     @property
     def engine(self) -> str:
-        """The concrete vectorized kernel (never ``"auto"``)."""
-        return self._engine
+        """The kernel the vectorized backend runs: always ``"sparse"``."""
+        return check_engine(self._config.engine)
 
     @property
     def schedule(self) -> TransmissionSchedule:
@@ -383,17 +372,11 @@ class ResolvedExecution:
         return self._fault_schedule
 
     def build_engine(self) -> VectorizedCompeteEngine:
-        """Construct the vectorized engine this resolution describes.
-
-        The engine receives the already-resolved concrete kernel, so the
-        density heuristic is applied exactly once, in
-        :func:`resolve_execution`.
-        """
+        """Construct the vectorized engine this resolution describes."""
         return VectorizedCompeteEngine(
             self._graph,
             schedule=self.schedule,
             max_rounds=self._parameters.total_rounds,
-            engine=self._engine,
             draw_block=self._config.draw_block,
             rng=self._config.rng,
             dynamics=self.fault_schedule,
@@ -402,7 +385,7 @@ class ResolvedExecution:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ResolvedExecution(backend={self.backend!r}, "
-            f"engine={self._engine!r}, strategy={self._strategy.name!r}, "
+            f"strategy={self._strategy.name!r}, "
             f"n={self._graph.num_nodes})"
         )
 
@@ -417,9 +400,8 @@ def resolve_execution(
     """Bind ``config`` (default :class:`ExecutionConfig()`) to ``graph``.
 
     This is the single shared resolution path: topology validation, the
-    round-budget derivation, strategy lookup, and -- crucially -- the
-    ``"auto"`` engine decision all happen here, so every caller agrees
-    on the dense/sparse crossover.
+    round-budget derivation and strategy lookup all happen here, so
+    every caller agrees on them.
 
     Parameters
     ----------
@@ -437,7 +419,7 @@ def resolve_execution(
     >>> from repro import topology
     >>> resolved = resolve_execution(topology.path_graph(8))
     >>> resolved.engine, resolved.strategy.name
-    ('dense', 'skeleton')
+    ('sparse', 'skeleton')
     """
     if config is None:
         config = ExecutionConfig()
@@ -454,8 +436,7 @@ def resolve_execution(
             f"has n={graph.num_nodes}"
         )
     strategy = config.strategy_instance()
-    engine = resolve_engine(config.engine, graph.num_nodes, graph.num_edges)
-    return ResolvedExecution(graph, config, parameters, strategy, engine)
+    return ResolvedExecution(graph, config, parameters, strategy)
 
 
 def coerce_execution_config(

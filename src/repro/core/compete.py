@@ -40,22 +40,21 @@ Two interchangeable backends execute either strategy: ``"reference"``
 drives one :class:`CompeteProtocol` per node through the pure-Python
 :class:`~repro.simulation.runner.ProtocolRunner`, and ``"vectorized"``
 replays the identical dynamics through
-:class:`~repro.simulation.vectorized.VectorizedCompeteEngine` as dense
+:class:`~repro.simulation.vectorized.VectorizedCompeteEngine` as batched
 array operations.  Both consume the same
 :class:`~repro.schedules.transmission.TransmissionSchedule` and produce
 the same :class:`CompeteResult` round for round under a shared seed, for
 every (strategy, backend) cell of the matrix;
 :meth:`Compete.run_batch` additionally runs many seeded trials at once on
-the vectorized backend.  The vectorized backend itself has two
-bit-for-bit equivalent kernel **engines** -- the dense adjacency-matrix
-path and the sparse CSR path, which ``engine="auto"`` selects above
-~10^3 nodes on sparse topologies and which opens the ``n >= 10^4``
-scenarios -- a third orthogonal axis (see :mod:`repro.simulation.sparse`).
+the vectorized backend, on the CSR kernel of
+:mod:`repro.simulation.sparse` (``engine="auto"`` and ``"sparse"`` both
+name it).
 
-All three axes, together with the collision model and the round-budget
-margin, are carried by one :class:`~repro.api.config.ExecutionConfig`
-passed as ``Compete(graph, config=...)``; the old per-axis keyword
-arguments remain as deprecation shims for one release.
+Both axes, together with the engine selector, the collision model and
+the round-budget margin, are carried by one
+:class:`~repro.api.config.ExecutionConfig` passed as
+``Compete(graph, config=...)``; the old per-axis keyword arguments
+remain as deprecation shims for one release.
 """
 
 from __future__ import annotations
@@ -417,12 +416,7 @@ class Compete:
         return self._config.engine
 
     def selected_engine(self) -> str:
-        """The kernel the vectorized backend resolves to for this graph.
-
-        Resolves ``"auto"`` through the shared density heuristic without
-        building the engine (construction densifies the matrix, which is
-        exactly what the heuristic may be avoiding).
-        """
+        """The kernel the vectorized backend runs: always ``"sparse"``."""
         return self._resolved().engine
 
     def run(

@@ -86,12 +86,10 @@ def prepare_scenario(
     resolved = resolve_execution(graph, config, parameters=parameters)
     # Force the lazy compilations now, while we are on the cold path:
     # the strategy schedule (cluster decomposition is not free) and the
-    # graph's memoized adjacency structure for the selected kernel, so a
-    # cached PreparedScenario starts a warm run without rebuilding
-    # either.
+    # graph's memoized CSR adjacency, so a cached PreparedScenario
+    # starts a warm run without rebuilding either.
     resolved.schedule
-    if resolved.engine == "sparse":
-        graph.adjacency_csr()
+    graph.adjacency_csr()
     return PreparedScenario(
         scenario=scenario,
         config=config,

@@ -169,9 +169,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
              "count instead of one (recorded as trials.seed_batches)",
     )
     parser.add_argument(
-        "--engine", choices=("auto", "dense", "sparse"), default=None,
-        help="override the scenario's vectorized kernel (auto picks by "
-             "edge density; sparse opens n >= 10^4 topologies)",
+        "--engine", default=None, metavar="{auto,sparse}",
+        help="override the scenario's engine selector (both run the CSR "
+             "kernel; anything else is a one-line error)",
     )
     parser.add_argument(
         "--rng", choices=("replay", "decoupled"), default=None,

@@ -21,8 +21,11 @@ from typing import Any, Mapping, Optional, Union
 from repro.dynamics import MODEL_KINDS
 from repro.errors import ConfigurationError
 from repro.simulation.rng import RNG_MODES
-from repro.simulation.sparse import ENGINE_KINDS
 from repro.simulation.vectorized import ENGINES
+
+#: Kernels an artifact may record as ``engine.selected``: the CSR kernel,
+#: and the dense matmul kernel that earlier artifacts ran.
+RECORDED_ENGINES = ("dense", "sparse")
 
 #: Identifies the layout of a ``BENCH_*.json`` document.  Bump only with
 #: a migration note in ``docs/EXPERIMENTS.md``.
@@ -170,9 +173,9 @@ def validate_bench(payload: Mapping[str, Any]) -> None:
         )
         _field(engine, "selected", str, path="engine.selected")
         _expect(
-            engine["selected"] in ENGINE_KINDS,
+            engine["selected"] in RECORDED_ENGINES,
             "engine.selected",
-            f"must be one of {ENGINE_KINDS} (never 'auto'), got "
+            f"must be one of {RECORDED_ENGINES} (never 'auto'), got "
             f"{engine['selected']!r}",
         )
         _expect(

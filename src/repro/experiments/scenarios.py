@@ -41,7 +41,7 @@ from repro.api import DEFAULT_ALGORITHMS, ExecutionConfig
 from repro.core.compete import STRATEGIES
 from repro.core.parameters import DEFAULT_MARGIN
 from repro.simulation.rng import RNG_MODES
-from repro.simulation.vectorized import ENGINES
+from repro.simulation.vectorized import check_engine
 from repro import topology
 
 def __getattr__(name: str):
@@ -94,10 +94,8 @@ class Scenario:
     engine:
         Vectorized kernel selector, one of
         :data:`repro.simulation.vectorized.ENGINES`: ``"auto"`` (the
-        default; the edge-density heuristic picks dense below ~10³ nodes
-        and sparse CSR above), ``"dense"`` or ``"sparse"``.  The kernels
-        are bit-for-bit equivalent, so this only affects time and
-        memory; the benchmark payload records which one actually ran.
+        default) or ``"sparse"``, which both name the CSR kernel; the
+        benchmark payload records the kernel that ran.
     rng:
         Randomness policy, one of
         :data:`repro.simulation.rng.RNG_MODES`: ``"replay"`` (the
@@ -154,10 +152,7 @@ class Scenario:
             raise ConfigurationError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
+        check_engine(self.engine)
         if self.rng not in RNG_MODES:
             raise ConfigurationError(
                 f"rng must be one of {RNG_MODES}, got {self.rng!r}"
@@ -442,12 +437,10 @@ def _populate(registry: ScenarioRegistry) -> None:
         spontaneous=False, strategy="clustered", trials=4,
         tags=("clustered",))
 
-    # --- sparse-engine regime: n >= 4096 --------------------------------
-    # Above the dense cutoff the auto heuristic selects the CSR engine;
-    # these are the scenarios where the polylog term stops dominating the
-    # O(D + log^6 n) claims.  The n=16384 variants ("xlarge") are too big
-    # for the dense engine (a 16384^2 float32 matrix alone is 1 GiB) and
-    # far too big for the reference runner, so they are run with
+    # --- large-n regime: n >= 4096 --------------------------------------
+    # These are the scenarios where the polylog term stops dominating the
+    # O(D + log^6 n) claims.  The n=16384 variants ("xlarge") are far too
+    # big for the reference runner, so they are run with
     # --skip-reference and lean on the equivalence harness for
     # correctness.  Path variants use the clustered strategy: at
     # n = D + 1 the skeleton's ceil(log2 n)-step cycles would more than

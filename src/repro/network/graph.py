@@ -457,9 +457,9 @@ class Graph:
         Returns ``(matrix, nodes)`` where ``matrix[i, j]`` is True iff
         ``nodes[i]`` and ``nodes[j]`` are adjacent and ``nodes`` is the
         insertion order (or the explicit ``order`` argument, which must be
-        a permutation of the node set).  The matrix is the substrate of
-        :mod:`repro.simulation.vectorized`, which computes whole-network
-        collision outcomes as matrix products.
+        a permutation of the node set).  ``O(n²)`` memory: a view for
+        small graphs and tests; the vectorized engine runs on
+        :meth:`adjacency_csr`.
 
         ``numpy`` is imported lazily so the graph module itself stays
         dependency-free.
@@ -485,7 +485,7 @@ class Graph:
         arrays are ``int64``; ``indptr`` has length ``n + 1`` and
         ``indices`` one entry per *directed* edge (``2m`` total), so the
         memory footprint is ``O(n + m)`` instead of the dense matrix's
-        ``O(n²)`` -- this is the substrate of the sparse code path of
+        ``O(n²)`` -- this is the substrate of
         :mod:`repro.simulation.vectorized` (see
         :class:`repro.simulation.sparse.CSRAdjacency`).
 

@@ -12,12 +12,10 @@
   :class:`VectorizedCompeteEngine` computes whole rounds of the Compete
   dynamics (and whole batches of seeded trials) as NumPy operations.
   It exists for the benchmark sweeps in :mod:`repro.experiments`, where
-  it is typically one to two orders of magnitude faster per trial, and
-  runs one of two bit-for-bit equivalent kernels: the *dense*
-  adjacency-matrix path or the *sparse* CSR path of
-  :mod:`repro.simulation.sparse`, which drops per-round work and memory
-  from ``O(n²)`` to ``O(n + m)`` and opens the ``n >= 10^4`` scenarios
-  (``engine="auto"`` picks by edge density).
+  it is typically one to two orders of magnitude faster per trial.  Its
+  reception step is the transmitter-driven CSR kernel of
+  :mod:`repro.simulation.sparse`: ``O(n + m)`` memory, which opens the
+  ``n >= 10^4`` scenarios.
 * :mod:`repro.simulation.results` -- the structured
   :class:`RunResult` / :class:`StopReason` types every run returns.
 
@@ -35,11 +33,10 @@ strategy: both backends consume the same per-node
 :class:`~repro.schedules.transmission.TransmissionSchedule` (the engine
 as a dense ``(cycle, n)`` probability matrix, the runner as per-round
 lookups), so the skeleton and clustered inner loops are equally covered.
-The guarantee also holds per *engine*: both vectorized kernels evaluate
-the identical collision rule on the same replayed draws.  It is pinned
-by the three-way (reference / dense / sparse) equivalence harness in
-``tests/test_engine_equivalence.py`` and re-checked on every benchmark
-run that includes the reference backend.
+It is pinned by the equivalence harness in
+``tests/test_engine_equivalence.py`` (reference runner, vectorized
+engine and a dense-matmul test oracle) and re-checked on every
+benchmark run that includes the reference backend.
 """
 
 from repro.simulation.results import RunResult, StopReason
@@ -49,7 +46,7 @@ from repro.simulation.runner import (
     build_seeded_protocols,
     spawn_node_rngs,
 )
-from repro.simulation.sparse import CSRAdjacency, edge_density, select_engine
+from repro.simulation.sparse import CSRAdjacency
 from repro.simulation.vectorized import (
     ENGINES,
     BatchOutcome,
@@ -66,8 +63,6 @@ __all__ = [
     "build_seeded_protocols",
     "spawn_node_rngs",
     "CSRAdjacency",
-    "edge_density",
-    "select_engine",
     "ENGINES",
     "BatchOutcome",
     "DrawStreams",

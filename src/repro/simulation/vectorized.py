@@ -4,8 +4,8 @@
 time in pure Python -- ideal for auditing the model, far too slow for the
 benchmark sweeps the ROADMAP calls for.  This module is the fast path:
 one synchronous round of the whole network (and of a whole *batch* of
-independent trials) is computed as a handful of dense array operations on
-the graph's adjacency matrix.
+independent trials) is a short, fixed sequence of NumPy operations over
+flat ``trials * n`` arrays.
 
 The engine exploits a structural fact about the Compete dynamics
 (:mod:`repro.core.compete`): the only messages ever on the air are the
@@ -18,32 +18,20 @@ nothing) -- and one round becomes:
 * ``transmit = informed & (uniform_draw < p[round])``  (the per-node
   transmission schedule; the classical uniform Decay rule
   ``p = 2^-step`` is one instance),
-* ``counts   = transmit @ A``                          (transmitting
-  neighbours per listener),
-* a listener with ``counts == 1`` receives the unique transmitter's
-  rank, obtained from ``(transmit * rank) @ A``,
-* ``rank = max(rank, received_rank)``                  (adopt-if-higher).
+* ``counts, unique_rank`` from the CSR kernel of
+  :mod:`repro.simulation.sparse`: per listener, how many neighbours
+  transmit and, where exactly one does, that neighbour's rank,
+* ``rank = max(rank, unique_rank)`` for listeners that are not
+  transmitting themselves (adopt-if-higher), written only at the
+  indices that improve.
 
-All three are batched over an additional leading *trial* axis, so many
-seeded trials run simultaneously through the same matrix products.
-
-Two interchangeable kernel **engines** execute the reception step, chosen
-by the ``engine`` argument (``"auto"`` applies the edge-density heuristic
-of :func:`repro.simulation.sparse.select_engine`):
-
-* ``"dense"`` densifies the adjacency matrix once and computes ``counts``
-  and the rank sums as matrix products -- unbeatable below a few thousand
-  nodes, ``O(n²)`` memory and per-round work above that;
-* ``"sparse"`` keeps the graph in CSR form
-  (:class:`repro.simulation.sparse.CSRAdjacency`) and computes the same
-  two quantities with a transmitter-driven scatter-add over the
-  transmitters' CSR rows -- ``O(n + m)`` memory and work proportional
-  to the transmitters' degrees, which is what opens the ``n >= 10^4``
-  scenarios.
-
-Both engines evaluate the identical collision rule on exactly the same
-draws, so they agree bit for bit; the engine axis is orthogonal to the
-strategy axis and invisible in every result.
+The kernel lays the trials out block-diagonally, so many seeded trials
+run through the same calls.  Metric counters accumulate per node and
+are reduced once after the loop, at each trial's own finishing round;
+under :mod:`repro.dynamics` the per-round fault totals are scalars shared
+by every trial.  The ``engine`` selector (``"auto"`` or ``"sparse"``)
+names this one kernel; it is kept so configs and artifacts keep their
+identities.
 
 Round-exact equivalence with the reference runner
 -------------------------------------------------
@@ -58,14 +46,14 @@ message* (uninformed nodes listen without drawing).  :class:`DrawStreams`
 replays those per-node streams from identically-spawned generators,
 pre-drawing blocks per node and consuming them one element per informed
 round, so the k-th decision of every node matches the reference's k-th
-decision exactly.  ``tests/test_vectorized.py`` pins this equivalence on
-path/star/grid/random topologies.
+decision exactly.  ``tests/test_engine_equivalence.py`` pins this
+equivalence across topology families, strategies and fault models.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -74,18 +62,34 @@ from repro.network.graph import Graph
 from repro.network.metrics import NetworkMetrics
 from repro.schedules.transmission import decay_probabilities
 from repro.simulation.rng import RNG_MODES, DecoupledStreams
-from repro.simulation.sparse import CSRAdjacency, ENGINE_KINDS, resolve_engine
+from repro.simulation.sparse import CSRAdjacency
 
 #: Rank value meaning "this node knows no message yet".
 NO_MESSAGE = 0
 
-#: Engine selectors: the concrete kernels plus the density heuristic.
-ENGINES = ("auto",) + ENGINE_KINDS
+#: The accepted ``engine`` selectors.  Both name the one CSR kernel; the
+#: field is kept so configs, scenarios and artifacts keep their
+#: identities.
+ENGINES = ("auto", "sparse")
 
 #: Default number of uniform draws pre-fetched per (trial, node) stream.
 #: Larger blocks amortise the per-generator Python call over more rounds
 #: at the cost of ``trials * n * block * 8`` bytes of buffer.
 DEFAULT_DRAW_BLOCK = 128
+
+
+def check_engine(engine: str) -> str:
+    """Validate an ``engine`` selector and return the kernel it names.
+
+    >>> check_engine("auto")
+    'sparse'
+    """
+    if engine not in ENGINES:
+        removed = " (the dense engine was removed)" if engine == "dense" else ""
+        raise ConfigurationError(
+            f"engine must be one of {ENGINES}, got {engine!r}{removed}"
+        )
+    return "sparse"
 
 
 class DrawStreams:
@@ -212,16 +216,10 @@ class VectorizedCompeteEngine:
     ----------
     graph:
         The communication graph.  Its adjacency structure is snapshotted
-        once at construction -- densified into an ``n x n`` matrix under
-        the dense engine, converted to CSR under the sparse one.
+        once at construction, in CSR form.
     engine:
-        ``"dense"``, ``"sparse"``, or ``"auto"`` (the default), which
-        picks by the edge-density heuristic of
-        :func:`repro.simulation.sparse.select_engine`: dense up to
-        :data:`~repro.simulation.sparse.DENSE_NODE_CUTOFF` nodes, sparse
-        above it while the density stays below
-        :data:`~repro.simulation.sparse.SPARSE_DENSITY_CUTOFF`.  The two
-        kernels are bit-for-bit equivalent; only time and memory differ.
+        ``"auto"`` (the default) or ``"sparse"``; both select the CSR
+        kernel (:func:`check_engine`).
     decay_steps:
         Steps per uniform Decay round (``⌈log2 n⌉``); every node's
         transmission probability in global round ``r`` is
@@ -254,19 +252,18 @@ class VectorizedCompeteEngine:
         Optional :class:`repro.dynamics.FaultSchedule` bound to this
         graph.  Each round the engine resolves the schedule's fault
         state and applies it to the channel: crashed nodes neither
-        transmit nor receive, down links are masked out of the
-        adjacency structure (a per-round masked copy under the dense
-        kernel, an entry mask under the sparse one), and jammed alive
-        listeners receive nothing.  Fault decisions are pure counter
-        hashes shared with the reference runner, so the round-exact
-        equivalence contract extends to faulty runs unchanged.
+        transmit nor receive, down links are masked out of the kernel's
+        CSR entries, and jammed alive listeners receive nothing.  Fault
+        decisions are pure counter hashes shared with the reference
+        runner, so the round-exact equivalence contract extends to
+        faulty runs unchanged.
     config:
         An :class:`~repro.api.config.ExecutionConfig` describing the
-        whole run: the strategy is compiled to the schedule, the round
-        budget derived from the graph (or the config's explicit
-        ``parameters``), and ``engine="auto"`` resolved through the
-        shared :func:`~repro.api.config.resolve_execution` path.
-        Mutually exclusive with every other keyword.
+        whole run: the strategy is compiled to the schedule and the
+        round budget derived from the graph (or the config's explicit
+        ``parameters``) through the shared
+        :func:`~repro.api.config.resolve_execution` path.  Mutually
+        exclusive with every other keyword.
     """
 
     def __init__(
@@ -294,13 +291,12 @@ class VectorizedCompeteEngine:
                     "engine, draw_block, rng and dynamics)"
                 )
             # api sits above simulation in the layering, so the import
-            # is local; resolution applies the density heuristic once.
+            # is local.
             from repro.api.config import resolve_execution
 
             resolved = resolve_execution(graph, config)
             schedule = resolved.schedule
             max_rounds = resolved.parameters.total_rounds
-            engine = resolved.engine
             draw_block = config.draw_block
             rng = config.rng
             dynamics = resolved.fault_schedule
@@ -321,23 +317,8 @@ class VectorizedCompeteEngine:
                 f"rng must be one of {RNG_MODES}, got {rng!r}"
             )
         self._rng = rng
-        self._engine = engine = resolve_engine(
-            engine, graph.num_nodes, graph.num_edges
-        )
-        self._csr: Optional[CSRAdjacency] = None
-        self._adjacency: Optional[np.ndarray] = None
-        if engine == "sparse":
-            self._csr, nodes = CSRAdjacency.from_graph(graph)
-            dtype = np.float64  # the scatter-add's weighted bincount
-        else:
-            matrix, nodes = graph.adjacency_matrix()
-            # float32 matmuls are ~2x faster and remain exact as long as
-            # every intermediate integer stays below 2^24: neighbour counts
-            # are <= n and rank sums are <= n * n (ranks are dense, so < n).
-            dtype = np.float32 if len(nodes) ** 2 < 2**24 else np.float64
-            self._adjacency = matrix.astype(dtype)
-        # A unique transmitter's rank passes through this float dtype.
-        self._kernel_dtype = np.dtype(dtype)
+        self._engine = check_engine(engine)
+        self._csr, nodes = CSRAdjacency.from_graph(graph)
         self._nodes = tuple(nodes)
         self._dynamics = dynamics
         if dynamics is not None and tuple(dynamics.nodes) != self._nodes:
@@ -384,56 +365,13 @@ class VectorizedCompeteEngine:
 
     @property
     def engine(self) -> str:
-        """The kernel actually selected: ``"dense"`` or ``"sparse"``."""
+        """The kernel that runs: always ``"sparse"``, the CSR kernel."""
         return self._engine
 
     @property
     def rng(self) -> str:
         """The randomness policy: ``"replay"`` or ``"decoupled"``."""
         return self._rng
-
-    def _round_reception(
-        self, transmit: np.ndarray, ranks: np.ndarray, faults=None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One round's reception outcome under the selected kernel.
-
-        Returns ``(unique, collided, received)``: per (trial, node)
-        whether exactly one / two-or-more neighbours transmitted, and
-        the transmitted-rank sum (meaningful only where ``unique``).
-        Silent air is the complement of the two masks.  Both kernels
-        compute identical values -- the dense one as float matrix
-        products, the sparse one as a transmitter-driven scatter-add --
-        as long as every rank is an exact integer in the kernel's float
-        dtype, which :meth:`run_batch` checks.
-
-        ``faults`` (a :class:`repro.dynamics.RoundFaults`) masks churned
-        links out of the structure for this round: the dense kernel
-        multiplies against a copy with the down pairs zeroed, the sparse
-        kernel drops the down CSR entries.  Both see the identical
-        ``edge_up`` array, so they keep agreeing bit for bit.
-        """
-        if self._engine == "dense":
-            adjacency = self._adjacency
-            if faults is not None and faults.edge_up is not None:
-                down = ~faults.edge_up
-                if down.any():
-                    lo, hi = self._dynamics.edge_endpoints
-                    adjacency = adjacency.copy()
-                    adjacency[lo[down], hi[down]] = 0
-                    adjacency[hi[down], lo[down]] = 0
-            transmit_f = transmit.astype(adjacency.dtype)
-            counts = transmit_f @ adjacency
-            received = (
-                (transmit_f * ranks.astype(adjacency.dtype)) @ adjacency
-            ).astype(np.int64)
-            return counts == 1.0, counts >= 2.0, received
-        entry_mask = None
-        if faults is not None and faults.edge_up is not None:
-            entry_mask = faults.edge_up[self._dynamics.entry_edge_ids]
-        counts, received = self._csr.transmitter_counts_and_rank_sums(
-            transmit, ranks, entry_mask
-        )
-        return counts == 1, counts >= 2, received
 
     def run_batch(
         self,
@@ -448,7 +386,7 @@ class VectorizedCompeteEngine:
         initial_ranks:
             Integer array of shape ``(trials, n)``: each node's starting
             message rank (:data:`NO_MESSAGE` for nodes that know nothing),
-            aligned with :attr:`nodes`.
+            aligned with :attr:`nodes`.  Any ``int64`` rank is exact.
         winner_rank:
             The rank whose saturation ends a trial early, or ``None`` to
             always run the full budget (the no-candidate case, where the
@@ -457,11 +395,12 @@ class VectorizedCompeteEngine:
             One seed per trial, consumed exactly like the reference
             runner's ``seed`` argument.
         """
-        ranks = np.asarray(initial_ranks, dtype=np.int64)
-        if ranks.ndim != 2 or ranks.shape[1] != len(self._nodes):
+        ranks = np.array(initial_ranks, dtype=np.int64)
+        num_nodes = len(self._nodes)
+        if ranks.ndim != 2 or ranks.shape[1] != num_nodes:
             raise ConfigurationError(
                 "initial_ranks must have shape (trials, "
-                f"{len(self._nodes)}), got {ranks.shape}"
+                f"{num_nodes}), got {ranks.shape}"
             )
         num_trials = ranks.shape[0]
         if len(seeds) != num_trials:
@@ -470,202 +409,139 @@ class VectorizedCompeteEngine:
             )
         if (ranks < NO_MESSAGE).any():
             raise ConfigurationError("ranks must be >= 0 (0 = no message)")
-        # The kernel's float dtype holds every integer up to
-        # 2**(mantissa + 1) exactly: 2**24 in float32, 2**53 in float64.
-        # A larger rank would come back rounded to a different rank.
-        rank_bits = np.finfo(self._kernel_dtype).nmant + 1
-        if (ranks > 2**rank_bits).any():
-            raise ConfigurationError(
-                f"ranks must be <= 2**{rank_bits}, the exact-integer range "
-                f"of the {self._engine} kernel's {self._kernel_dtype} "
-                f"arithmetic, got {int(ranks.max())}"
-            )
 
-        ranks = ranks.copy()
+        # Flat (trial-major) views: node ``v`` of trial ``t`` is index
+        # ``t * n + v`` in every per-node array below.
+        flat_ranks = ranks.reshape(-1)
         adopted = np.full(ranks.shape, -1, dtype=np.int64)
-        rounds = np.zeros(num_trials, dtype=np.int64)
-        transmissions = np.zeros(num_trials, dtype=np.int64)
-        receptions = np.zeros(num_trials, dtype=np.int64)
-        collisions = np.zeros(num_trials, dtype=np.int64)
-        idle_listens = np.zeros(num_trials, dtype=np.int64)
-        suppressed_links = np.zeros(num_trials, dtype=np.int64)
-        crashed_nodes = np.zeros(num_trials, dtype=np.int64)
-        jammed_listens = np.zeros(num_trials, dtype=np.int64)
-
-        def saturated_now() -> np.ndarray:
-            if winner_rank is None:
-                return np.zeros(num_trials, dtype=bool)
-            return (ranks == winner_rank).all(axis=1)
-
-        saturated = saturated_now()
-        active = ~saturated
-
-        # A trial with no informed node can never transmit again (ranks
-        # only grow through receptions), so its whole remaining schedule
-        # is provably silent: charge it in one step -- every node idles
-        # every round, exactly what the reference runner would simulate.
-        # This makes candidate-less leader-election attempts near-free.
-        silent = active & ~(ranks > NO_MESSAGE).any(axis=1)
-        if silent.any():
-            rounds[silent] = self._max_rounds
-            if self._dynamics is None:
-                idle_listens[silent] += self._max_rounds * len(self._nodes)
-            else:
-                # Fault-aware silent charge: nobody ever transmits, but
-                # the environment still ticks round by round -- crashed
-                # nodes and alive jammed listeners are charged to their
-                # own counters, the rest idle, and down links accrue as
-                # always.  Scalar per-round totals, shared by every
-                # silent trial; the main loop below rewinds the schedule
-                # cursor back to round 0 (an O(rounds) hash replay).
-                num_nodes = len(self._nodes)
-                idle_total = crashed_total = 0
-                jammed_total = suppressed_total = 0
-                for round_number in range(self._max_rounds):
-                    faults = self._dynamics.round_faults(round_number)
-                    jam = int((faults.jammed & faults.alive).sum())
-                    crashed_total += faults.crashed_count
-                    jammed_total += jam
-                    idle_total += num_nodes - faults.crashed_count - jam
-                    suppressed_total += faults.suppressed
-                idle_listens[silent] += idle_total
-                crashed_nodes[silent] += crashed_total
-                jammed_listens[silent] += jammed_total
-                suppressed_links[silent] += suppressed_total
-            active &= ~silent
-
-        if not active.any() or self._max_rounds == 0:
-            return self._outcome(
-                rounds, saturated, ranks, adopted,
-                transmissions, receptions, collisions, idle_listens,
-                suppressed_links, crashed_nodes, jammed_listens,
-            )
-
-        replay = self._rng == "replay"
-        if replay:
-            streams = DrawStreams(seeds, len(self._nodes), self._draw_block)
+        flat_adopted = adopted.reshape(-1)
+        if winner_rank is None:
+            saturated = np.zeros(num_trials, dtype=bool)
         else:
-            streams = DecoupledStreams(seeds, len(self._nodes))
+            saturated = (ranks == winner_rank).all(axis=1)
+        # Rounds each trial runs.  A trial with no informed node can
+        # never transmit again (ranks only grow through receptions), so
+        # its whole remaining schedule is provably silent and it is
+        # charged the full budget without being simulated -- what makes
+        # candidate-less leader-election attempts near-free.
+        informed = ranks > NO_MESSAGE
+        rounds = np.where(saturated, 0, self._max_rounds)
+        running = ~saturated & informed.any(axis=1)
+        # The nodes that draw this round: informed nodes of running
+        # trials.  Updated where a node improves and where a trial stops.
+        wanted = informed & running[:, None]
+        flat_wanted = wanted.reshape(-1)
+        # Per-node counters of the rounds each node transmitted,
+        # received, heard a collision, and transmitted while jammed.
+        # Rounds add their bool masks into uint8 counters (a same-type
+        # add, several times cheaper than one into int64), which move
+        # into the int64 totals every 255 rounds, before they can wrap.
+        totals = np.zeros((4,) + ranks.shape, dtype=np.int64)
+        counters = np.zeros((4,) + ranks.shape, dtype=np.uint8)
+        sent, heard, clashed, jammed_sent = counters
+        # Per-round fault totals, the same for every trial: crashed
+        # nodes, down links, alive jammed nodes.
+        fault_totals: list[tuple[int, int, int]] = []
+
+        kernel = self._csr.transmitter_counts_and_rank_sums
+        replay = self._rng == "replay"
+        loop_rounds = self._max_rounds if running.any() else 0
+        if loop_rounds and replay:
+            streams = DrawStreams(seeds, num_nodes, self._draw_block)
+        elif loop_rounds:
+            streams = DecoupledStreams(seeds, num_nodes)
 
         cycle_length = self._probabilities.shape[0]
-        num_nodes = len(self._nodes)
-        for round_number in range(self._max_rounds):
-            probability = self._probabilities[round_number % cycle_length]
-
-            # Masking by ``active`` only matters once some trial has
-            # saturated; while all are live the cheap form is identical.
-            if active.all():
-                informed = ranks > NO_MESSAGE
-            else:
-                informed = (ranks > NO_MESSAGE) & active[:, None]
+        for round_number in range(loop_rounds):
+            if round_number % 255 == 0:
+                totals += counters
+                counters.fill(0)
+            row = round_number % cycle_length
             if replay:
-                draws = streams.take(informed.ravel()).reshape(informed.shape)
-                transmit = informed & (draws < probability[None, :])
-            else:
-                transmit = informed & (
-                    streams.bits(round_number)
-                    < self._thresholds[round_number % cycle_length]
+                # Requested draws compare against the probability row;
+                # the rest are nan, which compares False.
+                transmit = (
+                    streams.take(flat_wanted).reshape(ranks.shape)
+                    < self._probabilities[row]
                 )
+            else:
+                transmit = streams.bits(round_number) < self._thresholds[row]
+                transmit &= wanted
 
-            if self._dynamics is not None:
+            entry_mask = None
+            if self._dynamics is None:
+                listening = ~transmit
+            else:
                 # Crash suppression happens *after* the draws above were
                 # taken: a crashed node's stream still advances exactly
                 # as in the reference runner, where the protocol draws
                 # and the network drops the transmission.
                 faults = self._dynamics.round_faults(round_number)
-                alive = faults.alive
-                transmit &= alive[None, :]
-            else:
-                faults = None
+                transmit &= faults.alive
+                listening = ~transmit & (faults.alive & ~faults.jammed)
+                jammed_sent += (transmit & faults.jammed).view(np.uint8)
+                fault_totals.append(_fault_totals(faults))
+                if faults.edge_up is not None:
+                    entry_mask = faults.edge_up[self._dynamics.entry_edge_ids]
 
-            unique, collided, received = self._round_reception(
-                transmit, ranks, faults
+            counts, unique_rank = kernel(transmit, ranks, entry_mask)
+            # Half-duplex: a transmitter hears nothing this round, and
+            # crashed or jammed nodes hear nothing either.
+            sent += transmit.view(np.uint8)
+            received = counts == 1
+            received &= listening
+            heard += received.view(np.uint8)
+            collided = counts > 1
+            collided &= listening
+            clashed += collided.view(np.uint8)
+            received &= unique_rank > ranks
+            improved = received.ravel().nonzero()[0]
+            if improved.size == 0:
+                continue
+            gained = unique_rank.ravel()[improved]
+            flat_ranks[improved] = gained
+            flat_adopted[improved] = round_number
+            flat_wanted[improved] = True
+            # A trial saturates only in a round where its last node
+            # adopts the winner rank, so only then is it rechecked
+            # (callers pass the top rank, so ``>=`` means adopted).
+            if winner_rank is not None and gained.max() >= winner_rank:
+                done = running & (ranks == winner_rank).all(axis=1)
+                if done.any():
+                    saturated |= done
+                    rounds[done] = round_number + 1
+                    running &= ~done
+                    wanted[done] = False
+                    if not running.any():
+                        break
+
+        # Fault counters: the per-round totals summed up to each trial's
+        # last round.  Silent and budget-exhausted trials are charged
+        # every round of the budget, also those after the loop stopped.
+        fault_counts = np.zeros((3, num_trials), dtype=np.int64)
+        if self._dynamics is not None:
+            while len(fault_totals) < int(rounds.max(initial=0)):
+                fault_totals.append(_fault_totals(
+                    self._dynamics.round_faults(len(fault_totals))
+                ))
+            cumulative = np.zeros((3, len(fault_totals) + 1), dtype=np.int64)
+            np.cumsum(
+                np.array(fault_totals, dtype=np.int64).reshape(-1, 3).T,
+                axis=1, out=cumulative[:, 1:],
             )
-            # Half-duplex: a transmitter hears nothing this round, so
-            # only non-transmitting nodes with a unique transmitting
-            # neighbour receive (or, at >= 2, observe a collision).
-            # Under faults, crashed and jammed nodes cannot receive
-            # (or observe anything) either.
-            not_transmitting = ~transmit
-            if faults is None:
-                eligible = not_transmitting
-            else:
-                eligible = (
-                    not_transmitting & (alive & ~faults.jammed)[None, :]
-                )
-            receiving = unique & eligible
-            received_ranks = np.where(receiving, received, NO_MESSAGE)
-
-            improved = received_ranks > ranks
-            if improved.any():
-                adopted[improved] = round_number
-                np.maximum(ranks, received_ranks, out=ranks)
-                saturation_may_change = True
-            else:
-                # No rank moved: saturation cannot have changed either.
-                saturation_may_change = False
-
-            transmit_counts = transmit.sum(axis=1)
-            reception_counts = receiving.sum(axis=1)
-            collision_counts = (collided & eligible).sum(axis=1)
-            rounds[active] += 1
-            transmissions += np.where(active, transmit_counts, 0)
-            receptions += np.where(active, reception_counts, 0)
-            collisions += np.where(active, collision_counts, 0)
-            if faults is None:
-                # Every non-transmitter listens, and unique/collided/
-                # silent air partition what it hears -- so idle listens
-                # are the listeners the other two counters did not claim.
-                idle_listens += np.where(
-                    active,
-                    num_nodes - transmit_counts
-                    - reception_counts - collision_counts,
-                    0,
-                )
-            else:
-                # Faulty partition: transmitters + crashed + jammed
-                # alive listeners + receptions + collisions + idle = n,
-                # each node in exactly one bucket (crashed beats
-                # transmitter beats jammed).
-                jam_counts = (
-                    (faults.jammed & alive)[None, :] & not_transmitting
-                ).sum(axis=1)
-                idle_listens += np.where(
-                    active,
-                    num_nodes - transmit_counts - faults.crashed_count
-                    - jam_counts - reception_counts - collision_counts,
-                    0,
-                )
-                suppressed_links += np.where(active, faults.suppressed, 0)
-                crashed_nodes += np.where(active, faults.crashed_count, 0)
-                jammed_listens += np.where(active, jam_counts, 0)
-
-            if saturation_may_change:
-                saturated = saturated_now()
-                active &= ~saturated
-                if not active.any():
-                    break
-
-        return self._outcome(
-            rounds, saturated, ranks, adopted,
-            transmissions, receptions, collisions, idle_listens,
-            suppressed_links, crashed_nodes, jammed_listens,
+            fault_counts = cumulative[:, rounds]
+        crashed_nodes, suppressed_links, jam_listeners = fault_counts
+        totals += counters
+        transmissions, receptions, collisions, jammed_transmissions = (
+            totals.sum(axis=2)
         )
-
-    def _outcome(
-        self,
-        rounds: np.ndarray,
-        saturated: np.ndarray,
-        ranks: np.ndarray,
-        adopted: np.ndarray,
-        transmissions: np.ndarray,
-        receptions: np.ndarray,
-        collisions: np.ndarray,
-        idle_listens: np.ndarray,
-        suppressed_links: np.ndarray,
-        crashed_nodes: np.ndarray,
-        jammed_listens: np.ndarray,
-    ) -> BatchOutcome:
+        jammed_listens = jam_listeners - jammed_transmissions
+        # Each node-round is exactly one of: transmitter, crashed,
+        # jammed alive listener, reception, collision or idle listen.
+        idle_listens = (
+            num_nodes * rounds - transmissions - crashed_nodes
+            - jammed_listens - receptions - collisions
+        )
         return BatchOutcome(
             nodes=self._nodes,
             rounds=rounds,
@@ -680,6 +556,15 @@ class VectorizedCompeteEngine:
             crashed_nodes=crashed_nodes,
             jammed_listens=jammed_listens,
         )
+
+
+def _fault_totals(faults) -> tuple[int, int, int]:
+    """One round's crashed nodes, down links and alive jammed nodes."""
+    return (
+        faults.crashed_count,
+        faults.suppressed,
+        int(np.count_nonzero(faults.jammed & faults.alive)),
+    )
 
 
 def rank_messages(messages) -> dict:

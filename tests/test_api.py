@@ -1,7 +1,7 @@
 """The repro.api layer: ExecutionConfig, resolve_execution, the registry.
 
 Covers (a) config validation and immutability, (b) the single-source
-engine-resolution path and its dense/sparse crossover regression pins,
+resolution path and the one engine every consumer reports,
 (c) the algorithm registry's capability enforcement and plugin seam, and
 (d) the deprecation shims: each legacy kwarg spelling must warn exactly
 once, build the equivalent config, and yield seed-identical results.
@@ -28,13 +28,7 @@ from repro.core.leader_election import elect_leader
 from repro.core.parameters import CompeteParameters
 from repro.errors import ConfigurationError
 from repro.network.radio import CollisionModel
-from repro.simulation.sparse import (
-    DENSE_NODE_CUTOFF,
-    SPARSE_DENSITY_CUTOFF,
-    resolve_engine,
-    select_engine,
-    sparse_crossover_edges,
-)
+from repro.experiments.scenarios import Scenario
 from repro.simulation.vectorized import VectorizedCompeteEngine
 
 
@@ -58,6 +52,8 @@ def test_config_validation_rejects_bad_axes():
         ExecutionConfig(backend="warp-drive")
     with pytest.raises(ConfigurationError, match="engine"):
         ExecutionConfig(engine="gpu")
+    with pytest.raises(ConfigurationError, match="dense engine was removed"):
+        ExecutionConfig(engine="dense")
     with pytest.raises(ConfigurationError, match="strategy"):
         ExecutionConfig(strategy="quantum")
     with pytest.raises(ConfigurationError, match="collision_model"):
@@ -113,7 +109,7 @@ def test_resolve_execution_derives_everything():
     resolved = resolve_execution(graph, ExecutionConfig(strategy="clustered"))
     assert resolved.parameters == CompeteParameters.from_graph(graph)
     assert resolved.strategy.name == "clustered"
-    assert resolved.engine == "dense"  # n = 16 is far below the cutoff
+    assert resolved.engine == "sparse"
     assert resolved.collision_model is CollisionModel.NO_DETECTION
     schedule = resolved.schedule
     assert schedule is resolved.schedule  # built once, cached
@@ -147,43 +143,37 @@ def test_resolve_execution_honours_explicit_parameters():
     assert resolved.parameters == override
 
 
-def test_engine_crossover_regression():
-    # The dense<->sparse crossover of the auto heuristic, pinned so the
-    # single source of truth cannot silently move: dense at and below
-    # the node cutoff regardless of shape, sparse above it while the
-    # edge density stays below the cutoff, dense again at high density.
-    assert DENSE_NODE_CUTOFF == 1024 and SPARSE_DENSITY_CUTOFF == 0.125
-    assert select_engine(DENSE_NODE_CUTOFF, DENSE_NODE_CUTOFF - 1) == "dense"
-    assert select_engine(DENSE_NODE_CUTOFF + 1, DENSE_NODE_CUTOFF) == "sparse"
-    # sparse_crossover_edges is the one exported statement of where the
-    # density boundary sits; pin its concrete values so a cutoff change
-    # cannot land without touching this line.
-    n = 2048
-    boundary = sparse_crossover_edges(n)
-    assert boundary == 262016
-    assert sparse_crossover_edges(4096) == 1048320
-    assert select_engine(n, boundary - 1) == "sparse"
-    assert select_engine(n, boundary) == "dense"
-    # resolve_engine (the funnel resolve_execution applies) agrees with
-    # the raw heuristic on "auto" and passes concrete kinds through.
-    for num_nodes, num_edges in [(8, 7), (1025, 1024), (n, boundary)]:
-        assert resolve_engine("auto", num_nodes, num_edges) == select_engine(
-            num_nodes, num_edges
-        )
-    assert resolve_engine("dense", 10**6, 10**6) == "dense"
+def test_every_consumer_reports_the_one_kernel():
+    # resolve_execution, the Compete primitive and the engine
+    # constructor all report the CSR kernel, for small and dense graphs
+    # alike and for both accepted selectors.
+    for graph in (topology.path_graph(32), topology.path_graph(1025),
+                  topology.complete_graph(40)):
+        for engine in ("auto", "sparse"):
+            config = ExecutionConfig(engine=engine)
+            resolved = resolve_execution(graph, config)
+            assert resolved.engine == "sparse"
+            assert Compete(graph, config=config).selected_engine() == "sparse"
+            assert resolved.build_engine().engine == "sparse"
 
 
-def test_resolution_is_the_single_crossover_authority():
-    # Every consumer of the heuristic -- resolve_execution, the Compete
-    # primitive, the engine constructor -- must report the same kernel
-    # for the same graph, on both sides of the node-cutoff crossover.
-    below = topology.path_graph(32)
-    above = topology.path_graph(DENSE_NODE_CUTOFF + 1)
-    for graph, expected in ((below, "dense"), (above, "sparse")):
-        resolved = resolve_execution(graph, ExecutionConfig())
-        assert resolved.engine == expected
-        assert Compete(graph).selected_engine() == expected
-        assert resolved.build_engine().engine == expected
+def test_dense_engine_is_a_one_line_configuration_error():
+    # The dense engine is gone; naming it fails before anything runs,
+    # with one line that says so, wherever the selector is accepted.
+    graph = topology.path_graph(6)
+    for build in (
+        lambda: ExecutionConfig(engine="dense"),
+        lambda: VectorizedCompeteEngine(graph, decay_steps=2, max_rounds=4,
+                                        engine="dense"),
+        lambda: Scenario(name="dense", description="", family="path",
+                         topology_args={"num_nodes": 6},
+                         algorithm="broadcast", engine="dense"),
+    ):
+        with pytest.raises(ConfigurationError) as error:
+            build()
+        message = str(error.value)
+        assert "dense engine was removed" in message
+        assert "\n" not in message
 
 
 def test_engine_config_excludes_every_explicit_keyword():
@@ -393,7 +383,7 @@ def test_legacy_kwargs_warn_on_every_entry_point():
     for call in (
         lambda: Compete(graph, backend="vectorized"),
         lambda: compete(graph, {0: 1}, seed=0, strategy="clustered"),
-        lambda: elect_leader(graph, seed=1, engine="dense"),
+        lambda: elect_leader(graph, seed=1, engine="sparse"),
         lambda: broadcast(graph, source=0, seed=0,
                           collision_model=CollisionModel.WITH_DETECTION),
         lambda: broadcast(graph, source=0, seed=0, margin=4.0),

@@ -65,10 +65,10 @@ def test_decay_broadcast_rejects_unsupported_modes():
         decay_broadcast(graph, source=99)
 
 
-@pytest.mark.parametrize("engine", ["dense", "sparse"])
+@pytest.mark.parametrize("engine", ["auto", "sparse"])
 def test_decay_broadcast_backend_equivalence(engine):
-    # Reference vs vectorized (both kernels), field by field: the
-    # baseline inherits the package's round-exact guarantee.
+    # Reference vs vectorized (both engine selectors), field by field:
+    # the baseline inherits the package's round-exact guarantee.
     graph = topology.grid_graph(4, 5)
     for seed in (0, 3):
         reference = decay_broadcast(graph, source=0, seed=seed)

@@ -1,26 +1,29 @@
-"""The backend/engine equivalence harness: reference vs dense vs sparse.
+"""The backend equivalence harness: reference vs vectorized vs oracle.
 
 This is the single home of the package's equivalence guarantee
 (``repro.simulation`` docstring).  One table of cases -- topology family
 x strategy x collision model x algorithm -- runs every seeded instance
-through all three execution paths:
+through three execution paths:
 
 * the pure-Python reference ``ProtocolRunner`` (``backend="reference"``),
-* the vectorized backend on the dense matmul kernel (``engine="dense"``),
-* the vectorized backend on the sparse CSR kernel (``engine="sparse"``),
+* the vectorized backend on its CSR kernel (``backend="vectorized"``),
+* the vectorized backend with its engine swapped for the dense-matmul
+  oracle of ``tests/dense_oracle.py``,
 
-and asserts *round-exact* agreement field by field: same winner/leader,
-same success flag, same executed-round count, same per-node reception
-rounds and final messages, identical metric counters.  Cases marked
-``slow`` cover the large-``n`` regime (up to 1024 nodes with the
-reference runner in the loop, beyond it dense-vs-sparse only) and are
-excluded in CI via ``-m "not slow"``.
+and asserts *round-exact* agreement of the vectorized backend with the
+other two, field by field: same winner/leader, same success flag, same
+executed-round count, same per-node reception rounds and final messages,
+identical metric counters.  The oracle is the only exact check where the
+reference runner cannot run: under ``rng="decoupled"`` and beyond
+``n = 1024``.  Cases marked ``slow`` cover the large-``n`` regime and
+are excluded in CI via ``-m "not slow"``.
 
 Engine *internals* (draw streams, input validation, caching) live in
 ``tests/test_vectorized.py``; CSR structure in ``tests/test_sparse.py``;
 decomposition/schedule structure in ``tests/test_clustering.py``.
 """
 
+import contextlib
 import dataclasses
 from typing import Callable, Optional, Tuple
 
@@ -42,12 +45,10 @@ from repro.network.graph import Graph
 from repro.network.messages import Message
 from repro.network.radio import CollisionModel
 
-#: The three execution paths compared pairwise: (label, backend, engine).
-EXECUTIONS = (
-    ("reference", "reference", "auto"),
-    ("dense", "vectorized", "dense"),
-    ("sparse", "vectorized", "sparse"),
-)
+from dense_oracle import dense_oracle_engines
+
+#: The three execution paths: reference runner, engine, dense oracle.
+EXECUTIONS = ("reference", "vectorized", "oracle")
 
 NO_DETECT = CollisionModel.NO_DETECTION
 DETECT = CollisionModel.WITH_DETECTION
@@ -187,38 +188,45 @@ def case_params():
         yield pytest.param(case, id=case.name, marks=marks)
 
 
-def run_case(
-    case: Case, seed: int, backend: str, engine: str, rng: str = "replay"
-):
+def on_path(path: str):
+    """The backend for ``path``, and a context that installs the oracle."""
+    backend = "reference" if path == "reference" else "vectorized"
+    if path == "oracle":
+        return backend, dense_oracle_engines()
+    return backend, contextlib.nullcontext()
+
+
+def run_case(case: Case, seed: int, path: str, rng: str = "replay"):
     """Execute one case on one execution path (via ExecutionConfig)."""
     graph = case.factory()
+    backend, context = on_path(path)
     common = dict(
         seed=seed,
         spontaneous=case.spontaneous,
         config=ExecutionConfig(
             backend=backend,
-            engine=engine,
             strategy=case.strategy,
             collision_model=case.collision_model,
             rng=rng,
             dynamics=case.dynamics,
         ),
     )
-    if case.algorithm == "compete":
-        nodes = graph.nodes()
-        candidates = {
-            nodes[0]: 10, nodes[-1]: 20, nodes[len(nodes) // 2]: 15
-        }
-        return compete(graph, candidates, **common)
-    if case.algorithm == "broadcast":
-        return broadcast(graph, source=graph.nodes()[0], **common)
-    assert case.algorithm == "election"
-    return elect_leader(graph, **common)
+    with context:
+        if case.algorithm == "compete":
+            nodes = graph.nodes()
+            candidates = {
+                nodes[0]: 10, nodes[-1]: 20, nodes[len(nodes) // 2]: 15
+            }
+            return compete(graph, candidates, **common)
+        if case.algorithm == "broadcast":
+            return broadcast(graph, source=graph.nodes()[0], **common)
+        assert case.algorithm == "election"
+        return elect_leader(graph, **common)
 
 
 def assert_round_exact(case: Case, seed: int, reference, other, label: str):
     """Field-by-field agreement of two results of the same algorithm."""
-    context = f"{case.name} seed={seed}: reference vs {label}"
+    context = f"{case.name} seed={seed}: {label}"
     if case.algorithm == "election":
         fields = ("success", "leader", "attempts", "rounds", "num_candidates")
     elif case.algorithm == "broadcast":
@@ -242,28 +250,26 @@ def assert_round_exact(case: Case, seed: int, reference, other, label: str):
 @pytest.mark.parametrize("case", case_params())
 def test_three_way_round_exact_agreement(case):
     for seed in case.seeds:
-        results = {
-            label: run_case(case, seed, backend, engine)
-            for label, backend, engine in EXECUTIONS
-        }
+        results = {path: run_case(case, seed, path) for path in EXECUTIONS}
         assert_round_exact(case, seed, results["reference"],
-                           results["dense"], "dense")
-        assert_round_exact(case, seed, results["reference"],
-                           results["sparse"], "sparse")
+                           results["vectorized"], "reference vs vectorized")
+        assert_round_exact(case, seed, results["oracle"],
+                           results["vectorized"], "oracle vs vectorized")
 
 
 @pytest.mark.parametrize("case", case_params())
 def test_dense_sparse_exact_under_decoupled_rng(case):
     # The decoupled counter rng intentionally breaks parity with the
     # *reference* runner (that contract is distributional, owned by
-    # tests/test_rng_decoupled.py) -- but the two vectorized kernels
-    # must still agree bit for bit with each other: they evaluate the
+    # tests/test_rng_decoupled.py) -- but the dense-matmul oracle and
+    # the CSR engine must still agree bit for bit: they evaluate the
     # same hash at the same (trial, round, node) coordinates, so any
-    # divergence is a kernel bug, not a randomness question.
+    # divergence is an engine bug, not a randomness question.
     for seed in case.seeds:
-        dense = run_case(case, seed, "vectorized", "dense", rng="decoupled")
-        sparse = run_case(case, seed, "vectorized", "sparse", rng="decoupled")
-        assert_round_exact(case, seed, dense, sparse, "sparse-decoupled")
+        dense = run_case(case, seed, "oracle", rng="decoupled")
+        sparse = run_case(case, seed, "vectorized", rng="decoupled")
+        assert_round_exact(case, seed, dense, sparse,
+                           "oracle vs vectorized, decoupled")
 
 
 # ----------------------------------------------------------------------
@@ -271,19 +277,21 @@ def test_dense_sparse_exact_under_decoupled_rng(case):
 # ----------------------------------------------------------------------
 def _three_way_compete(graph, candidates, *, parameters=None,
                        spontaneous=False, seed=0):
-    return {
-        label: Compete(
-            graph,
-            parameters=parameters,
-            config=ExecutionConfig(backend=backend, engine=engine),
-        ).run(candidates, seed=seed, spontaneous=spontaneous)
-        for label, backend, engine in EXECUTIONS
-    }
+    results = {}
+    for path in EXECUTIONS:
+        backend, context = on_path(path)
+        with context:
+            results[path] = Compete(
+                graph,
+                parameters=parameters,
+                config=ExecutionConfig(backend=backend),
+            ).run(candidates, seed=seed, spontaneous=spontaneous)
+    return results
 
 
 def _assert_all_equal(results):
     reference = results["reference"]
-    for label in ("dense", "sparse"):
+    for label in ("vectorized", "oracle"):
         other = results[label]
         assert reference.success == other.success, label
         assert reference.winner == other.winner, label
@@ -343,21 +351,22 @@ def test_degenerate_saturation_agreement():
 
 @pytest.mark.slow
 def test_dense_sparse_agree_beyond_reference_scale():
-    # Past n = 1024 the reference runner drops out of the loop; the two
-    # vectorized kernels must still agree batch-for-batch.  n = 2047 is
-    # above DENSE_NODE_CUTOFF, so this also exercises a forced dense
-    # engine on a graph the auto heuristic would route to sparse.
+    # Past n = 1024 the reference runner drops out of the loop; the
+    # dense-matmul oracle and the CSR engine must still agree
+    # batch-for-batch.
     graph = topology.binary_tree_graph(10)  # n = 2047, D = 20
     seeds = [0, 1, 2]
     outcomes = {}
-    for engine in ("dense", "sparse"):
-        primitive = Compete(
-            graph, config=ExecutionConfig(backend="vectorized", engine=engine)
-        )
-        outcomes[engine] = primitive.run_batch(
-            {0: 1}, seeds=seeds, spontaneous=True
-        )
-    for fast, slow in zip(outcomes["sparse"], outcomes["dense"]):
+    for path in ("oracle", "vectorized"):
+        _, context = on_path(path)
+        with context:
+            primitive = Compete(
+                graph, config=ExecutionConfig(backend="vectorized")
+            )
+            outcomes[path] = primitive.run_batch(
+                {0: 1}, seeds=seeds, spontaneous=True
+            )
+    for fast, slow in zip(outcomes["vectorized"], outcomes["oracle"]):
         assert fast.success and slow.success
         assert fast.rounds == slow.rounds
         assert dict(fast.reception_rounds) == dict(slow.reception_rounds)

@@ -263,8 +263,8 @@ def test_run_benchmark_emits_schema_valid_payload(tmp_path):
     }
     assert payload["scenario"]["strategy"] == "skeleton"
     assert payload["scenario"]["engine"] == "auto"
-    # n=8 resolves to the dense kernel; the payload records the fact.
-    assert payload["engine"] == {"requested": "auto", "selected": "dense"}
+    # Every graph runs the CSR kernel; the payload records the fact.
+    assert payload["engine"] == {"requested": "auto", "selected": "sparse"}
     assert payload["topology"]["num_nodes"] == 8
     assert payload["agreement"]["round_exact"] is True
     assert payload["timing"]["speedup"] is not None
@@ -621,6 +621,17 @@ def test_cli_engine_flag(tmp_path, capsys):
         (tmp_path / "bench" / "BENCH_broadcast-path-n32.json").read_text()
     )
     assert payload["engine"] == {"requested": "sparse", "selected": "sparse"}
+
+
+def test_cli_dense_engine_is_a_one_line_error(tmp_path, capsys):
+    assert main([
+        "run", "broadcast-path-n32", "--trials", "1", "--engine", "dense",
+        "--out", str(tmp_path / "bench"),
+    ]) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("error: ") and error.count("\n") == 1
+    assert "dense engine was removed" in error
+    assert not (tmp_path / "bench").exists()
 
 
 def test_cli_rng_and_workers_flags(tmp_path, capsys):

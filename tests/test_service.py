@@ -107,6 +107,13 @@ def test_parse_request_accepts_registered_and_inline_scenarios():
     assert inline.scenario.name == TINY.name
     assert inline.scenario.topology_args == TINY.topology_args
 
+    with pytest.raises(RequestError, match="dense engine was removed") as bad:
+        parse_request(
+            {"op": "run", "scenario": {**TINY.to_dict(), "engine": "dense"}},
+            registry=DEFAULT_REGISTRY,
+        )
+    assert bad.value.code == "bad-request"
+
 
 def test_response_envelopes_echo_request_id():
     assert ok_response({"x": 1}, request_id="r1") == {

@@ -1,4 +1,4 @@
-"""The CSR substrate: Graph.adjacency_csr, CSRAdjacency, engine selection.
+"""The CSR substrate: Graph.adjacency_csr and CSRAdjacency.
 
 Property-style: randomized graphs are converted both ways and the CSR
 form must round-trip against the dense adjacency matrix exactly --
@@ -13,14 +13,7 @@ import pytest
 from repro import topology
 from repro.errors import ConfigurationError, GraphError
 from repro.network.graph import Graph
-from repro.simulation.sparse import (
-    DENSE_NODE_CUTOFF,
-    SPARSE_DENSITY_CUTOFF,
-    CSRAdjacency,
-    edge_density,
-    select_engine,
-    sparse_crossover_edges,
-)
+from repro.simulation.sparse import CSRAdjacency
 
 
 # ----------------------------------------------------------------------
@@ -173,12 +166,13 @@ def dense_counts_and_rank_sums(dense, transmit, ranks):
 @pytest.mark.parametrize("down_rate", [None, 0.0, 0.3, 1.0])
 @pytest.mark.parametrize("seed", range(6))
 def test_transmitter_kernel_matches_dense_matmul(seed, down_rate):
-    # The kernel behind the sparse engine, checked against the dense
+    # The engine's reception kernel, checked against the dense
     # formulation on random graphs with isolated nodes (empty CSR rows)
     # and transmit patterns from empty to full.  ``down_rate`` is the
     # share of links an edge-churn entry mask holds down (None: no
-    # mask); a down link is masked in both directions, exactly as the
-    # dense kernel zeroes both of its matrix cells.
+    # mask); a down link is masked in both directions, as a dense
+    # matrix zeroes both of its cells.  The batch size changes between
+    # calls, so the kernel's block-diagonal layout is rebuilt too.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 40))
     graph = Graph(nodes=range(n))
@@ -195,19 +189,23 @@ def test_transmitter_kernel_matches_dense_matmul(seed, down_rate):
         down |= down.T
         rows = np.repeat(np.arange(n), np.diff(csr.indptr))
         entry_mask, up = ~down[rows, csr.indices], dense & ~down
-    trials = 3
-    ranks = rng.integers(0, 10 * n, size=(trials, n)).astype(np.int64)
-    for density in (0.0, 0.05, 0.5, 1.0):
+    for trials, density in ((3, 0.0), (3, 0.05), (1, 0.5), (2, 1.0),
+                            (3, 0.3)):
+        ranks = rng.integers(1, 10 * n, size=(trials, n)).astype(np.int64)
         transmit = rng.random((trials, n)) < density
-        counts, sums = csr.transmitter_counts_and_rank_sums(
+        counts, unique_rank = csr.transmitter_counts_and_rank_sums(
             transmit, ranks, entry_mask
         )
         expected_counts, expected_sums = dense_counts_and_rank_sums(
             up, transmit, ranks
         )
-        assert counts.dtype == np.int64 and sums.dtype == np.int64
+        assert counts.dtype == np.int64 and unique_rank.dtype == np.int64
         assert np.array_equal(counts, expected_counts)
-        assert np.array_equal(sums, expected_sums)
+        # Every position: the one transmitter's rank where a single
+        # neighbour transmits, 0 everywhere else.
+        assert np.array_equal(
+            unique_rank, np.where(expected_counts == 1, expected_sums, 0)
+        )
 
 
 def test_transmitter_kernel_empty_and_edgeless_cases():
@@ -223,31 +221,3 @@ def test_transmitter_kernel_empty_and_edgeless_cases():
     loud = np.ones((2, 5), dtype=bool)
     counts, sums = edgeless.transmitter_counts_and_rank_sums(loud, ranks)
     assert not counts.any() and not sums.any()
-
-
-# ----------------------------------------------------------------------
-# engine selection heuristic
-# ----------------------------------------------------------------------
-def test_edge_density():
-    assert edge_density(4, 3) == 0.5
-    assert edge_density(1, 0) == 1.0
-    assert edge_density(0, 0) == 1.0
-    with pytest.raises(ConfigurationError):
-        edge_density(-1, 0)
-
-
-def test_select_engine_heuristic():
-    # Small graphs are always dense, whatever their shape.
-    assert select_engine(8, 7) == "dense"
-    assert select_engine(DENSE_NODE_CUTOFF, DENSE_NODE_CUTOFF - 1) == "dense"
-    # Large sparse graphs go sparse; large dense graphs stay dense.
-    # sparse_crossover_edges is the canonical boundary: one edge below
-    # it is the last sparse count, at it the heuristic flips to dense.
-    n = DENSE_NODE_CUTOFF + 1
-    assert select_engine(n, n) == "sparse"  # density ~ 2/n
-    crossover = sparse_crossover_edges(n)
-    assert select_engine(n, crossover - 1) == "sparse"
-    assert select_engine(n, crossover) == "dense"
-    assert select_engine(16384, 16383) == "sparse"  # the ROADMAP regime
-    with pytest.raises(ConfigurationError):
-        sparse_crossover_edges(1)

@@ -1,20 +1,23 @@
-"""Internals of the vectorized engine (both kernels).
+"""Internals of the vectorized engine.
 
-The *equivalence* guarantee -- reference runner vs dense vs sparse,
-round for round, across the family x strategy x collision x algorithm
-table -- is pinned by ``tests/test_engine_equivalence.py``.  This file
-covers what is not visible from the outside: batch/single consistency,
-draw-stream buffering, input validation, cache invalidation on graph
-mutation, and the message-ranking reduction.
+The *equivalence* guarantee -- reference runner vs engine vs dense
+oracle, round for round, across the family x strategy x collision x
+algorithm table -- is pinned by ``tests/test_engine_equivalence.py``.
+This file covers what is not visible from the outside: batch/single
+consistency, draw-stream buffering, input validation, rank exactness,
+cache invalidation on graph mutation, and the message-ranking reduction.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import topology
-from repro.api import ExecutionConfig
+from repro.api import ExecutionConfig, resolve_execution
 from repro.core.compete import Compete
 from repro.core.parameters import CompeteParameters
+from repro.dynamics import DynamicsSpec, EdgeChurn, JammingWindows, NodeCrash
 from repro.errors import ConfigurationError
 from repro.network.messages import Message
 from repro.simulation.vectorized import (
@@ -42,25 +45,57 @@ def assert_same_compete_result(reference, vectorized, context=""):
     ), context
 
 
-@pytest.mark.parametrize("engine", ["dense", "sparse"])
-def test_run_batch_matches_individual_runs(engine):
+#: Fault environments for the batched-trial check, and the counter each
+#: one must move (``None``: the static network).
+BATCH_FAULTS = {
+    "static": (None, None),
+    "churn": (DynamicsSpec(fault_seed=11, models=(
+        EdgeChurn(p_down=0.08, p_up=0.4),)), "suppressed_links"),
+    "crash": (DynamicsSpec(fault_seed=5, models=(
+        NodeCrash(p_crash=0.03, p_recover=0.3),)), "crashed_nodes"),
+    "jam": (DynamicsSpec(fault_seed=3, models=(
+        JammingWindows(period=6, duration=2, offset=2, fraction=0.3),)),
+        "jammed_listens"),
+}
+
+
+@pytest.mark.parametrize("faults", sorted(BATCH_FAULTS))
+def test_run_batch_matches_individual_runs(faults):
+    # Trials of one batch finish at different rounds, and each trial's
+    # counters -- fault counters included -- must stop with it: every
+    # BatchOutcome field of a batched trial equals the same trial run
+    # alone, and the batched results equal the reference runner's.
+    dynamics, moved = BATCH_FAULTS[faults]
     graph = topology.grid_graph(4, 5)
-    primitive = Compete(graph, config=ExecutionConfig(engine=engine))
-    fast = Compete(
-        graph, config=ExecutionConfig(backend="vectorized", engine=engine)
-    )
-    candidates = {0: 5, 19: 9}
+    config = ExecutionConfig(backend="vectorized", dynamics=dynamics)
+    engine = resolve_execution(graph, config).build_engine()
+    row = np.arange(1, graph.num_nodes + 1, dtype=np.int64)
     seeds = [0, 1, 2, 3, 4]
-    batch = primitive.run_batch(candidates, seeds=seeds, spontaneous=True)
-    assert len(batch) == len(seeds)
-    for seed, batched in zip(seeds, batch):
-        single_vec = fast.run(candidates, seed=seed, spontaneous=True)
-        single_ref = primitive.run(candidates, seed=seed, spontaneous=True)
-        assert_same_compete_result(single_ref, batched, f"seed={seed}")
-        assert_same_compete_result(single_vec, batched, f"seed={seed}")
+    batch = engine.run_batch(np.tile(row, (len(seeds), 1)), row[-1], seeds)
+    assert len(set(batch.rounds.tolist())) > 1, "trials must finish apart"
+    if moved is not None:
+        assert getattr(batch, moved).all(), f"{faults} must move {moved}"
+    for trial, seed in enumerate(seeds):
+        single = engine.run_batch(row[None, :], row[-1], [seed])
+        for field in dataclasses.fields(batch):
+            if field.name == "nodes":
+                continue
+            assert np.array_equal(
+                getattr(batch, field.name)[trial],
+                getattr(single, field.name)[0],
+            ), f"{faults} seed={seed}: {field.name}"
+
+    candidates = {0: 5, 19: 9}
+    reference = Compete(graph, config=config.replace(backend="reference"))
+    batched = Compete(graph, config=config).run_batch(
+        candidates, seeds=seeds, spontaneous=True
+    )
+    for seed, result in zip(seeds, batched):
+        single_ref = reference.run(candidates, seed=seed, spontaneous=True)
+        assert_same_compete_result(single_ref, result, f"seed={seed}")
 
 
-@pytest.mark.parametrize("engine", ["dense", "sparse"])
+@pytest.mark.parametrize("engine", ["auto", "sparse"])
 def test_engine_draw_block_size_is_invisible(engine):
     # The pre-draw block size is an implementation detail; shrinking it to
     # force mid-run refills must not change any outcome array.
@@ -115,30 +150,18 @@ def test_draw_streams_replay_independent_node_streams(block):
         assert draws[wanted].tolist() == expected
 
 
-@pytest.mark.parametrize(
-    "engine, exact_limit", [("dense", 2**24), ("sparse", 2**53)]
-)
-def test_ranks_beyond_the_kernel_exact_range_are_rejected(
-    engine, exact_limit
-):
-    # The dense kernel on 8 nodes multiplies in float32, the sparse one
-    # adds in float64; a larger rank would come back rounded (2**24 + 1
-    # reads as 2**24 in float32, so the flood never saturates).
+@pytest.mark.parametrize("rank", [2**53 + 1, 2**62])
+def test_ranks_beyond_float_range_stay_exact(rank):
+    # The kernel passes ranks through an int64 scatter, never a float:
+    # a rank that float64 would round (2**53 + 1 reads as 2**53) still
+    # floods the path and comes back exact.
     graph = topology.path_graph(8)
-    fast = VectorizedCompeteEngine(
-        graph, decay_steps=3, max_rounds=200, engine=engine
-    )
-
-    def run(rank):
-        ranks = np.zeros((1, graph.num_nodes), dtype=np.int64)
-        ranks[0, 0] = rank
-        return fast.run_batch(ranks, rank, [0])
-
-    assert run(exact_limit).saturated.all()
-    with pytest.raises(ConfigurationError, match="exact-integer range"):
-        run(exact_limit + 1)
-    if engine == "sparse":
-        assert run(2**24 + 1).saturated.all()
+    fast = VectorizedCompeteEngine(graph, decay_steps=3, max_rounds=200)
+    ranks = np.zeros((1, graph.num_nodes), dtype=np.int64)
+    ranks[0, 0] = rank
+    outcome = fast.run_batch(ranks, rank, [0])
+    assert outcome.saturated.all()
+    assert (outcome.final_ranks == rank).all()
 
 
 def test_engine_input_validation():
@@ -155,6 +178,9 @@ def test_engine_input_validation():
     with pytest.raises(ConfigurationError, match="engine"):
         VectorizedCompeteEngine(graph, decay_steps=2, max_rounds=1,
                                 engine="quantum")
+    with pytest.raises(ConfigurationError, match="dense engine was removed"):
+        VectorizedCompeteEngine(graph, decay_steps=2, max_rounds=1,
+                                engine="dense")
     with pytest.raises(ConfigurationError):
         Compete(graph, config=ExecutionConfig(backend="warp-drive"))
     with pytest.raises(ConfigurationError, match="engine"):
@@ -166,16 +192,14 @@ def test_engine_input_validation():
 
 def test_engine_selection_is_visible():
     graph = topology.path_graph(6)
-    assert VectorizedCompeteEngine(
-        graph, decay_steps=2, max_rounds=4
-    ).engine == "dense"  # auto on a small graph
-    assert VectorizedCompeteEngine(
-        graph, decay_steps=2, max_rounds=4, engine="sparse"
-    ).engine == "sparse"
+    for engine in ("auto", "sparse"):
+        assert VectorizedCompeteEngine(
+            graph, decay_steps=2, max_rounds=4, engine=engine
+        ).engine == "sparse"
     primitive = Compete(graph, config=ExecutionConfig(engine="sparse"))
     assert primitive.engine == "sparse"
     assert primitive.selected_engine() == "sparse"
-    assert Compete(graph).selected_engine() == "dense"
+    assert Compete(graph).selected_engine() == "sparse"
     assert VectorizedCompeteEngine(
         graph, config=ExecutionConfig(engine="sparse")
     ).engine == "sparse"
@@ -185,7 +209,7 @@ def test_engine_selection_is_visible():
         )
 
 
-@pytest.mark.parametrize("engine", ["dense", "sparse"])
+@pytest.mark.parametrize("engine", ["auto", "sparse"])
 def test_engine_cache_tracks_graph_mutation(engine):
     # The cached engine snapshots the adjacency structure; mutating the
     # graph between runs must rebuild it so both backends keep seeing
@@ -197,9 +221,7 @@ def test_engine_cache_tracks_graph_mutation(engine):
     before = primitive.run({0: 1}, seed=3, spontaneous=True)
     graph.add_edge(0, 7)  # diameter collapses; propagation changes
     after = primitive.run({0: 1}, seed=3, spontaneous=True)
-    reference = Compete(
-        graph, config=ExecutionConfig(engine=engine)
-    ).run({0: 1}, seed=3, spontaneous=True)
+    reference = Compete(graph).run({0: 1}, seed=3, spontaneous=True)
     assert_same_compete_result(reference, after, "post-mutation")
     assert dict(before.reception_rounds) != dict(after.reception_rounds)
 
