@@ -43,10 +43,9 @@ class PreparedScenario:
     """Everything expensive about starting a run, computed once.
 
     Produced by :func:`prepare_scenario`; holds the built topology, its
-    summary (including the exact diameter, the costly part), the derived
-    round budget and the bound :class:`ResolvedExecution` with its
-    schedule already compiled.  ``repro.service`` keeps these in its
-    resolution cache keyed by
+    summary (including the diameter), the derived round budget and the
+    bound :class:`ResolvedExecution` with its schedule already compiled.
+    ``repro.service`` keeps these in its resolution cache keyed by
     :meth:`ExecutionConfig.cache_key` so repeated requests for the same
     (config, topology) pay the compilation exactly once; passing one to
     :func:`run_benchmark` via ``prepared=`` skips the whole cold path.
@@ -66,11 +65,11 @@ def prepare_scenario(
 ) -> PreparedScenario:
     """Compile ``scenario`` into a reusable :class:`PreparedScenario`.
 
-    This is the benchmark's cold path -- topology construction, the
-    exact-diameter summary, round-budget derivation, strategy-schedule
-    compilation and the CSR adjacency build -- factored out so callers
-    (most importantly the ``repro.service`` resolution cache) can pay it
-    once and amortise it over many runs.
+    This is the benchmark's cold path -- topology construction, the CSR
+    adjacency build, the diameter summary, round-budget derivation and
+    strategy-schedule compilation -- factored out so callers (most
+    importantly the ``repro.service`` resolution cache) can pay it once
+    and amortise it over many runs.
     """
     if config is None:
         config = scenario.execution_config()
@@ -87,7 +86,8 @@ def prepare_scenario(
     # Force the lazy compilations now, while we are on the cold path:
     # the strategy schedule (cluster decomposition is not free) and the
     # graph's memoized CSR adjacency, so a cached PreparedScenario
-    # starts a warm run without rebuilding either.
+    # starts a warm run without rebuilding either.  The exact diameter
+    # (n <= 2000) already built the CSR; above that this builds it.
     resolved.schedule
     graph.adjacency_csr()
     return PreparedScenario(

@@ -1,8 +1,8 @@
 """The resolution cache: compiled executions served warm.
 
-Every cold benchmark run pays topology construction, the exact-diameter
-summary, round-budget derivation, strategy-schedule compilation and the
-CSR adjacency build before the first trial draws a bit
+Every cold benchmark run pays topology construction, the CSR adjacency
+build, the diameter summary, round-budget derivation and
+strategy-schedule compilation before the first trial draws a bit
 (:func:`repro.experiments.bench.prepare_scenario`).  The service
 amortises that over repeated requests with a small LRU keyed by
 :meth:`repro.api.ExecutionConfig.cache_key` -- the config's execution

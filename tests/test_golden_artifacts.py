@@ -52,7 +52,8 @@ LEGACY_PATHS = sorted(LEGACY_DIR.glob("BENCH_*.json"))
 ALL_PATHS = ARTIFACT_PATHS + LEGACY_PATHS
 
 #: Above this node count the topology rebuild moves to the slow tier
-#: (exact-diameter verification is O(n*m); CI runs it once per push).
+#: (building the n ~ 10^5 graphs plus the two-sweep summary's six BFS
+#: passes takes seconds per artifact; CI runs it once per push).
 _FAST_REBUILD_NODES = 2000
 
 #: The scenario-block fields that define what an artifact *measures*;
