@@ -218,6 +218,15 @@ class FaultSchedule:
             for i in np.flatnonzero(faults.jammed & faults.alive)
         }
 
+    def down_links(self, faults: RoundFaults) -> set:
+        """Links down in ``faults`` as ``(u, v)`` pairs, both orientations."""
+        if faults.edge_up is None:
+            return set()
+        down = ~faults.edge_up
+        lo = [self._nodes[i] for i in self._edge_lo[down].tolist()]
+        hi = [self._nodes[i] for i in self._edge_hi[down].tolist()]
+        return {*zip(lo, hi), *zip(hi, lo)}
+
     def edge_is_up(
         self, faults: RoundFaults, u: Hashable, v: Hashable
     ) -> bool:

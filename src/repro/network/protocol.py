@@ -49,12 +49,15 @@ class Action:
 
     @classmethod
     def listen(cls) -> "Action":
-        """Stay silent and listen this round."""
-        return cls(ActionKind.LISTEN, None)
+        """Stay silent and listen this round (one shared instance)."""
+        return _LISTEN
 
     @property
     def is_transmit(self) -> bool:
         return self.kind is ActionKind.TRANSMIT
+
+
+_LISTEN = Action(ActionKind.LISTEN)
 
 
 class NodeProtocol(abc.ABC):

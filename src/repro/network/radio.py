@@ -8,6 +8,14 @@ distinguish "no neighbour transmitted" from "two or more transmitted".
 The optional collision-detection variant reports the latter case with the
 :data:`~repro.network.messages.COLLISION` sentinel.
 
+:meth:`RadioNetwork.run_round` applies the rule from the transmitters'
+side.  It walks each transmitter's neighbours once, over the links that
+are up this round, counting hits per listener and keeping the message
+that reached it.  A listener's bucket then follows from its count: one
+hit is a reception, two or more a collision, none an idle listen.  So
+each count is made once per round, and a round costs the transmitters'
+degrees plus one pass over the nodes.
+
 :class:`RadioNetwork` is intentionally a *pure* model object: it holds the
 graph, the collision semantics and the metric counters, and exposes a
 single :meth:`RadioNetwork.run_round` operation that maps a dictionary of
@@ -19,14 +27,18 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Mapping, Optional
+from typing import AbstractSet, Any, Mapping, Optional
 
 from repro.errors import ProtocolError
 from repro.network.events import EventLog, TraceEvent
 from repro.network.graph import Graph
 from repro.network.messages import COLLISION, SILENCE, Message
 from repro.network.metrics import NetworkMetrics
-from repro.network.protocol import Action
+from repro.network.protocol import Action, ActionKind
+
+# Bound once: an enum member lookup per action is a measurable share of
+# a round at n = 256.
+_TRANSMIT = ActionKind.TRANSMIT
 
 
 class CollisionModel(enum.Enum):
@@ -79,7 +91,7 @@ class RadioNetwork:
     dynamics:
         Optional :class:`repro.dynamics.FaultSchedule` (duck-typed --
         anything with ``round_faults``/``crashed_nodes``/
-        ``jammed_nodes``/``edge_is_up``).  When provided, every round
+        ``jammed_nodes``/``down_links``).  When provided, every round
         first resolves the schedule's fault state: crashed nodes are
         radio-off (their transmissions are suppressed and they hear
         :data:`SILENCE`), down links carry nothing, and jammed alive
@@ -152,129 +164,86 @@ class RadioNetwork:
         ProtocolError
             If ``actions`` mentions a node that is not in the graph.
         """
-        for node in actions:
-            if node not in self._graph:
-                raise ProtocolError(f"action supplied for unknown node {node!r}")
+        # Every node hears SILENCE unless the collision rule says
+        # otherwise.  The map fixes ``received``'s graph order, and its
+        # keys make the unknown-node check one key-set comparison.
+        received: dict[Any, Any] = dict.fromkeys(self._graph, SILENCE)
+        if not actions.keys() <= received.keys():
+            unknown = next(node for node in actions if node not in received)
+            raise ProtocolError(f"action supplied for unknown node {unknown!r}")
 
-        crashed: set[Any] = set()
-        jammed: set[Any] = set()
-        faults = None
+        crashed: AbstractSet[Any] = frozenset()
+        jammed: AbstractSet[Any] = frozenset()
+        down: AbstractSet[tuple[Any, Any]] = frozenset()
         if self._dynamics is not None:
             faults = self._dynamics.round_faults(self._round_number)
             crashed = self._dynamics.crashed_nodes(faults)
             jammed = self._dynamics.jammed_nodes(faults)
-
-        transmitters: dict[Any, Message] = {}
-        for node, action in actions.items():
-            # A crashed node's transmission is suppressed here, *after*
-            # the protocol consumed its draw: replay accounting must not
-            # depend on the fault schedule.
-            if action.is_transmit and node not in crashed:
-                assert action.message is not None
-                transmitters[node] = action.message
-
-        received: dict[Any, Any] = {}
-        for node in self._graph:
-            if node in crashed:
-                # Radio off: a crashed node hears nothing, detectably or
-                # not, until it recovers.
-                received[node] = SILENCE
-                continue
-            if node in transmitters:
-                # Half-duplex: a transmitter hears nothing this round.
-                received[node] = SILENCE
-                continue
-            if node in jammed:
-                # Jamming is noise on the listener's channel: collision
-                # detectors report it as a collision, others hear
-                # silence; either way no message gets through.
-                received[node] = (
-                    COLLISION
-                    if self._collision_model is CollisionModel.WITH_DETECTION
-                    else SILENCE
-                )
-                continue
-            heard = self._reception_for(node, transmitters, faults)
-            received[node] = heard
-
-        self._update_metrics(transmitters, received, faults, crashed, jammed)
-        self._trace_round(transmitters, received)
-
-        outcome = RoundOutcome(
-            round_number=self._round_number,
-            transmitters=dict(transmitters),
-            received=received,
-        )
-        self._round_number += 1
-        return outcome
-
-    def _transmitting_neighbours(
-        self, node: Any, transmitters: Mapping[Any, Message], faults: Any
-    ) -> list[Any]:
-        """Transmitting neighbours audible over currently-up links."""
-        return [
-            neighbour
-            for neighbour in self._graph.neighbors(node)
-            if neighbour in transmitters
-            and (
-                faults is None
-                or self._dynamics.edge_is_up(faults, node, neighbour)
-            )
-        ]
-
-    def _reception_for(
-        self,
-        node: Any,
-        transmitters: Mapping[Any, Message],
-        faults: Any = None,
-    ) -> Any:
-        """Apply the collision rule for a single listening node."""
-        audible = self._transmitting_neighbours(node, transmitters, faults)
-        if len(audible) == 1:
-            return transmitters[audible[0]]
-        if len(audible) == 0:
-            return SILENCE
-        if self._collision_model is CollisionModel.WITH_DETECTION:
-            return COLLISION
-        return SILENCE
-
-    def _update_metrics(
-        self,
-        transmitters: Mapping[Any, Message],
-        received: Mapping[Any, Any],
-        faults: Any = None,
-        crashed: frozenset = frozenset(),
-        jammed: frozenset = frozenset(),
-    ) -> None:
-        self._metrics.rounds += 1
-        self._metrics.transmissions += len(transmitters)
-        if faults is not None:
+            down = self._dynamics.down_links(faults)
             # Environment counters are per (entity, round) regardless of
-            # traffic -- exactly what the vectorized engines charge.
+            # traffic -- exactly what the vectorized engine charges.
             self._metrics.suppressed_links += faults.suppressed
             self._metrics.crashed_nodes += faults.crashed_count
-        for node, heard in received.items():
-            # Bucket precedence: crashed > transmitter > jammed > the
-            # collision/idle split.  Every node lands in exactly one.
-            if node in crashed:
-                continue  # charged via faults.crashed_count above
-            if node in transmitters:
+
+        # A crashed node's transmission is suppressed here, *after* the
+        # protocol consumed its draw: replay accounting must not depend
+        # on the fault schedule.
+        transmitters: dict[Any, Message] = {
+            node: action.message
+            for node, action in actions.items()
+            if action.kind is _TRANSMIT and node not in crashed
+        }
+
+        # Push every transmission over the sender's up links: per
+        # listener, how many transmitters it can hear and the message
+        # of the last one (the one it receives when it hears only one).
+        hits: dict[Any, int] = {}
+        heard: dict[Any, Message] = {}
+        for sender, message in transmitters.items():
+            for listener in self._graph.neighbors(sender):
+                if (sender, listener) not in down:
+                    hits[listener] = hits.get(listener, 0) + 1
+                    heard[listener] = message
+
+        # Bucket precedence: crashed > transmitter > jammed > the
+        # reception/collision/idle split, so every node lands in exactly
+        # one bucket.  Crashed nodes (radio off) and transmitters
+        # (half-duplex) keep SILENCE.  Jamming is noise on the listener's
+        # channel, which collision detectors report as a collision.
+        detection = self._collision_model is CollisionModel.WITH_DETECTION
+        deaf = crashed | transmitters.keys()
+        jammed_listens = jammed - deaf
+        deaf |= jammed_listens
+        if detection:
+            received.update(dict.fromkeys(jammed_listens, COLLISION))
+        receptions = collisions = 0
+        for listener, count in hits.items():
+            if listener in deaf:
                 continue
-            if node in jammed:
-                self._metrics.jammed_listens += 1
-                continue
-            if isinstance(heard, Message):
-                self._metrics.receptions += 1
+            if count == 1:
+                received[listener] = heard[listener]
+                receptions += 1
             else:
-                # Count the true collision/idle split regardless of whether
-                # the node could observe the difference.
-                audible = self._transmitting_neighbours(
-                    node, transmitters, faults
-                )
-                if len(audible) >= 2:
-                    self._metrics.collisions += 1
-                else:
-                    self._metrics.idle_listens += 1
+                # The true collision/idle split is counted whether or not
+                # the listener can observe the difference.
+                collisions += 1
+                if detection:
+                    received[listener] = COLLISION
+        # Every other node is a listener that no transmitter reached.
+        idle_listens = len(received) - len(deaf) - receptions - collisions
+
+        metrics = self._metrics
+        metrics.rounds += 1
+        metrics.transmissions += len(transmitters)
+        metrics.receptions += receptions
+        metrics.collisions += collisions
+        metrics.idle_listens += idle_listens
+        metrics.jammed_listens += len(jammed_listens)
+        self._trace_round(transmitters, received)
+
+        outcome = RoundOutcome(self._round_number, transmitters, received)
+        self._round_number += 1
+        return outcome
 
     def _trace_round(
         self, transmitters: Mapping[Any, Message], received: Mapping[Any, Any]

@@ -177,11 +177,18 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            method, path, body = await self._read_request(reader)
+            try:
+                method, path, body = await self._read_request(reader)
+            except RequestError as error:
+                # Malformed framing, answered before any routing.
+                return await _send_json(
+                    writer, 400, error_response(error.code, str(error))
+                )
             if method is None:
                 return
             await self._route(method, path, body, writer)
-        except ConnectionError:
+        except (ConnectionError, asyncio.IncompleteReadError):
+            # The client hung up, possibly mid-body: nothing to answer.
             pass
         finally:
             try:
@@ -210,6 +217,8 @@ class ServiceServer:
                     content_length = int(value.strip())
                 except ValueError:
                     content_length = 0
+        if content_length < 0:
+            raise RequestError("bad-request", "negative Content-Length")
         content_length = min(content_length, _MAX_BODY_BYTES)
         body = (
             await reader.readexactly(content_length)

@@ -1,0 +1,117 @@
+"""A listener-driven oracle for the radio network's collision round.
+
+:meth:`repro.network.radio.RadioNetwork.run_round` applies the collision
+rule from the transmitters' side: it pushes each transmission over the
+sender's up links and counts hits per listener.  This module keeps the
+plain per-listener form of the same rule.  Every listener scans its own
+neighbours for audible transmitters, once to decide what it hears and
+once more, if it heard nothing, to split a collision from an idle
+listen.  Churn is asked per (listener, neighbour) pair through
+``FaultSchedule.edge_is_up``.
+
+It is a reference implementation that tests compare against, not a
+second round: the package has one.  It has the network's interface
+(``run_round``, ``metrics``, ``current_round``) and traces into an
+``EventLog`` in the network's event order.
+"""
+
+from repro.network.events import TraceEvent
+from repro.network.messages import COLLISION, SILENCE, Message
+from repro.network.metrics import NetworkMetrics
+from repro.network.radio import CollisionModel, RoundOutcome
+
+
+class ListenerDrivenNetwork:
+    """``RadioNetwork``'s round, with the collision rule per listener."""
+
+    def __init__(self, graph, collision_model=CollisionModel.NO_DETECTION,
+                 event_log=None, dynamics=None):
+        self._graph = graph
+        self._collision_model = collision_model
+        self._event_log = event_log
+        self._dynamics = dynamics
+        self.metrics = NetworkMetrics()
+        self.current_round = 0
+
+    def run_round(self, actions) -> RoundOutcome:
+        crashed, jammed, faults = set(), set(), None
+        if self._dynamics is not None:
+            faults = self._dynamics.round_faults(self.current_round)
+            crashed = self._dynamics.crashed_nodes(faults)
+            jammed = self._dynamics.jammed_nodes(faults)
+        transmitters = {
+            node: action.message
+            for node, action in actions.items()
+            if action.is_transmit and node not in crashed
+        }
+        received = {}
+        for node in self._graph:
+            if node in crashed or node in transmitters:
+                received[node] = SILENCE
+            elif node in jammed:
+                received[node] = self._noise()
+            else:
+                audible = self._audible(node, transmitters, faults)
+                if len(audible) == 1:
+                    received[node] = transmitters[audible[0]]
+                elif audible:
+                    received[node] = self._noise()
+                else:
+                    received[node] = SILENCE
+        self._count(transmitters, received, faults, crashed, jammed)
+        self._trace(transmitters, received)
+        outcome = RoundOutcome(self.current_round, transmitters, received)
+        self.current_round += 1
+        return outcome
+
+    def _noise(self):
+        if self._collision_model is CollisionModel.WITH_DETECTION:
+            return COLLISION
+        return SILENCE
+
+    def _audible(self, node, transmitters, faults):
+        """Transmitting neighbours of ``node`` over links up this round."""
+        return [
+            neighbour
+            for neighbour in self._graph.neighbors(node)
+            if neighbour in transmitters
+            and (faults is None
+                 or self._dynamics.edge_is_up(faults, node, neighbour))
+        ]
+
+    def _count(self, transmitters, received, faults, crashed, jammed):
+        metrics = self.metrics
+        metrics.rounds += 1
+        metrics.transmissions += len(transmitters)
+        if faults is not None:
+            metrics.suppressed_links += faults.suppressed
+            metrics.crashed_nodes += faults.crashed_count
+        for node, heard in received.items():
+            if node in crashed or node in transmitters:
+                continue
+            if node in jammed:
+                metrics.jammed_listens += 1
+            elif isinstance(heard, Message):
+                metrics.receptions += 1
+            elif len(self._audible(node, transmitters, faults)) >= 2:
+                metrics.collisions += 1
+            else:
+                metrics.idle_listens += 1
+
+    def _trace(self, transmitters, received):
+        if self._event_log is None:
+            return
+        for node, message in transmitters.items():
+            self._event_log.record(
+                TraceEvent(self.current_round, "transmit", node, message))
+        for node, heard in received.items():
+            if node in transmitters:
+                continue
+            if isinstance(heard, Message):
+                kind = "receive"
+            elif heard is COLLISION:
+                kind = "collision"
+            else:
+                kind = "silence"
+            self._event_log.record(
+                TraceEvent(self.current_round, kind, node, heard))

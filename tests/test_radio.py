@@ -1,9 +1,21 @@
 """Collision semantics of the radio model (Section 1.1)."""
 
+import random
+
 import pytest
 
+from radio_oracle import ListenerDrivenNetwork
 from repro import topology
+from repro.dynamics import (
+    DynamicsSpec,
+    EdgeChurn,
+    FaultSchedule,
+    JammingWindows,
+    NodeCrash,
+)
 from repro.errors import ProtocolError
+from repro.network.events import EventLog
+from repro.network.graph import Graph
 from repro.network.messages import COLLISION, SILENCE, Message
 from repro.network.protocol import Action
 from repro.network.radio import CollisionModel, RadioNetwork
@@ -83,3 +95,106 @@ def test_metrics_copy_and_diff():
     assert delta.rounds == 1
     assert delta.transmissions == 1
     assert before.rounds == 1  # snapshot unaffected
+
+
+# ----------------------------------------------------------------------
+# Generated cases: the transmitter-driven round against the
+# listener-driven oracle (tests/radio_oracle.py)
+# ----------------------------------------------------------------------
+def _labelled_gnp(seed):
+    """A gnp sample on string node ids, in a shuffled insertion order."""
+    base = topology.connected_gnp_graph(16, 0.25, seed=seed)
+    order = base.nodes()
+    random.Random(seed).shuffle(order)
+    return Graph(
+        nodes=[f"v{node}" for node in order],
+        edges=[(f"v{u}", f"v{v}") for u, v in base.edges()],
+    )
+
+
+_FAMILIES = {
+    "path": lambda seed: topology.path_graph(6 + seed % 5),
+    "cycle": lambda seed: topology.cycle_graph(5 + seed % 6),
+    "star": lambda seed: topology.star_graph(4 + seed % 5),
+    "grid": lambda seed: topology.grid_graph(3 + seed % 2, 4),
+    "complete": lambda seed: topology.complete_graph(4 + seed % 4),
+    "gnp": lambda seed: topology.connected_gnp_graph(20, 0.2, seed=seed),
+    "tree": lambda seed: topology.random_tree_graph(18, seed=seed),
+    "geometric": lambda seed: topology.random_geometric_graph(
+        20, seed=seed
+    ),
+    "labelled-gnp": _labelled_gnp,
+}
+
+_FAULTS = {
+    "static": (),
+    "crash+jam": (
+        NodeCrash(p_crash=0.15, p_recover=0.4),
+        JammingWindows(period=3, duration=2, fraction=0.4),
+    ),
+    "churn+crash+jam": (
+        EdgeChurn(p_down=0.3, p_up=0.4),
+        NodeCrash(p_crash=0.15, p_recover=0.4),
+        JammingWindows(period=3, duration=2, offset=1, fraction=0.4),
+    ),
+}
+
+
+def _random_actions(graph, rng):
+    """A random transmit set; some nodes get no action (they listen)."""
+    p = rng.choice((0.0, 0.1, 0.3, 0.6, 1.0))
+    actions = {}
+    for node in graph.nodes():
+        if rng.random() < 0.15:
+            continue
+        if rng.random() < p:
+            message = Message(value=rng.randrange(5), source=node)
+            actions[node] = Action.transmit(message)
+        else:
+            actions[node] = Action.listen()
+    return actions
+
+
+def _assert_same_received(got, expected):
+    # Same nodes in the same (graph) order, sentinels by identity.
+    assert list(got) == list(expected)
+    for node, heard in expected.items():
+        if isinstance(heard, Message):
+            assert got[node] == heard
+        else:
+            assert got[node] is heard, node
+
+
+@pytest.mark.parametrize(
+    "model", list(CollisionModel), ids=lambda model: model.value
+)
+@pytest.mark.parametrize("faults", list(_FAULTS))
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_round_matches_the_listener_driven_oracle(family, faults, model):
+    for seed in range(3):
+        graph = _FAMILIES[family](seed)
+        dynamics = [None, None]
+        if _FAULTS[faults]:
+            spec = DynamicsSpec(fault_seed=seed, models=_FAULTS[faults])
+            dynamics = [FaultSchedule(spec, graph) for _ in range(2)]
+        logs = EventLog(), EventLog()
+        network = RadioNetwork(graph, model, logs[0], dynamics[0])
+        oracle = ListenerDrivenNetwork(graph, model, logs[1], dynamics[1])
+        rng = random.Random(seed)
+        for round_number in range(24):
+            actions = _random_actions(graph, rng)
+            before = network.metrics.copy(), oracle.metrics.copy()
+            outcome = network.run_round(actions)
+            expected = oracle.run_round(actions)
+            assert outcome.round_number == expected.round_number
+            assert outcome.transmitters == expected.transmitters
+            _assert_same_received(outcome.received, expected.received)
+            delta = network.metrics.diff(before[0])
+            assert delta == oracle.metrics.diff(before[1])
+            # Every node lands in exactly one bucket each round.
+            assert (
+                delta.transmissions + delta.receptions + delta.collisions
+                + delta.idle_listens + delta.jammed_listens
+                + delta.crashed_nodes
+            ) == graph.num_nodes
+        assert list(logs[0]) == list(logs[1])

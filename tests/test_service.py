@@ -9,6 +9,7 @@ plain test functions (no pytest-asyncio in the dependency budget).
 
 import asyncio
 import json
+import logging
 import socket
 import threading
 import time
@@ -500,6 +501,74 @@ def test_http_stream_emits_batches_then_end():
         assert events[-1]["result"]["trials"]["vectorized"] == 3
 
     asyncio.run(drive())
+
+
+def _raw_http(port, request, close_write):
+    """Send raw request bytes, then read until the server closes.
+
+    ``close_write`` half-closes the client side after sending, as a
+    client that gave up mid-body does.  The socket timeout turns a hung
+    server into a test failure instead of a hang.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        if close_write:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+@pytest.mark.parametrize(
+    "request_bytes, close_write, answered",
+    [
+        # A negative Content-Length is a malformed request: 400.
+        (b"POST /v1/run HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+         False, True),
+        # A body shorter than its Content-Length, then the client hangs
+        # up: nothing to answer, so the connection just closes.
+        (b"POST /v1/run HTTP/1.1\r\nContent-Length: 64\r\n\r\n"
+         b'{"scenario": "svc', True, False),
+    ],
+    ids=["negative-length", "short-body"],
+)
+def test_http_malformed_body_ends_as_response_or_quiet_close(
+    caplog, request_bytes, close_write, answered
+):
+    async def drive():
+        server = ServiceServer(JobManager())
+        await server.start()
+        url = f"http://127.0.0.1:{server.port}"
+        loop = asyncio.get_running_loop()
+        try:
+            reply = await loop.run_in_executor(
+                None, _raw_http, server.port, request_bytes, close_write
+            )
+            # The server still answers afterwards.
+            health = await loop.run_in_executor(
+                None, _http, url, "GET", "/healthz"
+            )
+        finally:
+            await server.close()
+        return reply, health
+
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        reply, health = asyncio.run(drive())
+    if answered:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"]["code"] == "bad-request"
+    else:
+        assert reply == b""
+    assert health[0] == 200 and health[1]["ok"] is True
+    # No "Unhandled exception in client_connected_cb" traceback.
+    assert [
+        record for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ] == []
 
 
 # ----------------------------------------------------------------------
