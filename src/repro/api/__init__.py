@@ -3,9 +3,8 @@
 This layer is the single front door for *how* and *what* to run:
 
 * :class:`~repro.api.config.ExecutionConfig` -- a validated, immutable
-  value object holding every execution axis (backend, engine, strategy,
-  collision model, round budget, seed policy) that used to be threaded
-  as separate keyword arguments through every entry point.
+  value object holding every execution axis (backend, strategy,
+  collision model, round budget, seed policy, fault environment).
   :func:`~repro.api.config.resolve_execution` binds a config to a
   concrete graph -- deriving the round budget, compiling the strategy's
   :class:`~repro.schedules.transmission.TransmissionSchedule`, in
@@ -16,18 +15,12 @@ This layer is the single front door for *how* and *what* to run:
   named, capability-declaring plugins
   (:data:`~repro.api.registry.DEFAULT_ALGORITHMS`), so scenarios and
   the CLI dispatch by name instead of ``if``/``elif`` chains.
-
-The old per-function ``backend=``/``engine=``/``strategy=`` kwargs keep
-working for one release through
-:func:`~repro.api.config.coerce_execution_config` (one
-:class:`DeprecationWarning` per call, identical results).
 """
 
 from repro.api.config import (
     RNG_POLICIES,
     ExecutionConfig,
     ResolvedExecution,
-    coerce_execution_config,
     resolve_execution,
     topology_digest,
 )
@@ -42,7 +35,6 @@ __all__ = [
     "RNG_POLICIES",
     "ExecutionConfig",
     "ResolvedExecution",
-    "coerce_execution_config",
     "resolve_execution",
     "topology_digest",
     "DEFAULT_ALGORITHMS",

@@ -1,41 +1,32 @@
 """The unified run configuration: :class:`ExecutionConfig` + :func:`resolve_execution`.
 
-Before this layer existed, every entry point threaded three orthogonal
-execution axes -- ``backend="reference"|"vectorized"``,
-``engine="auto"|"dense"|"sparse"``, ``strategy="skeleton"|"clustered"`` --
-plus the collision model and the round-budget knobs (``parameters`` /
-``margin``) as separate keyword arguments, and every new axis meant
-touching every call site.  :class:`ExecutionConfig` collapses the web
-into one validated, immutable value object that `Compete`, `broadcast`,
-`elect_leader`, `decay_broadcast`, `VectorizedCompeteEngine` and the
-benchmark subsystem all accept as a single ``config=``:
+Every execution axis -- the backend (``"reference"`` or
+``"vectorized"``), the Compete strategy, the collision model, the round
+budget (``parameters`` / ``margin``), the seed policy and the fault
+environment -- lives in one validated, immutable value object that
+``Compete``, ``broadcast``, ``elect_leader``, ``decay_broadcast`` and
+the benchmark subsystem all accept as a single ``config=``:
 
 >>> from repro.api import ExecutionConfig
->>> config = ExecutionConfig(backend="vectorized", engine="sparse")
->>> config.backend, config.engine, config.strategy
-('vectorized', 'sparse', 'skeleton')
+>>> config = ExecutionConfig(backend="vectorized")
+>>> config.backend, config.strategy
+('vectorized', 'skeleton')
 
 Configs are frozen; derive variants with :meth:`ExecutionConfig.replace`:
 
 >>> config.replace(strategy="clustered").strategy
 'clustered'
->>> config.engine  # the original is untouched
-'sparse'
+>>> config.strategy  # the original is untouched
+'skeleton'
 
 :func:`resolve_execution` is the one shared path that turns a config plus
 a concrete graph into everything a run needs -- the derived
 :class:`~repro.core.parameters.CompeteParameters` round budget, the
 strategy compiled to a
 :class:`~repro.schedules.transmission.TransmissionSchedule`, the
-normalised collision model and the fault schedule.  The per-node
-seeding policy (the ``DrawStreams`` replay and its pre-draw block size)
-also lives behind it: :meth:`ResolvedExecution.build_engine` constructs
-the vectorized engine with the config's ``draw_block``.
-
-The legacy per-function kwargs keep working for one release through
-:func:`coerce_execution_config`, which emits a single
-:class:`DeprecationWarning` per call and builds the equivalent config --
-so old call sites produce bit-for-bit identical runs while they migrate.
+normalised collision model and the fault schedule -- and
+:meth:`ResolvedExecution.build_engine` constructs the vectorized engine
+it describes.
 """
 
 from __future__ import annotations
@@ -43,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import warnings
 from typing import Any, Mapping, Optional, Union
 
 from repro.errors import ConfigurationError
@@ -59,11 +49,7 @@ from repro.core.compete import (
 )
 from repro.schedules.transmission import TransmissionSchedule
 from repro.simulation.rng import RNG_MODES
-from repro.simulation.vectorized import (
-    DEFAULT_DRAW_BLOCK,
-    VectorizedCompeteEngine,
-    check_engine,
-)
+from repro.simulation.vectorized import VectorizedCompeteEngine
 from repro.topology.validation import validate_radio_topology
 
 #: Seed policies: how per-(trial, node) randomness is produced.
@@ -81,9 +67,9 @@ _COLLISION_BY_NAME = {model.value: model for model in CollisionModel}
 class ExecutionConfig:
     """Validated, immutable description of *how* a run executes.
 
-    One config object covers every execution axis that used to be a
-    separate keyword argument; it is independent of *what* runs (the
-    graph, candidates, seeds), so one instance can drive many runs.
+    One config object covers every execution axis; it is independent
+    of *what* runs (the graph, candidates, seeds), so one instance can
+    drive many runs.
 
     Attributes
     ----------
@@ -91,10 +77,6 @@ class ExecutionConfig:
         ``"reference"`` (per-node protocols through the pure-Python
         :class:`~repro.simulation.runner.ProtocolRunner`) or
         ``"vectorized"`` (the round-exact NumPy batch engine).
-    engine:
-        Kernel selector for the vectorized backend: ``"auto"`` or
-        ``"sparse"``, which both name the one CSR kernel.  Ignored by
-        the reference backend.
     strategy:
         The Compete inner-loop strategy: a registered name
         (:data:`repro.core.compete.STRATEGIES`) or a custom
@@ -110,9 +92,6 @@ class ExecutionConfig:
     margin:
         Multiplier on ``D + log2 n`` for the derived round budget
         (ignored when ``parameters`` is given).
-    draw_block:
-        Pre-draw block size of the vectorized backend's
-        :class:`~repro.simulation.vectorized.DrawStreams` replay.
     rng:
         Seed policy, one of :data:`RNG_POLICIES`: ``"replay"`` (the
         reference-parity stream replay, round-exact across backends) or
@@ -131,12 +110,10 @@ class ExecutionConfig:
     """
 
     backend: str = "reference"
-    engine: str = "auto"
     strategy: Union[str, CompeteStrategy] = "skeleton"
     collision_model: Union[str, CollisionModel] = CollisionModel.NO_DETECTION
     parameters: Optional[CompeteParameters] = None
     margin: float = DEFAULT_MARGIN
-    draw_block: int = DEFAULT_DRAW_BLOCK
     rng: str = "replay"
     dynamics: Optional[Union[DynamicsSpec, Mapping[str, Any]]] = None
 
@@ -145,7 +122,6 @@ class ExecutionConfig:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        check_engine(self.engine)
         if not isinstance(self.strategy, CompeteStrategy) and (
             self.strategy not in STRATEGIES
         ):
@@ -179,10 +155,6 @@ class ExecutionConfig:
             raise ConfigurationError(
                 f"margin must be > 0, got {self.margin}"
             )
-        if self.draw_block < 1:
-            raise ConfigurationError(
-                f"draw_block must be >= 1, got {self.draw_block}"
-            )
         if self.rng not in RNG_POLICIES:
             raise ConfigurationError(
                 f"rng must be one of {RNG_POLICIES}, got {self.rng!r}"
@@ -213,18 +185,18 @@ class ExecutionConfig:
         return dataclasses.replace(self, **changes)
 
     def describe(self) -> dict[str, Any]:
-        """The config's execution axes as a JSON-friendly dict."""
+        """The axes that change a run's results, as a JSON-friendly dict.
+
+        ``backend`` is left out: the backends agree round for round.
+        """
         description = {
-            "backend": self.backend,
-            "engine": self.engine,
             "strategy": self.strategy_name,
             "collision_model": self.collision_model.value,
             "margin": self.margin,
             "rng": self.rng,
         }
-        # Included only when set: every static config (and with it every
-        # committed pre-dynamics artifact identity) keeps the exact
-        # digest it had before the dynamics axis existed.
+        # Included only when set, so a static config's digest does not
+        # depend on the dynamics axis.
         if self.dynamics is not None:
             description["dynamics"] = self.dynamics.describe()
         return description
@@ -233,16 +205,20 @@ class ExecutionConfig:
         """A short stable digest of the config's execution axes.
 
         Two configs share an identity exactly when :meth:`describe`
-        agrees -- backend, engine, strategy, collision model, margin and
-        rng policy.  The benchmark report subsystem uses this as the
+        agrees -- strategy, collision model, margin, rng policy and
+        dynamics.  The benchmark report subsystem uses this as the
         join key when matching a candidate artifact to its committed
-        baseline, so the digest must stay stable across processes and
-        releases (it hashes the canonical JSON form, never ``repr``).
+        baseline, recomputing both sides from their scenario blocks, so
+        the digest must stay stable across processes (it hashes the
+        canonical JSON form, never ``repr``).
 
         >>> ExecutionConfig().identity() == ExecutionConfig().identity()
         True
         >>> ExecutionConfig().identity() != ExecutionConfig(
         ...     strategy="clustered").identity()
+        True
+        >>> ExecutionConfig().identity() == ExecutionConfig(
+        ...     backend="vectorized").identity()
         True
         """
         canonical = json.dumps(self.describe(), sort_keys=True)
@@ -259,12 +235,12 @@ class ExecutionConfig:
         collision -- can never share an entry.  ``repro.service`` keys
         its compiled-:class:`ResolvedExecution` LRU with this.
 
-        Note the deliberate blind spots, matching :meth:`identity`:
-        ``draw_block`` (a throughput knob that cannot change results)
-        and an explicit ``parameters`` round budget (graph-derived on
-        the service path, where requests arrive as scenario payloads).
-        Callers that pin explicit parameters must not share a cache
-        across different budgets.
+        Note the deliberate blind spots, matching :meth:`identity`: the
+        backend (both agree round for round) and an explicit
+        ``parameters`` round budget (graph-derived on the service path,
+        where requests arrive as scenario payloads).  Callers that pin
+        explicit parameters must not share a cache across different
+        budgets.
         """
         return f"{self.identity()}:{topology}"
 
@@ -343,11 +319,6 @@ class ResolvedExecution:
         return self._config.backend
 
     @property
-    def engine(self) -> str:
-        """The kernel the vectorized backend runs: always ``"sparse"``."""
-        return check_engine(self._config.engine)
-
-    @property
     def schedule(self) -> TransmissionSchedule:
         """The strategy's compiled schedule (built on first access)."""
         if self._schedule is None:
@@ -377,7 +348,6 @@ class ResolvedExecution:
             self._graph,
             schedule=self.schedule,
             max_rounds=self._parameters.total_rounds,
-            draw_block=self._config.draw_block,
             rng=self._config.rng,
             dynamics=self.fault_schedule,
         )
@@ -418,8 +388,8 @@ def resolve_execution(
 
     >>> from repro import topology
     >>> resolved = resolve_execution(topology.path_graph(8))
-    >>> resolved.engine, resolved.strategy.name
-    ('sparse', 'skeleton')
+    >>> resolved.backend, resolved.strategy.name
+    ('reference', 'skeleton')
     """
     if config is None:
         config = ExecutionConfig()
@@ -438,43 +408,3 @@ def resolve_execution(
     strategy = config.strategy_instance()
     return ResolvedExecution(graph, config, parameters, strategy)
 
-
-def coerce_execution_config(
-    config: Optional[ExecutionConfig],
-    *,
-    where: str,
-    stacklevel: int = 3,
-    **legacy: Any,
-) -> ExecutionConfig:
-    """The deprecation shim behind the old per-function kwargs.
-
-    ``legacy`` holds the old keyword arguments (``backend=``,
-    ``engine=``, ``strategy=``, ``collision_model=``, ``margin=``) with
-    ``None`` meaning "not passed".  When none were passed, ``config``
-    (or a default :class:`ExecutionConfig`) is returned untouched.  When
-    any were, exactly **one** :class:`DeprecationWarning` is emitted --
-    naming every legacy kwarg used and the replacement -- and the
-    equivalent config is built, so old call sites keep producing
-    seed-identical results.  Mixing ``config=`` with legacy kwargs is an
-    error rather than a silent precedence rule.
-    """
-    used = {key: value for key, value in legacy.items() if value is not None}
-    if not used:
-        return config if config is not None else ExecutionConfig()
-    if config is not None:
-        raise ConfigurationError(
-            f"{where}: pass either config= or the deprecated "
-            f"{sorted(used)} keyword(s), not both"
-        )
-    names = ", ".join(f"{key}=" for key in sorted(used))
-    replacement = ", ".join(
-        f"{key}={value!r}" for key, value in sorted(used.items())
-    )
-    warnings.warn(
-        f"{where}: the {names} keyword(s) are deprecated and will be "
-        f"removed in the next release; pass "
-        f"config=ExecutionConfig({replacement}) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return ExecutionConfig(**used)

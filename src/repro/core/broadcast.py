@@ -11,14 +11,13 @@ run succeeds exactly when every node has adopted it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.network.messages import Message
 from repro.network.metrics import NetworkMetrics
-from repro.network.radio import CollisionModel
-from repro.core.compete import Compete, CompeteResult, CompeteStrategy
+from repro.core.compete import Compete, CompeteResult
 from repro.core.parameters import CompeteParameters
 
 
@@ -70,11 +69,6 @@ def broadcast(
     spontaneous: bool = True,
     config=None,
     parameters: Optional[CompeteParameters] = None,
-    margin: Optional[float] = None,
-    collision_model: Optional[CollisionModel] = None,
-    strategy: Optional[Union[str, CompeteStrategy]] = None,
-    backend: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> BroadcastResult:
     """Broadcast a message from ``source`` to every node of ``graph``.
 
@@ -93,32 +87,17 @@ def broadcast(
         classical conservative model where only informed nodes speak.
     config:
         The :class:`~repro.api.config.ExecutionConfig` selecting
-        backend, vectorized kernel, strategy, collision model and round
-        budget; ``None`` means all defaults.
+        backend, strategy, collision model and round budget; ``None``
+        means all defaults.
     parameters:
         Explicit schedule lengths, overriding the config's derived
         budget.
-    margin / collision_model / strategy / backend / engine:
-        **Deprecated** pre-config keywords (one ``DeprecationWarning``
-        per call, seed-identical results); see
-        :func:`repro.api.config.coerce_execution_config`.
 
     >>> from repro import topology
     >>> result = broadcast(topology.star_graph(8), source=0, seed=1)
     >>> result.success
     True
     """
-    from repro.api.config import coerce_execution_config
-
-    config = coerce_execution_config(
-        config,
-        where="broadcast()",
-        margin=margin,
-        collision_model=collision_model,
-        strategy=strategy,
-        backend=backend,
-        engine=engine,
-    )
     if source not in graph:
         raise ConfigurationError(f"source node {source!r} is not in the graph")
     primitive = Compete(graph, config=config, parameters=parameters)
@@ -145,9 +124,6 @@ def broadcast_batch(
     :func:`broadcast` calls); each returned :class:`BroadcastResult` is
     identical to the corresponding single-seed reference run.
     """
-    from repro.api.config import coerce_execution_config
-
-    config = coerce_execution_config(config, where="broadcast_batch()")
     if source not in graph:
         raise ConfigurationError(f"source node {source!r} is not in the graph")
     primitive = Compete(graph, config=config, parameters=parameters)

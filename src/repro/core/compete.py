@@ -47,14 +47,11 @@ the same :class:`CompeteResult` round for round under a shared seed, for
 every (strategy, backend) cell of the matrix;
 :meth:`Compete.run_batch` additionally runs many seeded trials at once on
 the vectorized backend, on the CSR kernel of
-:mod:`repro.simulation.sparse` (``engine="auto"`` and ``"sparse"`` both
-name it).
+:mod:`repro.simulation.sparse`.
 
-Both axes, together with the engine selector, the collision model and
-the round-budget margin, are carried by one
-:class:`~repro.api.config.ExecutionConfig` passed as
-``Compete(graph, config=...)``; the old per-axis keyword arguments
-remain as deprecation shims for one release.
+Both axes, together with the collision model and the round-budget
+margin, are carried by one :class:`~repro.api.config.ExecutionConfig`
+passed as ``Compete(graph, config=...)``.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ from repro.network.graph import Graph
 from repro.network.messages import Message, highest_message
 from repro.network.metrics import NetworkMetrics
 from repro.network.protocol import Action, NodeProtocol
-from repro.network.radio import CollisionModel, RadioNetwork
+from repro.network.radio import RadioNetwork
 from repro.core.clustering import (
     DEFAULT_CLUSTER_RADIUS,
     ClusterDecomposition,
@@ -335,20 +332,14 @@ class Compete:
         applied eagerly).
     config:
         The :class:`~repro.api.config.ExecutionConfig` describing every
-        execution axis -- backend, vectorized kernel (engine), strategy,
-        collision model, round-budget margin and seed policy.  ``None``
-        means all defaults (reference backend, auto engine, skeleton
-        strategy, no collision detection).
+        execution axis -- backend, strategy, collision model,
+        round-budget margin, seed policy and fault environment.  ``None``
+        means all defaults (reference backend, skeleton strategy, no
+        collision detection).
     parameters:
         Explicit schedule lengths, overriding both the config's
         ``parameters`` field and the graph-derived budget; useful when
         the caller already knows the diameter.
-    margin / collision_model / strategy / backend / engine:
-        **Deprecated** -- the pre-``ExecutionConfig`` keyword arguments,
-        kept working for one release.  Passing any of them emits a
-        single :class:`DeprecationWarning` and builds the equivalent
-        config (results are seed-identical); mixing them with
-        ``config=`` is an error.
     """
 
     def __init__(
@@ -357,24 +348,12 @@ class Compete:
         *,
         config=None,
         parameters: Optional[CompeteParameters] = None,
-        margin: Optional[float] = None,
-        collision_model: Optional[CollisionModel] = None,
-        strategy: Optional[Union[str, CompeteStrategy]] = None,
-        backend: Optional[str] = None,
-        engine: Optional[str] = None,
     ) -> None:
         # api sits above core in the layering, so the import is local.
-        from repro.api.config import coerce_execution_config, resolve_execution
+        from repro.api.config import ExecutionConfig, resolve_execution
 
-        config = coerce_execution_config(
-            config,
-            where="Compete",
-            margin=margin,
-            collision_model=collision_model,
-            strategy=strategy,
-            backend=backend,
-            engine=engine,
-        )
+        if config is None:
+            config = ExecutionConfig()
         self._resolve_execution = resolve_execution
         self._graph = graph
         self._config = config
@@ -407,17 +386,8 @@ class Compete:
 
     @property
     def backend(self) -> str:
-        """The default execution backend of :meth:`run`."""
+        """The execution backend of :meth:`run`."""
         return self._config.backend
-
-    @property
-    def engine(self) -> str:
-        """The requested vectorized kernel (possibly ``"auto"``)."""
-        return self._config.engine
-
-    def selected_engine(self) -> str:
-        """The kernel the vectorized backend runs: always ``"sparse"``."""
-        return self._resolved().engine
 
     def run(
         self,
@@ -425,7 +395,6 @@ class Compete:
         *,
         seed: Optional[int] = None,
         spontaneous: bool = False,
-        backend: Optional[str] = None,
     ) -> CompeteResult:
         """Race the candidate messages until one saturates the network.
 
@@ -443,27 +412,8 @@ class Compete:
         spontaneous:
             When True, non-candidate nodes participate from round 0 with
             a dummy message ranked strictly below every candidate.
-        backend:
-            **Deprecated** per-run backend override; construct the
-            instance with ``config=ExecutionConfig(backend=...)``
-            instead.
         """
-        if backend is None:
-            backend = self._config.backend
-        else:
-            import warnings
-
-            warnings.warn(
-                "Compete.run(backend=...) is deprecated; construct Compete "
-                "with config=ExecutionConfig(backend=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        if backend == "vectorized":
+        if self._config.backend == "vectorized":
             return self.run_batch(
                 candidates, seeds=[seed], spontaneous=spontaneous
             )[0]
@@ -551,8 +501,8 @@ class Compete:
         All trials share the candidate set and race simultaneously through
         the vectorized engine (one extra array axis, not one Python loop
         per trial).  Each returned :class:`CompeteResult` is identical to
-        what ``run(candidates, seed=s, backend="reference")`` would have
-        produced for the corresponding seed.
+        what :meth:`run` on the reference backend would have produced for
+        the corresponding seed.
         """
         seed_list = list(seeds)
         if not seed_list:
@@ -679,11 +629,6 @@ def compete(
     spontaneous: bool = False,
     config=None,
     parameters: Optional[CompeteParameters] = None,
-    margin: Optional[float] = None,
-    collision_model: Optional[CollisionModel] = None,
-    strategy: Optional[Union[str, CompeteStrategy]] = None,
-    backend: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> CompeteResult:
     """One-shot convenience wrapper around :class:`Compete`.
 
@@ -707,21 +652,6 @@ def compete(
     ...                     config=ExecutionConfig(strategy="clustered"))
     >>> clustered.success and clustered.strategy
     'clustered'
-
-    The ``margin``/``collision_model``/``strategy``/``backend``/``engine``
-    keywords are the deprecated pre-config spelling (one
-    ``DeprecationWarning``, identical results).
     """
-    from repro.api.config import coerce_execution_config
-
-    config = coerce_execution_config(
-        config,
-        where="compete()",
-        margin=margin,
-        collision_model=collision_model,
-        strategy=strategy,
-        backend=backend,
-        engine=engine,
-    )
     primitive = Compete(graph, config=config, parameters=parameters)
     return primitive.run(candidates, seed=seed, spontaneous=spontaneous)

@@ -135,7 +135,7 @@ def decay_broadcast(
     """Broadcast from ``source`` with the classical repeated-Decay protocol.
 
     Accepts the same :class:`~repro.api.config.ExecutionConfig` as the
-    paper's algorithms (backend and engine axes apply; the strategy axis
+    paper's algorithms (the backend axis applies; the strategy axis
     does not -- this baseline *is* the uniform Decay schedule).
     ``spontaneous=True`` is rejected: uninformed nodes staying silent is
     what defines the classical model.

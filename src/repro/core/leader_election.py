@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.network.messages import Message
 from repro.network.metrics import NetworkMetrics
-from repro.network.radio import CollisionModel
-from repro.core.compete import Compete, CompeteResult, CompeteStrategy
+from repro.core.compete import Compete, CompeteResult
 from repro.core.parameters import CompeteParameters
 
 
@@ -82,11 +81,6 @@ def elect_leader(
     spontaneous: bool = False,
     config=None,
     parameters: Optional[CompeteParameters] = None,
-    margin: Optional[float] = None,
-    collision_model: Optional[CollisionModel] = None,
-    strategy: Optional[Union[str, CompeteStrategy]] = None,
-    backend: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> LeaderElectionResult:
     """Elect a unique leader known to every node of ``graph``.
 
@@ -107,31 +101,17 @@ def elect_leader(
         Forwarded to Compete (non-candidates transmitting dummies).
     config:
         The :class:`~repro.api.config.ExecutionConfig` governing every
-        Compete attempt; all strategy/backend/engine cells yield
-        identical elections for the same master seed (per strategy).
+        Compete attempt; both backends yield identical elections for
+        the same master seed (per strategy).
     parameters:
         Explicit schedule lengths, overriding the config's derived
         budget.
-    margin / collision_model / strategy / backend / engine:
-        **Deprecated** pre-config keywords (one ``DeprecationWarning``
-        per call, seed-identical results).
 
     >>> from repro import topology
     >>> result = elect_leader(topology.complete_graph(16), seed=3)
     >>> result.success and result.leader in topology.complete_graph(16)
     True
     """
-    from repro.api.config import coerce_execution_config
-
-    config = coerce_execution_config(
-        config,
-        where="elect_leader()",
-        margin=margin,
-        collision_model=collision_model,
-        strategy=strategy,
-        backend=backend,
-        engine=engine,
-    )
     num_nodes = graph.num_nodes
     if candidate_probability is None:
         candidate_probability = 1.0 / max(num_nodes, 1)

@@ -15,7 +15,6 @@ import dataclasses
 import datetime
 import platform
 import time
-import warnings
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -109,7 +108,6 @@ def run_benchmark(
     reference_trials: Optional[int] = None,
     include_reference: bool = True,
     config: Optional[ExecutionConfig] = None,
-    engine: Optional[str] = None,
     workers: Optional[int] = None,
     prepared: Optional[PreparedScenario] = None,
 ) -> dict[str, Any]:
@@ -142,10 +140,6 @@ def run_benchmark(
         benchmark always measures the vectorized backend and re-checks
         the reference).  Defaults to
         :meth:`Scenario.execution_config`.
-    engine:
-        **Deprecated** -- the pre-config kernel override; use
-        ``config=scenario.execution_config(engine=...)``.  One
-        :class:`DeprecationWarning`, identical behaviour.
     workers:
         Shard the vectorized trial batch across this many processes
         (default 1: run in-process).  Seeds are split into contiguous
@@ -194,19 +188,6 @@ def run_benchmark(
     num_workers = workers if workers is not None else 1
     if num_workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {num_workers}")
-    if engine is not None:
-        if config is not None:
-            raise ConfigurationError(
-                "run_benchmark: pass either config= or the deprecated "
-                "engine= keyword, not both"
-            )
-        warnings.warn(
-            "run_benchmark(engine=...) is deprecated; pass "
-            "config=scenario.execution_config(engine=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = scenario.execution_config(engine=engine)
     if config is None:
         config = scenario.execution_config()
     num_trials = per_batch * num_batches
@@ -236,10 +217,6 @@ def run_benchmark(
     graph = prepared.graph
     summary = prepared.summary
     parameters = prepared.parameters
-    # The resolution records exactly the kernel that will run ("auto"
-    # applied through the same shared path the execution takes).
-    requested_engine = config.engine
-    selected_engine = prepared.resolved.engine
 
     effective_workers = min(num_workers, num_trials)
     started = time.perf_counter()
@@ -312,10 +289,6 @@ def run_benchmark(
             "seed_batches": num_batches,
             "reference": num_reference,
             "base_seed": base_seed,
-        },
-        "engine": {
-            "requested": requested_engine,
-            "selected": selected_engine,
         },
         "rng": config.rng,
         "workers": effective_workers,

@@ -169,11 +169,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
              "count instead of one (recorded as trials.seed_batches)",
     )
     parser.add_argument(
-        "--engine", default=None, metavar="{auto,sparse}",
-        help="override the scenario's engine selector (both run the CSR "
-             "kernel; anything else is a one-line error)",
-    )
-    parser.add_argument(
         "--rng", choices=("replay", "decoupled"), default=None,
         help="randomness policy: replay (default; round-exact backend "
              "agreement) or decoupled (counter-based fast mode; parity "
@@ -298,9 +293,7 @@ def _execute(arguments: argparse.Namespace, scenario: Scenario) -> None:
         seed_batches=arguments.seeds,
         reference_trials=arguments.reference_trials,
         include_reference=not arguments.skip_reference,
-        config=scenario.execution_config(
-            engine=arguments.engine, rng=arguments.rng
-        ),
+        config=scenario.execution_config(rng=arguments.rng),
         workers=arguments.workers,
     )
     path = write_bench(payload, arguments.out)
@@ -315,7 +308,7 @@ def _execute(arguments: argparse.Namespace, scenario: Scenario) -> None:
         f"{scenario.name}: success_rate={results['success_rate']:.2f} "
         f"rounds(mean)={results['rounds']['mean']:.0f} "
         f"{timing['vectorized_seconds_per_trial'] * 1000:.1f} ms/trial "
-        f"({speedup}, {payload['engine']['selected']} engine) -> {path}"
+        f"({speedup}) -> {path}"
     )
 
 

@@ -21,11 +21,15 @@ from typing import Any, Mapping, Optional, Union
 from repro.dynamics import MODEL_KINDS
 from repro.errors import ConfigurationError
 from repro.simulation.rng import RNG_MODES
-from repro.simulation.vectorized import ENGINES
 
-#: Kernels an artifact may record as ``engine.selected``: the CSR kernel,
-#: and the dense matmul kernel that earlier artifacts ran.
-RECORDED_ENGINES = ("dense", "sparse")
+#: The ``engine`` selectors that artifacts written before the selector's
+#: removal record as ``scenario.engine`` and ``engine.requested``; both
+#: named the CSR kernel.
+RECORDED_ENGINE_SELECTORS = ("auto", "sparse")
+
+#: Kernels those artifacts record as ``engine.selected``: the CSR kernel,
+#: and the dense matmul kernel that the earliest of them ran.
+RECORDED_KERNELS = ("dense", "sparse")
 
 #: Identifies the layout of a ``BENCH_*.json`` document.  Bump only with
 #: a migration note in ``docs/EXPERIMENTS.md``.
@@ -105,13 +109,15 @@ def validate_bench(payload: Mapping[str, Any]) -> None:
     # (implicitly skeleton, single-batch) keep validating.
     if "strategy" in scenario:
         _field(scenario, "strategy", str, path="scenario.strategy")
-    # Added in PR 4 alongside the top-level engine block.
+    # Written, with the top-level engine block, only while the engine
+    # selector existed.
     if "engine" in scenario:
         _field(scenario, "engine", str, path="scenario.engine")
         _expect(
-            scenario["engine"] in ENGINES,
+            scenario["engine"] in RECORDED_ENGINE_SELECTORS,
             "scenario.engine",
-            f"must be one of {ENGINES}, got {scenario['engine']!r}",
+            f"must be one of {RECORDED_ENGINE_SELECTORS}, got "
+            f"{scenario['engine']!r}",
         )
     # Added in PR 6 alongside the top-level rng field.
     if "rng" in scenario:
@@ -160,22 +166,23 @@ def validate_bench(payload: Mapping[str, Any]) -> None:
     _int_field(trials, "reference", minimum=0, path="trials.reference")
     _int_field(trials, "base_seed", path="trials.base_seed")
 
-    # The engine block was added in PR 4 (the sparse CSR code path);
-    # optional so pre-existing repro-bench/1 artifacts -- which all ran
-    # the dense engine, the only one that existed -- keep validating.
+    # The engine block was written only while the engine selector
+    # existed; artifacts from before the CSR kernel and from after the
+    # selector's removal omit it.
     if "engine" in payload:
         engine = _field(payload, "engine", Mapping)
         _field(engine, "requested", str, path="engine.requested")
         _expect(
-            engine["requested"] in ENGINES,
+            engine["requested"] in RECORDED_ENGINE_SELECTORS,
             "engine.requested",
-            f"must be one of {ENGINES}, got {engine['requested']!r}",
+            f"must be one of {RECORDED_ENGINE_SELECTORS}, got "
+            f"{engine['requested']!r}",
         )
         _field(engine, "selected", str, path="engine.selected")
         _expect(
-            engine["selected"] in RECORDED_ENGINES,
+            engine["selected"] in RECORDED_KERNELS,
             "engine.selected",
-            f"must be one of {RECORDED_ENGINES} (never 'auto'), got "
+            f"must be one of {RECORDED_KERNELS} (never 'auto'), got "
             f"{engine['selected']!r}",
         )
         _expect(

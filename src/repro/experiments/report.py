@@ -165,9 +165,10 @@ def artifact_identity(payload: Mapping[str, Any]) -> str:
     Rebuilds the scenario from the artifact's ``scenario`` block (the
     block is documented as sufficient for exactly that) and digests its
     :meth:`~repro.experiments.scenarios.Scenario.execution_config` --
-    the PR 5 seam, so every axis that changes what a run *means*
-    (strategy, engine, rng, collision model, margin) changes the key,
-    while presentation fields (description, tags) do not.
+    so every axis that changes what a run *means* (strategy, rng,
+    collision model, margin, dynamics) changes the key, while
+    presentation fields (description, tags) and a recorded ``engine``
+    selector do not.
     """
     scenario = Scenario.from_dict(payload["scenario"])
     return scenario.execution_config().identity()
@@ -508,9 +509,6 @@ def _axes(payload: Mapping[str, Any]) -> str:
     axes = []
     if scenario.get("strategy", "skeleton") != "skeleton":
         axes.append(scenario["strategy"])
-    engine = payload.get("engine", {})
-    if engine:
-        axes.append(engine["selected"])
     if payload.get("rng", "replay") != "replay":
         axes.append(payload["rng"])
     if scenario.get("algorithm") not in ("broadcast", None):

@@ -40,8 +40,8 @@ from repro.network.radio import CollisionModel
 from repro.api import DEFAULT_ALGORITHMS, ExecutionConfig
 from repro.core.compete import STRATEGIES
 from repro.core.parameters import DEFAULT_MARGIN
+from repro.experiments.persistence import RECORDED_ENGINE_SELECTORS
 from repro.simulation.rng import RNG_MODES
-from repro.simulation.vectorized import check_engine
 from repro import topology
 
 def __getattr__(name: str):
@@ -91,11 +91,6 @@ class Scenario:
         uniform-Decay baseline) or ``"clustered"`` (the Lemma 2.3
         cost-charged cluster schedule).  Scenario pairs differing only
         here measure the strategy's round-count delta.
-    engine:
-        Vectorized kernel selector, one of
-        :data:`repro.simulation.vectorized.ENGINES`: ``"auto"`` (the
-        default) or ``"sparse"``, which both name the CSR kernel; the
-        benchmark payload records the kernel that ran.
     rng:
         Randomness policy, one of
         :data:`repro.simulation.rng.RNG_MODES`: ``"replay"`` (the
@@ -132,7 +127,6 @@ class Scenario:
     collision_model: str = CollisionModel.NO_DETECTION.value
     spontaneous: bool = True
     strategy: str = "skeleton"
-    engine: str = "auto"
     rng: str = "replay"
     trials: int = 8
     seed: int = 2017
@@ -152,7 +146,6 @@ class Scenario:
             raise ConfigurationError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        check_engine(self.engine)
         if self.rng not in RNG_MODES:
             raise ConfigurationError(
                 f"rng must be one of {RNG_MODES}, got {self.rng!r}"
@@ -189,23 +182,18 @@ class Scenario:
         return _COLLISION_MODELS[self.collision_model]
 
     def execution_config(
-        self,
-        *,
-        backend: str = "vectorized",
-        engine: Optional[str] = None,
-        rng: Optional[str] = None,
+        self, *, rng: Optional[str] = None
     ) -> ExecutionConfig:
         """The scenario's execution axes as one :class:`ExecutionConfig`.
 
-        The scenario's persisted flat fields (``strategy``, ``engine``,
-        ``rng``, ``collision_model``, ``margin``) stay the JSON form;
-        this is the runtime form every execution path consumes.
-        ``backend``, ``engine`` and ``rng`` may be overridden without
-        mutating the scenario.
+        The scenario's persisted flat fields (``strategy``, ``rng``,
+        ``collision_model``, ``margin``, ``dynamics``) stay the JSON
+        form; this is the runtime form every execution path consumes,
+        on the vectorized backend every benchmark measures.  ``rng``
+        may be overridden without mutating the scenario.
         """
         return ExecutionConfig(
-            backend=backend,
-            engine=engine if engine is not None else self.engine,
+            backend="vectorized",
             strategy=self.strategy,
             collision_model=self.collision(),
             margin=self.margin,
@@ -224,7 +212,6 @@ class Scenario:
             "collision_model": self.collision_model,
             "spontaneous": self.spontaneous,
             "strategy": self.strategy,
-            "engine": self.engine,
             "rng": self.rng,
             "trials": self.trials,
             "seed": self.seed,
@@ -239,7 +226,29 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        """Rebuild a scenario from :meth:`to_dict` output."""
+        """Rebuild a scenario from :meth:`to_dict` output.
+
+        A key :meth:`to_dict` never writes is an error, so a typo cannot
+        silently run a default.  The one exception is ``engine``, which
+        blocks written before the selector was removed record: its
+        values there, ``"auto"`` and ``"sparse"``, both named the CSR
+        kernel every run uses, and are accepted and dropped.
+        """
+        known = {field.name for field in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - known - {"engine"})
+        if unknown:
+            raise ConfigurationError(
+                f"unknown scenario key(s) {unknown}; known: {sorted(known)}"
+            )
+        engine = data.get("engine", "auto")
+        if engine not in RECORDED_ENGINE_SELECTORS:
+            removed = (
+                " (the dense engine was removed)" if engine == "dense" else ""
+            )
+            raise ConfigurationError(
+                f"engine must be one of {RECORDED_ENGINE_SELECTORS}, got "
+                f"{engine!r}{removed}"
+            )
         return cls(
             name=data["name"],
             description=data.get("description", ""),
@@ -251,7 +260,6 @@ class Scenario:
             ),
             spontaneous=bool(data.get("spontaneous", True)),
             strategy=str(data.get("strategy", "skeleton")),
-            engine=str(data.get("engine", "auto")),
             rng=str(data.get("rng", "replay")),
             trials=int(data.get("trials", 8)),
             seed=int(data.get("seed", 2017)),
@@ -560,7 +568,7 @@ def _populate(registry: ScenarioRegistry) -> None:
         "(~7.4% nodes down), sparse kernel",
         "gnp", {"num_nodes": 1024, "edge_probability": 0.008,
                 "seed": 1024},
-        "broadcast", engine="sparse", trials=4,
+        "broadcast", trials=4,
         dynamics=DynamicsSpec(
             fault_seed=1024,
             models=(NodeCrash(p_crash=0.02, p_recover=0.25),),

@@ -198,17 +198,14 @@ class ServiceServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
-            return None, None, None
+        request_line = await _read_line(reader)
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             return None, None, None
         method, path = parts[0].upper(), parts[1]
         content_length = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"", b"\r\n", b"\n"):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -346,6 +343,17 @@ class ServiceServer:
             end["result"] = job.result
         writer.write(json.dumps(end, sort_keys=True).encode("utf-8") + b"\n")
         await writer.drain()
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line over the reader's limit is a 400."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        # ``readline`` reports a line over the limit as ValueError.
+        raise RequestError(
+            "bad-request", "request line or header line too long"
+        ) from None
 
 
 def _decode_body(body: bytes) -> dict[str, Any]:

@@ -48,7 +48,6 @@ from repro.simulation.runner import (
 )
 from repro.simulation.sparse import CSRAdjacency
 from repro.simulation.vectorized import (
-    ENGINES,
     BatchOutcome,
     DrawStreams,
     VectorizedCompeteEngine,
@@ -63,7 +62,6 @@ __all__ = [
     "build_seeded_protocols",
     "spawn_node_rngs",
     "CSRAdjacency",
-    "ENGINES",
     "BatchOutcome",
     "DrawStreams",
     "VectorizedCompeteEngine",

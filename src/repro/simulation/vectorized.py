@@ -29,9 +29,7 @@ The kernel lays the trials out block-diagonally, so many seeded trials
 run through the same calls.  Metric counters accumulate per node and
 are reduced once after the loop, at each trial's own finishing round;
 under :mod:`repro.dynamics` the per-round fault totals are scalars shared
-by every trial.  The ``engine`` selector (``"auto"`` or ``"sparse"``)
-names this one kernel; it is kept so configs and artifacts keep their
-identities.
+by every trial.
 
 Round-exact equivalence with the reference runner
 -------------------------------------------------
@@ -60,36 +58,18 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.network.metrics import NetworkMetrics
-from repro.schedules.transmission import decay_probabilities
+from repro.schedules.transmission import TransmissionSchedule
 from repro.simulation.rng import RNG_MODES, DecoupledStreams
 from repro.simulation.sparse import CSRAdjacency
 
 #: Rank value meaning "this node knows no message yet".
 NO_MESSAGE = 0
 
-#: The accepted ``engine`` selectors.  Both name the one CSR kernel; the
-#: field is kept so configs, scenarios and artifacts keep their
-#: identities.
-ENGINES = ("auto", "sparse")
-
-#: Default number of uniform draws pre-fetched per (trial, node) stream.
-#: Larger blocks amortise the per-generator Python call over more rounds
-#: at the cost of ``trials * n * block * 8`` bytes of buffer.
+#: Uniform draws pre-fetched per (trial, node) stream by the replay
+#: path.  Larger blocks amortise the per-generator Python call over more
+#: rounds at the cost of ``trials * n * block * 8`` bytes of buffer;
+#: 512 and 2048 measured no faster.
 DEFAULT_DRAW_BLOCK = 128
-
-
-def check_engine(engine: str) -> str:
-    """Validate an ``engine`` selector and return the kernel it names.
-
-    >>> check_engine("auto")
-    'sparse'
-    """
-    if engine not in ENGINES:
-        removed = " (the dense engine was removed)" if engine == "dense" else ""
-        raise ConfigurationError(
-            f"engine must be one of {ENGINES}, got {engine!r}{removed}"
-        )
-    return "sparse"
 
 
 class DrawStreams:
@@ -217,25 +197,15 @@ class VectorizedCompeteEngine:
     graph:
         The communication graph.  Its adjacency structure is snapshotted
         once at construction, in CSR form.
-    engine:
-        ``"auto"`` (the default) or ``"sparse"``; both select the CSR
-        kernel (:func:`check_engine`).
-    decay_steps:
-        Steps per uniform Decay round (``⌈log2 n⌉``); every node's
-        transmission probability in global round ``r`` is
-        ``2^-((r mod decay_steps) + 1)``, exactly the skeleton schedule
-        of :class:`~repro.core.compete.CompeteProtocol`.  Mutually
-        exclusive with ``schedule``.
     schedule:
         A :class:`~repro.schedules.transmission.TransmissionSchedule`
-        assigning each node its own periodic probability cycle (the
-        clustered strategy's cost-charged schedules arrive this way).
-        The schedule must cover every node of the graph.  Mutually
-        exclusive with ``decay_steps``.
+        assigning each node its own periodic probability cycle: the
+        uniform Decay cycle for the skeleton strategy
+        (:func:`~repro.schedules.transmission.uniform_decay_schedule`),
+        cost-charged cycles for the clustered one.  The schedule must
+        cover every node of the graph.
     max_rounds:
         Round budget per trial.
-    draw_block:
-        Pre-draw block size for :class:`DrawStreams` (replay mode only).
     rng:
         Randomness policy, one of
         :data:`repro.simulation.rng.RNG_MODES`.  ``"replay"`` (the
@@ -257,59 +227,20 @@ class VectorizedCompeteEngine:
         decisions are pure counter hashes shared with the reference
         runner, so the round-exact equivalence contract extends to
         faulty runs unchanged.
-    config:
-        An :class:`~repro.api.config.ExecutionConfig` describing the
-        whole run: the strategy is compiled to the schedule and the
-        round budget derived from the graph (or the config's explicit
-        ``parameters``) through the shared
-        :func:`~repro.api.config.resolve_execution` path.  Mutually
-        exclusive with every other keyword.
+
+    :meth:`repro.api.ResolvedExecution.build_engine` builds the engine a
+    config describes.
     """
 
     def __init__(
         self,
         graph: Graph,
         *,
-        decay_steps: Optional[int] = None,
-        schedule=None,
-        max_rounds: Optional[int] = None,
-        draw_block: int = DEFAULT_DRAW_BLOCK,
-        engine: str = "auto",
+        schedule: TransmissionSchedule,
+        max_rounds: int,
         rng: str = "replay",
         dynamics=None,
-        config=None,
     ) -> None:
-        if config is not None:
-            if (decay_steps is not None or schedule is not None
-                    or max_rounds is not None or engine != "auto"
-                    or draw_block != DEFAULT_DRAW_BLOCK
-                    or rng != "replay" or dynamics is not None):
-                raise ConfigurationError(
-                    "pass either config= or the explicit decay_steps/"
-                    "schedule/max_rounds/engine/draw_block/rng/dynamics "
-                    "keywords, not both (the config carries its own "
-                    "engine, draw_block, rng and dynamics)"
-                )
-            # api sits above simulation in the layering, so the import
-            # is local.
-            from repro.api.config import resolve_execution
-
-            resolved = resolve_execution(graph, config)
-            schedule = resolved.schedule
-            max_rounds = resolved.parameters.total_rounds
-            draw_block = config.draw_block
-            rng = config.rng
-            dynamics = resolved.fault_schedule
-        if max_rounds is None:
-            raise ConfigurationError(
-                "max_rounds is required when no config is given"
-            )
-        if (decay_steps is None) == (schedule is None):
-            raise ConfigurationError(
-                "exactly one of decay_steps and schedule must be given"
-            )
-        if decay_steps is not None and decay_steps < 1:
-            raise ConfigurationError(f"decay_steps must be >= 1, got {decay_steps}")
         if max_rounds < 0:
             raise ConfigurationError(f"max_rounds must be >= 0, got {max_rounds}")
         if rng not in RNG_MODES:
@@ -317,7 +248,6 @@ class VectorizedCompeteEngine:
                 f"rng must be one of {RNG_MODES}, got {rng!r}"
             )
         self._rng = rng
-        self._engine = check_engine(engine)
         self._csr, nodes = CSRAdjacency.from_graph(graph)
         self._nodes = tuple(nodes)
         self._dynamics = dynamics
@@ -327,18 +257,10 @@ class VectorizedCompeteEngine:
                 "build the FaultSchedule from the same graph as the "
                 "engine"
             )
-        if schedule is not None:
-            # One row of per-node probabilities per round of the cycle;
-            # the run loop indexes row ``round % cycle_length``.
-            self._probabilities = schedule.probability_matrix(nodes)
-        else:
-            assert decay_steps is not None
-            self._probabilities = np.tile(
-                np.array(decay_probabilities(decay_steps))[:, None],
-                (1, len(nodes)),
-            )
+        # One row of per-node probabilities per round of the cycle; the
+        # run loop indexes row ``round % cycle_length``.
+        self._probabilities = schedule.probability_matrix(nodes)
         self._max_rounds = max_rounds
-        self._draw_block = draw_block
         if rng == "decoupled":
             # Pre-scale the probability cycle to integer thresholds so
             # the hot loop compares the raw hash words directly: with
@@ -362,11 +284,6 @@ class VectorizedCompeteEngine:
     def nodes(self) -> tuple:
         """Node order of the engine's per-node axes."""
         return self._nodes
-
-    @property
-    def engine(self) -> str:
-        """The kernel that runs: always ``"sparse"``, the CSR kernel."""
-        return self._engine
 
     @property
     def rng(self) -> str:
@@ -447,7 +364,7 @@ class VectorizedCompeteEngine:
         replay = self._rng == "replay"
         loop_rounds = self._max_rounds if running.any() else 0
         if loop_rounds and replay:
-            streams = DrawStreams(seeds, num_nodes, self._draw_block)
+            streams = DrawStreams(seeds, num_nodes)
         elif loop_rounds:
             streams = DecoupledStreams(seeds, num_nodes)
 

@@ -49,7 +49,7 @@ class DenseOracle:
             return (ranks == winner_rank).all(axis=1)
 
         if self._config.rng == "replay":
-            streams = DrawStreams(seeds, n, self._config.draw_block)
+            streams = DrawStreams(seeds, n)
         else:
             streams = DecoupledStreams(seeds, n)
         active = ~saturated()

@@ -1,14 +1,11 @@
 """The repro.api layer: ExecutionConfig, resolve_execution, the registry.
 
-Covers (a) config validation and immutability, (b) the single-source
-resolution path and the one engine every consumer reports,
-(c) the algorithm registry's capability enforcement and plugin seam, and
-(d) the deprecation shims: each legacy kwarg spelling must warn exactly
-once, build the equivalent config, and yield seed-identical results.
+Covers (a) config validation, immutability and the execution identity,
+(b) the single-source resolution path, and (c) the algorithm registry's
+capability enforcement and plugin seam.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -18,27 +15,28 @@ from repro.api import (
     Algorithm,
     AlgorithmRegistry,
     ExecutionConfig,
-    coerce_execution_config,
     get_algorithm,
     resolve_execution,
 )
 from repro.core.broadcast import broadcast
-from repro.core.compete import Compete, SkeletonStrategy, compete
-from repro.core.leader_election import elect_leader
+from repro.core.compete import SkeletonStrategy
 from repro.core.parameters import CompeteParameters
+from repro.dynamics import DynamicsSpec, EdgeChurn
 from repro.errors import ConfigurationError
 from repro.network.radio import CollisionModel
-from repro.experiments.scenarios import Scenario
-from repro.simulation.vectorized import VectorizedCompeteEngine
 
 
 # ----------------------------------------------------------------------
 # ExecutionConfig
 # ----------------------------------------------------------------------
 def test_config_defaults_and_describe():
+    # Only axes that change a result, plus the backend, are settable.
+    assert [field.name for field in dataclasses.fields(ExecutionConfig)] == [
+        "backend", "strategy", "collision_model", "parameters", "margin",
+        "rng", "dynamics",
+    ]
     config = ExecutionConfig()
     assert config.backend == "reference"
-    assert config.engine == "auto"
     assert config.strategy == "skeleton"
     assert config.collision_model is CollisionModel.NO_DETECTION
     assert config.parameters is None
@@ -50,18 +48,12 @@ def test_config_defaults_and_describe():
 def test_config_validation_rejects_bad_axes():
     with pytest.raises(ConfigurationError, match="backend"):
         ExecutionConfig(backend="warp-drive")
-    with pytest.raises(ConfigurationError, match="engine"):
-        ExecutionConfig(engine="gpu")
-    with pytest.raises(ConfigurationError, match="dense engine was removed"):
-        ExecutionConfig(engine="dense")
     with pytest.raises(ConfigurationError, match="strategy"):
         ExecutionConfig(strategy="quantum")
     with pytest.raises(ConfigurationError, match="collision_model"):
         ExecutionConfig(collision_model="psychic")
     with pytest.raises(ConfigurationError, match="margin"):
         ExecutionConfig(margin=0)
-    with pytest.raises(ConfigurationError, match="draw_block"):
-        ExecutionConfig(draw_block=0)
     with pytest.raises(ConfigurationError, match="rng"):
         ExecutionConfig(rng="quantum")
     # "decoupled" is a valid policy but only for the vectorized backend:
@@ -88,11 +80,31 @@ def test_config_is_immutable_and_replace_derives():
     config = ExecutionConfig(backend="vectorized")
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.backend = "reference"
-    derived = config.replace(engine="sparse", strategy="clustered")
-    assert (derived.backend, derived.engine) == ("vectorized", "sparse")
-    assert config.engine == "auto"  # original untouched
+    derived = config.replace(strategy="clustered")
+    assert (derived.backend, derived.strategy) == ("vectorized", "clustered")
+    assert config.strategy == "skeleton"  # original untouched
     with pytest.raises(ConfigurationError):
-        config.replace(engine="gpu")  # replace re-validates
+        config.replace(strategy="gpu")  # replace re-validates
+
+
+def test_identity_ignores_backend_and_tracks_every_result_axis():
+    base = ExecutionConfig(backend="vectorized")
+    # The backends agree round for round, so they share an identity.
+    assert base.replace(backend="reference").identity() == base.identity()
+    churn = DynamicsSpec(
+        fault_seed=1, models=(EdgeChurn(p_down=0.1, p_up=0.5),)
+    )
+    changed = {
+        "strategy": base.replace(strategy="clustered"),
+        "collision_model": base.replace(collision_model="with-detection"),
+        "margin": base.replace(margin=2 * base.margin),
+        "rng": base.replace(rng="decoupled"),
+        "dynamics": base.replace(dynamics=churn),
+    }
+    for axis, config in changed.items():
+        assert config.identity() != base.identity(), axis
+    identities = {config.identity() for config in changed.values()}
+    assert len(identities) == len(changed)
 
 
 def test_config_accepts_strategy_instances():
@@ -109,7 +121,6 @@ def test_resolve_execution_derives_everything():
     resolved = resolve_execution(graph, ExecutionConfig(strategy="clustered"))
     assert resolved.parameters == CompeteParameters.from_graph(graph)
     assert resolved.strategy.name == "clustered"
-    assert resolved.engine == "sparse"
     assert resolved.collision_model is CollisionModel.NO_DETECTION
     schedule = resolved.schedule
     assert schedule is resolved.schedule  # built once, cached
@@ -141,77 +152,6 @@ def test_resolve_execution_honours_explicit_parameters():
         graph, ExecutionConfig(parameters=explicit), parameters=override
     )
     assert resolved.parameters == override
-
-
-def test_every_consumer_reports_the_one_kernel():
-    # resolve_execution, the Compete primitive and the engine
-    # constructor all report the CSR kernel, for small and dense graphs
-    # alike and for both accepted selectors.
-    for graph in (topology.path_graph(32), topology.path_graph(1025),
-                  topology.complete_graph(40)):
-        for engine in ("auto", "sparse"):
-            config = ExecutionConfig(engine=engine)
-            resolved = resolve_execution(graph, config)
-            assert resolved.engine == "sparse"
-            assert Compete(graph, config=config).selected_engine() == "sparse"
-            assert resolved.build_engine().engine == "sparse"
-
-
-def test_dense_engine_is_a_one_line_configuration_error():
-    # The dense engine is gone; naming it fails before anything runs,
-    # with one line that says so, wherever the selector is accepted.
-    graph = topology.path_graph(6)
-    for build in (
-        lambda: ExecutionConfig(engine="dense"),
-        lambda: VectorizedCompeteEngine(graph, decay_steps=2, max_rounds=4,
-                                        engine="dense"),
-        lambda: Scenario(name="dense", description="", family="path",
-                         topology_args={"num_nodes": 6},
-                         algorithm="broadcast", engine="dense"),
-    ):
-        with pytest.raises(ConfigurationError) as error:
-            build()
-        message = str(error.value)
-        assert "dense engine was removed" in message
-        assert "\n" not in message
-
-
-def test_engine_config_excludes_every_explicit_keyword():
-    # config= carries its own engine and draw_block; silently ignoring
-    # an explicit one would run a different kernel than requested.
-    graph = topology.path_graph(6)
-    for kwargs in (
-        {"max_rounds": 4},
-        {"engine": "sparse"},
-        {"draw_block": 7},
-        {"decay_steps": 2},
-    ):
-        with pytest.raises(ConfigurationError, match="config"):
-            VectorizedCompeteEngine(
-                graph, config=ExecutionConfig(), **kwargs
-            )
-
-
-def test_engine_from_config_matches_explicit_construction():
-    graph = topology.grid_graph(4, 4)
-    config = ExecutionConfig(engine="sparse")
-    from_config = VectorizedCompeteEngine(graph, config=config)
-    resolved = resolve_execution(graph, config)
-    explicit = VectorizedCompeteEngine(
-        graph,
-        schedule=resolved.schedule,
-        max_rounds=resolved.parameters.total_rounds,
-        engine="sparse",
-    )
-    assert from_config.engine == explicit.engine == "sparse"
-    import numpy as np
-
-    ranks = np.zeros((2, graph.num_nodes), dtype=np.int64)
-    ranks[:, 0] = 1
-    a = from_config.run_batch(ranks.copy(), 1, [0, 1])
-    b = explicit.run_batch(ranks.copy(), 1, [0, 1])
-    assert np.array_equal(a.rounds, b.rounds)
-    assert np.array_equal(a.final_ranks, b.final_ranks)
 
 
 # ----------------------------------------------------------------------
@@ -314,124 +254,6 @@ def test_registry_plugin_seam_end_to_end():
         config=ExecutionConfig(backend="vectorized"),
     )
     assert outcome["success"] and outcome["rounds"] > 0
-
-
-# ----------------------------------------------------------------------
-# deprecation shims (the old kwarg web)
-# ----------------------------------------------------------------------
-def _collect_deprecations(call):
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        result = call()
-    return result, [
-        w for w in record if issubclass(w.category, DeprecationWarning)
-    ]
-
-
-def test_legacy_broadcast_kwargs_warn_once_and_match_config():
-    graph = topology.path_graph(20)
-    explicit = broadcast(
-        graph, source=0, seed=9,
-        config=ExecutionConfig(backend="vectorized", engine="sparse"),
-    )
-    legacy, deprecations = _collect_deprecations(
-        lambda: broadcast(graph, source=0, seed=9,
-                          backend="vectorized", engine="sparse")
-    )
-    # Exactly ONE warning per call, even with two legacy kwargs...
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    assert "backend=" in message and "engine=" in message
-    assert "ExecutionConfig" in message
-    # ...and seed-identical results through the shim.
-    assert legacy.rounds == explicit.rounds
-    assert dict(legacy.reception_rounds) == dict(explicit.reception_rounds)
-    assert legacy.metrics.as_dict() == explicit.metrics.as_dict()
-
-
-def test_coerce_builds_the_equivalent_config():
-    coerced, deprecations = _collect_deprecations(
-        lambda: coerce_execution_config(
-            None, where="test", backend="vectorized", engine="sparse"
-        )
-    )
-    assert len(deprecations) == 1
-    assert coerced == ExecutionConfig(backend="vectorized", engine="sparse")
-    # No legacy kwargs -> no warning, config (or default) passes through.
-    untouched, deprecations = _collect_deprecations(
-        lambda: coerce_execution_config(None, where="test")
-    )
-    assert untouched == ExecutionConfig() and not deprecations
-    given = ExecutionConfig(strategy="clustered")
-    passed, deprecations = _collect_deprecations(
-        lambda: coerce_execution_config(given, where="test")
-    )
-    assert passed is given and not deprecations
-
-
-def test_mixing_config_and_legacy_kwargs_is_an_error():
-    graph = topology.path_graph(6)
-    with pytest.raises(ConfigurationError, match="not both"):
-        broadcast(graph, source=0,
-                  config=ExecutionConfig(), backend="vectorized")
-    with pytest.raises(ConfigurationError, match="not both"):
-        Compete(graph, config=ExecutionConfig(), strategy="clustered")
-
-
-def test_legacy_kwargs_warn_on_every_entry_point():
-    graph = topology.star_graph(8)
-    for call in (
-        lambda: Compete(graph, backend="vectorized"),
-        lambda: compete(graph, {0: 1}, seed=0, strategy="clustered"),
-        lambda: elect_leader(graph, seed=1, engine="sparse"),
-        lambda: broadcast(graph, source=0, seed=0,
-                          collision_model=CollisionModel.WITH_DETECTION),
-        lambda: broadcast(graph, source=0, seed=0, margin=4.0),
-        lambda: Compete(graph).run({0: 1}, seed=0, backend="vectorized"),
-    ):
-        _, deprecations = _collect_deprecations(call)
-        assert len(deprecations) == 1, call
-
-
-def test_legacy_elect_leader_is_seed_identical():
-    graph = topology.complete_graph(12)
-    explicit = elect_leader(
-        graph, seed=5, config=ExecutionConfig(backend="vectorized")
-    )
-    legacy, deprecations = _collect_deprecations(
-        lambda: elect_leader(graph, seed=5, backend="vectorized")
-    )
-    assert len(deprecations) == 1
-    assert (legacy.leader, legacy.attempts, legacy.rounds) == (
-        explicit.leader, explicit.attempts, explicit.rounds
-    )
-
-
-def test_run_benchmark_engine_shim_warns_and_matches():
-    from repro.experiments import run_benchmark
-    from repro.experiments.scenarios import Scenario
-
-    scenario = Scenario(
-        name="shim-check", description="", family="star",
-        topology_args={"num_leaves": 7}, algorithm="broadcast",
-        trials=2, seed=3,
-    )
-    explicit = run_benchmark(
-        scenario, include_reference=False,
-        config=scenario.execution_config(engine="sparse"),
-    )
-    legacy, deprecations = _collect_deprecations(
-        lambda: run_benchmark(scenario, include_reference=False,
-                              engine="sparse")
-    )
-    assert len(deprecations) == 1
-    assert legacy["engine"] == explicit["engine"] == {
-        "requested": "sparse", "selected": "sparse"
-    }
-    assert legacy["results"] == explicit["results"]
-    with pytest.raises(ConfigurationError, match="not both"):
-        run_benchmark(scenario, include_reference=False,
-                      config=scenario.execution_config(), engine="dense")
 
 
 def test_run_benchmark_honours_config_parameters():

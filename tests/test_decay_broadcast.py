@@ -65,18 +65,17 @@ def test_decay_broadcast_rejects_unsupported_modes():
         decay_broadcast(graph, source=99)
 
 
-@pytest.mark.parametrize("engine", ["auto", "sparse"])
-def test_decay_broadcast_backend_equivalence(engine):
-    # Reference vs vectorized (both engine selectors), field by field:
-    # the baseline inherits the package's round-exact guarantee.
+def test_decay_broadcast_backend_equivalence():
+    # Reference vs vectorized, field by field: the baseline inherits the
+    # package's round-exact guarantee.
     graph = topology.grid_graph(4, 5)
     for seed in (0, 3):
         reference = decay_broadcast(graph, source=0, seed=seed)
         fast = decay_broadcast(
             graph, source=0, seed=seed,
-            config=ExecutionConfig(backend="vectorized", engine=engine),
+            config=ExecutionConfig(backend="vectorized"),
         )
-        assert_same_result(reference, fast, f"seed={seed} engine={engine}")
+        assert_same_result(reference, fast, f"seed={seed}")
 
 
 def test_decay_broadcast_collision_detection_model():

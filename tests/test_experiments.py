@@ -115,21 +115,27 @@ def test_scenario_round_trips_through_dict():
     assert json.loads(json.dumps(TINY.to_dict())) == TINY.to_dict()
 
 
-def test_engine_field_round_trips_and_validates():
-    sparse = Scenario(
-        name="x-sparse", description="", family="path",
-        topology_args={"num_nodes": 8}, algorithm="broadcast",
-        engine="sparse",
-    )
-    assert Scenario.from_dict(sparse.to_dict()).engine == "sparse"
-    # Dicts without an engine key (pre-PR-4 artifacts) default to auto.
-    legacy = sparse.to_dict()
-    del legacy["engine"]
-    assert Scenario.from_dict(legacy).engine == "auto"
+def test_recorded_engine_key_is_accepted_and_dropped():
+    # Scenario blocks written while the engine selector existed record
+    # "auto" or "sparse"; both named the CSR kernel every run uses.
+    assert "engine" not in TINY.to_dict()
+    for recorded in ("auto", "sparse"):
+        block = {**TINY.to_dict(), "engine": recorded}
+        assert Scenario.from_dict(block) == TINY
     with pytest.raises(ConfigurationError, match="engine"):
-        Scenario(name="x", description="", family="path",
-                 topology_args={"num_nodes": 8}, algorithm="broadcast",
-                 engine="gpu")
+        Scenario.from_dict({**TINY.to_dict(), "engine": "gpu"})
+    with pytest.raises(ConfigurationError) as error:
+        Scenario.from_dict({**TINY.to_dict(), "engine": "dense"})
+    message = str(error.value)
+    assert "dense engine was removed" in message and "\n" not in message
+
+
+def test_from_dict_rejects_unknown_keys():
+    # A misspelt key must not silently run the default it meant to
+    # override.
+    with pytest.raises(ConfigurationError, match="stratgy") as error:
+        Scenario.from_dict({**TINY.to_dict(), "stratgy": "clustered"})
+    assert "\n" not in str(error.value)
 
 
 def test_rng_field_round_trips_and_validates():
@@ -221,9 +227,9 @@ def test_decoupled_regime_scenarios_are_registered():
 
 
 def test_sparse_regime_scenarios_are_registered():
-    # The n >= 4096 sweep the sparse engine opens: path/grid/tree/gnp at
-    # both scales, auto engine (the density heuristic selects sparse),
-    # never tagged smoke (CI runs them via the dedicated sparse step).
+    # The n >= 4096 sweep the CSR kernel opens: path/grid/tree/gnp at
+    # both scales, never tagged smoke (CI runs them via the dedicated
+    # sparse step).
     names = [
         "broadcast-path-n4096", "broadcast-grid-n4096",
         "broadcast-tree-n4095", "broadcast-gnp-n4096",
@@ -232,7 +238,6 @@ def test_sparse_regime_scenarios_are_registered():
     ]
     for name in names:
         scenario = get_scenario(name)
-        assert scenario.engine == "auto"
         assert "sparse" in scenario.tags
         assert "smoke" not in scenario.tags
         assert ("xlarge" in scenario.tags) == ("n16384" in name
@@ -262,9 +267,8 @@ def test_run_benchmark_emits_schema_valid_payload(tmp_path):
         "reference": 2, "base_seed": 5,
     }
     assert payload["scenario"]["strategy"] == "skeleton"
-    assert payload["scenario"]["engine"] == "auto"
-    # Every graph runs the CSR kernel; the payload records the fact.
-    assert payload["engine"] == {"requested": "auto", "selected": "sparse"}
+    # Every graph runs the one CSR kernel, so nothing records a kernel.
+    assert "engine" not in payload and "engine" not in payload["scenario"]
     assert payload["topology"]["num_nodes"] == 8
     assert payload["agreement"]["round_exact"] is True
     assert payload["timing"]["speedup"] is not None
@@ -386,20 +390,6 @@ def test_run_benchmark_clustered_strategy_agrees_with_reference():
     assert payload["results"]["success_rate"] == 1.0
 
 
-def test_run_benchmark_forced_sparse_engine_agrees_with_reference():
-    # Forcing the CSR kernel on a small scenario keeps the reference
-    # agreement pass in the loop -- a sparse-engine drift would raise
-    # SimulationError here -- and the payload records the override.
-    payload = run_benchmark(
-        TINY, reference_trials=2, config=TINY.execution_config(engine="sparse")
-    )
-    validate_bench(payload)
-    assert payload["engine"] == {"requested": "sparse", "selected": "sparse"}
-    assert payload["agreement"]["round_exact"] is True
-    with pytest.raises(ConfigurationError, match="engine"):
-        run_benchmark(TINY, config=TINY.execution_config(engine="gpu"))
-
-
 def test_run_benchmark_without_reference():
     payload = run_benchmark(TINY, include_reference=False)
     validate_bench(payload)
@@ -411,8 +401,8 @@ def test_run_benchmark_without_reference():
 def test_validate_bench_rejects_corrupted_payloads():
     payload = run_benchmark(TINY, include_reference=False)
 
-    def corrupt(mutate):
-        broken = copy.deepcopy(payload)
+    def corrupt(mutate, base=payload):
+        broken = copy.deepcopy(base)
         mutate(broken)
         with pytest.raises(ConfigurationError, match="bench payload invalid"):
             validate_bench(broken)
@@ -430,13 +420,20 @@ def test_validate_bench_rejects_corrupted_payloads():
     corrupt(lambda p: p["scenario"].update(strategy=7))  # not a string
     corrupt(lambda p: p["trials"].pop("seed_batches"))  # per_batch orphaned
     corrupt(lambda p: p["trials"].update(seed_batches=2))  # 2*3 != 3
-    corrupt(lambda p: p["scenario"].update(engine="gpu"))
-    corrupt(lambda p: p["engine"].pop("selected"))
-    corrupt(lambda p: p["engine"].update(requested="gpu"))
-    corrupt(lambda p: p["engine"].update(selected="auto"))  # never concrete
+    # Artifacts written while the engine selector existed record it as
+    # scenario.engine and a top-level engine block; both stay checked.
+    recorded = copy.deepcopy(payload)
+    recorded["scenario"]["engine"] = "auto"
+    recorded["engine"] = {"requested": "auto", "selected": "sparse"}
+    validate_bench(recorded)
+    corrupt(lambda p: p["scenario"].update(engine="gpu"), recorded)
+    corrupt(lambda p: p["engine"].pop("selected"), recorded)
+    corrupt(lambda p: p["engine"].update(requested="gpu"), recorded)
+    # The recorded kernel is never "auto".
+    corrupt(lambda p: p["engine"].update(selected="auto"), recorded)
     # A non-auto request must match what ran.
     corrupt(lambda p: p["engine"].update(requested="sparse",
-                                         selected="dense"))
+                                         selected="dense"), recorded)
     # The per-trial series block must stay derivable: every series one
     # entry per trial, summary stats recomputable from the raw values.
     corrupt(lambda p: p["results"]["per_trial"]["success"].pop())
@@ -454,12 +451,6 @@ def test_validate_bench_rejects_corrupted_payloads():
     legacy["scenario"].pop("strategy")
     legacy["trials"].pop("per_batch")
     legacy["trials"].pop("seed_batches")
-    validate_bench(legacy)
-
-    # Pre-PR-4 artifacts additionally omit the engine block (they all
-    # ran the dense engine, the only one that existed).
-    legacy.pop("engine")
-    legacy["scenario"].pop("engine")
     validate_bench(legacy)
 
     # Pre-PR-7 artifacts omit the raw per-trial series block.
@@ -609,31 +600,6 @@ def test_cli_seeds_flag(tmp_path, capsys):
     assert payload["trials"]["seed_batches"] == 2
 
 
-def test_cli_engine_flag(tmp_path, capsys):
-    out_dir = str(tmp_path / "bench")
-    assert main([
-        "run", "broadcast-path-n32",
-        "--trials", "2", "--engine", "sparse", "--reference-trials", "1",
-        "--out", out_dir,
-    ]) == 0
-    assert "sparse engine" in capsys.readouterr().out
-    payload = json.loads(
-        (tmp_path / "bench" / "BENCH_broadcast-path-n32.json").read_text()
-    )
-    assert payload["engine"] == {"requested": "sparse", "selected": "sparse"}
-
-
-def test_cli_dense_engine_is_a_one_line_error(tmp_path, capsys):
-    assert main([
-        "run", "broadcast-path-n32", "--trials", "1", "--engine", "dense",
-        "--out", str(tmp_path / "bench"),
-    ]) == 1
-    error = capsys.readouterr().err
-    assert error.startswith("error: ") and error.count("\n") == 1
-    assert "dense engine was removed" in error
-    assert not (tmp_path / "bench").exists()
-
-
 def test_cli_rng_and_workers_flags(tmp_path, capsys):
     out_dir = str(tmp_path / "bench")
     assert main([
@@ -728,6 +694,23 @@ def test_prepare_scenario_rejects_mismatched_reuse():
     prepared = prepare_scenario(other)
     with pytest.raises(ConfigurationError, match="prepared resolution"):
         run_benchmark(TINY, prepared=prepared)
+
+
+def test_prepare_scenario_reuse_follows_the_execution_identity():
+    from repro.experiments import prepare_scenario
+
+    # The backend is outside the identity (both agree round for round),
+    # so a resolution prepared under the reference backend serves the
+    # vectorized run; a result-changing axis such as the strategy does
+    # not match and is refused.
+    config = TINY.execution_config()
+    fresh = run_benchmark(TINY, include_reference=False)
+    shared = prepare_scenario(TINY, config.replace(backend="reference"))
+    reused = run_benchmark(TINY, include_reference=False, prepared=shared)
+    assert reused["results"] == fresh["results"]
+    clustered = prepare_scenario(TINY, config.replace(strategy="clustered"))
+    with pytest.raises(ConfigurationError, match="prepared resolution"):
+        run_benchmark(TINY, prepared=clustered)
 
 
 def test_merge_benchmark_batches_matches_one_shot():

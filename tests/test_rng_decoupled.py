@@ -64,30 +64,27 @@ BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
 @dataclasses.dataclass(frozen=True)
 class Cell:
-    """One (topology x strategy x engine) distributional-agreement cell."""
+    """One (topology x strategy) distributional-agreement cell."""
 
     name: str
     factory: Callable[[], Graph]
     strategy: str = "skeleton"
-    engine: str = "auto"
     algorithm: str = "broadcast"
 
 
-#: The pinned cell table: both strategies and both engine selectors
-#: appear, over paths (n = D + 1), grids (n = Theta(D^2)), a star
-#: (maximal contention), a tree and a seeded gnp sample.  The
-#: ``-dense`` / ``-sparse`` name suffixes are kept as stable test ids;
-#: they name the kernel a cell ran when the engine had two, and both
-#: selectors now run the CSR kernel.
+#: The pinned cell table: both strategies appear, over paths
+#: (n = D + 1), grids (n = Theta(D^2)), a star (maximal contention), a
+#: tree and a seeded gnp sample.  The ``-dense`` / ``-sparse`` name
+#: suffixes are kept as stable test ids; they name the kernel a cell ran
+#: when the engine had two, and every cell now runs the CSR kernel.
 CELLS = [
     Cell("grid-skeleton-dense", lambda: topology.grid_graph(8, 8)),
     Cell("grid-clustered-sparse", lambda: topology.grid_graph(8, 8),
-         strategy="clustered", engine="sparse"),
+         strategy="clustered"),
     Cell("path-skeleton-dense", lambda: topology.path_graph(48)),
     Cell("path-clustered-sparse", lambda: topology.path_graph(48),
-         strategy="clustered", engine="sparse"),
-    Cell("star-skeleton-sparse", lambda: topology.star_graph(48),
-         engine="sparse"),
+         strategy="clustered"),
+    Cell("star-skeleton-sparse", lambda: topology.star_graph(48)),
     Cell("tree-clustered-dense", lambda: topology.binary_tree_graph(5),
          strategy="clustered"),
     Cell("gnp-skeleton-dense",
@@ -100,7 +97,6 @@ def completion_rounds(cell: Cell, rng: str, seed_base: int, trials: int):
     graph = cell.factory()
     config = ExecutionConfig(
         backend="vectorized",
-        engine=cell.engine,
         strategy=cell.strategy,
         rng=rng,
     )
@@ -180,8 +176,7 @@ def test_election_cell_distributional_agreement():
         ("replay", REPLAY_SEED_BASE), ("decoupled", DECOUPLED_SEED_BASE)
     ):
         config = ExecutionConfig(
-            backend="vectorized", engine=cell.engine,
-            strategy=cell.strategy, rng=rng,
+            backend="vectorized", strategy=cell.strategy, rng=rng,
         )
         results = DEFAULT_ALGORITHMS.run_batch(
             "leader-election", graph,

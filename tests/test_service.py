@@ -115,6 +115,14 @@ def test_parse_request_accepts_registered_and_inline_scenarios():
         )
     assert bad.value.code == "bad-request"
 
+    # A misspelt key is refused, not silently run as the default.
+    typo = {**TINY.to_dict(), "stratgy": "clustered"}
+    with pytest.raises(RequestError, match="stratgy") as bad:
+        parse_request(
+            {"op": "run", "scenario": typo}, registry=DEFAULT_REGISTRY
+        )
+    assert bad.value.code == "bad-request"
+
 
 def test_response_envelopes_echo_request_id():
     assert ok_response({"x": 1}, request_id="r1") == {
@@ -532,8 +540,13 @@ def _raw_http(port, request, close_write):
         # up: nothing to answer, so the connection just closes.
         (b"POST /v1/run HTTP/1.1\r\nContent-Length: 64\r\n\r\n"
          b'{"scenario": "svc', True, False),
+        # A request line or a header line over the reader's 64 KiB line
+        # limit: 400.
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", False, True),
+        (b"POST /v1/run HTTP/1.1\r\nX-Long: " + b"a" * 70_000
+         + b"\r\n\r\n", False, True),
     ],
-    ids=["negative-length", "short-body"],
+    ids=["negative-length", "short-body", "long-request-line", "long-header"],
 )
 def test_http_malformed_body_ends_as_response_or_quiet_close(
     caplog, request_bytes, close_write, answered

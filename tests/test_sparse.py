@@ -118,7 +118,7 @@ def test_engine_over_mutated_graph_sees_fresh_csr():
     from repro.core.broadcast import broadcast
 
     mutated = topology.path_graph(9)
-    config = ExecutionConfig(backend="vectorized", engine="sparse")
+    config = ExecutionConfig(backend="vectorized")
     before = broadcast(mutated, source=0, seed=3, config=config)
     mutated.add_edge(0, 8)
     after = broadcast(mutated, source=0, seed=3, config=config)

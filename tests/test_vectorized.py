@@ -9,6 +9,7 @@ cache invalidation on graph mutation, and the message-ranking reduction.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from repro.core.parameters import CompeteParameters
 from repro.dynamics import DynamicsSpec, EdgeChurn, JammingWindows, NodeCrash
 from repro.errors import ConfigurationError
 from repro.network.messages import Message
+from repro.schedules.transmission import uniform_decay_schedule
 from repro.simulation.vectorized import (
+    DEFAULT_DRAW_BLOCK,
     NO_MESSAGE,
     DrawStreams,
     VectorizedCompeteEngine,
@@ -95,31 +98,32 @@ def test_run_batch_matches_individual_runs(faults):
         assert_same_compete_result(single_ref, result, f"seed={seed}")
 
 
-@pytest.mark.parametrize("engine", ["auto", "sparse"])
-def test_engine_draw_block_size_is_invisible(engine):
-    # The pre-draw block size is an implementation detail; shrinking it to
-    # force mid-run refills must not change any outcome array.
-    graph = topology.grid_graph(4, 4)
+@pytest.mark.parametrize("block", [2, 4096])
+def test_engine_draw_block_size_is_invisible(block, monkeypatch):
+    # The pre-draw block size is an implementation detail.  The default
+    # block refills mid-run on this path, a block of 2 refills every
+    # other round and 4096 never does; no outcome array may change.
+    graph = topology.path_graph(40)
     parameters = CompeteParameters.from_graph(graph)
+    engine = VectorizedCompeteEngine(
+        graph,
+        schedule=uniform_decay_schedule(graph.nodes(), parameters.decay_steps),
+        max_rounds=parameters.total_rounds,
+    )
     ranks = np.zeros((3, graph.num_nodes), dtype=np.int64)
     ranks[:, 0] = 1
     seeds = [0, 1, 2]
-    outcomes = []
-    for block in (2, 64, 4096):
-        engine_obj = VectorizedCompeteEngine(
-            graph,
-            decay_steps=parameters.decay_steps,
-            max_rounds=parameters.total_rounds,
-            draw_block=block,
-            engine=engine,
-        )
-        outcomes.append(engine_obj.run_batch(ranks.copy(), 1, seeds))
-    first = outcomes[0]
-    for other in outcomes[1:]:
-        assert np.array_equal(first.rounds, other.rounds)
-        assert np.array_equal(first.final_ranks, other.final_ranks)
-        assert np.array_equal(first.adopted_rounds, other.adopted_rounds)
-        assert np.array_equal(first.transmissions, other.transmissions)
+    default = engine.run_batch(ranks.copy(), 1, seeds)
+    monkeypatch.setattr(
+        "repro.simulation.vectorized.DrawStreams",
+        functools.partial(DrawStreams, block=block),
+    )
+    resized = engine.run_batch(ranks.copy(), 1, seeds)
+    assert default.rounds.max() > DEFAULT_DRAW_BLOCK, "must cross a refill"
+    for field in dataclasses.fields(default):
+        assert np.array_equal(
+            getattr(default, field.name), getattr(resized, field.name)
+        ), field.name
 
 
 @pytest.mark.parametrize("block", [1, 3, 128])
@@ -156,7 +160,10 @@ def test_ranks_beyond_float_range_stay_exact(rank):
     # a rank that float64 would round (2**53 + 1 reads as 2**53) still
     # floods the path and comes back exact.
     graph = topology.path_graph(8)
-    fast = VectorizedCompeteEngine(graph, decay_steps=3, max_rounds=200)
+    fast = VectorizedCompeteEngine(
+        graph, schedule=uniform_decay_schedule(graph.nodes(), 3),
+        max_rounds=200,
+    )
     ranks = np.zeros((1, graph.num_nodes), dtype=np.int64)
     ranks[0, 0] = rank
     outcome = fast.run_batch(ranks, rank, [0])
@@ -166,58 +173,29 @@ def test_ranks_beyond_float_range_stay_exact(rank):
 
 def test_engine_input_validation():
     graph = topology.path_graph(4)
-    engine = VectorizedCompeteEngine(graph, decay_steps=2, max_rounds=10)
+    schedule = uniform_decay_schedule(graph.nodes(), 2)
+    engine = VectorizedCompeteEngine(graph, schedule=schedule, max_rounds=10)
     with pytest.raises(ConfigurationError):
         engine.run_batch(np.zeros((2, 3), dtype=int), None, [0, 1])
     with pytest.raises(ConfigurationError):
         engine.run_batch(np.zeros((2, 4), dtype=int), None, [0])
     with pytest.raises(ConfigurationError):
         engine.run_batch(np.full((1, 4), -1), None, [0])
-    with pytest.raises(ConfigurationError):
-        VectorizedCompeteEngine(graph, decay_steps=0, max_rounds=1)
-    with pytest.raises(ConfigurationError, match="engine"):
-        VectorizedCompeteEngine(graph, decay_steps=2, max_rounds=1,
-                                engine="quantum")
-    with pytest.raises(ConfigurationError, match="dense engine was removed"):
-        VectorizedCompeteEngine(graph, decay_steps=2, max_rounds=1,
-                                engine="dense")
+    with pytest.raises(ConfigurationError, match="max_rounds"):
+        VectorizedCompeteEngine(graph, schedule=schedule, max_rounds=-1)
+    with pytest.raises(ConfigurationError, match="rng"):
+        VectorizedCompeteEngine(graph, schedule=schedule, max_rounds=1,
+                                rng="quantum")
     with pytest.raises(ConfigurationError):
         Compete(graph, config=ExecutionConfig(backend="warp-drive"))
-    with pytest.raises(ConfigurationError, match="engine"):
-        Compete(graph, config=ExecutionConfig(engine="warp-core"))
-    with pytest.raises(ConfigurationError, match="config"):
-        # config= and a legacy kwarg cannot be mixed.
-        Compete(graph, config=ExecutionConfig(), backend="vectorized")
 
 
-def test_engine_selection_is_visible():
-    graph = topology.path_graph(6)
-    for engine in ("auto", "sparse"):
-        assert VectorizedCompeteEngine(
-            graph, decay_steps=2, max_rounds=4, engine=engine
-        ).engine == "sparse"
-    primitive = Compete(graph, config=ExecutionConfig(engine="sparse"))
-    assert primitive.engine == "sparse"
-    assert primitive.selected_engine() == "sparse"
-    assert Compete(graph).selected_engine() == "sparse"
-    assert VectorizedCompeteEngine(
-        graph, config=ExecutionConfig(engine="sparse")
-    ).engine == "sparse"
-    with pytest.raises(ConfigurationError, match="config"):
-        VectorizedCompeteEngine(
-            graph, config=ExecutionConfig(), max_rounds=4
-        )
-
-
-@pytest.mark.parametrize("engine", ["auto", "sparse"])
-def test_engine_cache_tracks_graph_mutation(engine):
+def test_engine_cache_tracks_graph_mutation():
     # The cached engine snapshots the adjacency structure; mutating the
     # graph between runs must rebuild it so both backends keep seeing
     # the same (live) topology.
     graph = topology.path_graph(8)
-    primitive = Compete(
-        graph, config=ExecutionConfig(backend="vectorized", engine=engine)
-    )
+    primitive = Compete(graph, config=ExecutionConfig(backend="vectorized"))
     before = primitive.run({0: 1}, seed=3, spontaneous=True)
     graph.add_edge(0, 7)  # diameter collapses; propagation changes
     after = primitive.run({0: 1}, seed=3, spontaneous=True)
