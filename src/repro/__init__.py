@@ -39,7 +39,7 @@ from repro.simulation.runner import ProtocolRunner
 from repro.core.parameters import CompeteParameters
 from repro.core.compete import Compete, CompeteResult, compete
 from repro.core.broadcast import broadcast, broadcast_batch, BroadcastResult
-from repro.core.decay_broadcast import decay_broadcast, DecayBroadcastResult
+from repro.core.decay_broadcast import decay_broadcast
 from repro.core.leader_election import elect_leader, LeaderElectionResult
 from repro.api import (
     DEFAULT_ALGORITHMS,
@@ -72,7 +72,6 @@ __all__ = [
     "broadcast_batch",
     "BroadcastResult",
     "decay_broadcast",
-    "DecayBroadcastResult",
     "elect_leader",
     "LeaderElectionResult",
     "DEFAULT_ALGORITHMS",

@@ -57,12 +57,7 @@ from repro.core.compete import (
     resolve_strategy,
 )
 from repro.core.broadcast import BroadcastResult, broadcast, broadcast_batch
-from repro.core.decay_broadcast import (
-    DecayBroadcastResult,
-    DecayRelayProtocol,
-    decay_broadcast,
-    decay_broadcast_batch,
-)
+from repro.core.decay_broadcast import decay_broadcast, decay_broadcast_batch
 from repro.core.leader_election import LeaderElectionResult, elect_leader
 
 __all__ = [
@@ -87,8 +82,6 @@ __all__ = [
     "BroadcastResult",
     "broadcast",
     "broadcast_batch",
-    "DecayBroadcastResult",
-    "DecayRelayProtocol",
     "decay_broadcast",
     "decay_broadcast_batch",
     "LeaderElectionResult",

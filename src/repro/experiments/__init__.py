@@ -14,7 +14,7 @@ paper's clustering machinery) is judged against.
   (:data:`DEFAULT_REGISTRY`).
 * :mod:`repro.experiments.bench` -- :func:`run_benchmark`, the measured
   execution of one scenario.
-* :mod:`repro.experiments.persistence` -- the ``repro-bench/1`` JSON
+* :mod:`repro.experiments.persistence` -- the ``repro-bench/2`` JSON
   schema (:func:`validate_bench`, :func:`write_bench`,
   :func:`load_bench`).
 * :mod:`repro.experiments.report` -- the trend-report / regression-gate

@@ -188,6 +188,8 @@ def run_benchmark(
     num_workers = workers if workers is not None else 1
     if num_workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {num_workers}")
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if config is None:
         config = scenario.execution_config()
     num_trials = per_batch * num_batches
@@ -394,7 +396,7 @@ def merge_benchmark_batches(payloads: Sequence[dict]) -> dict[str, Any]:
     so are ``trials`` and ``agreement`` (per-batch reference reruns
     check a prefix of *each* batch, the one-shot run a prefix of the
     whole) -- and the merged payload validates under the same
-    ``repro-bench/1`` schema.
+    ``repro-bench/2`` schema.
     """
     if not payloads:
         raise ConfigurationError("cannot merge zero benchmark batches")
@@ -417,11 +419,6 @@ def merge_benchmark_batches(payloads: Sequence[dict]) -> dict[str, Any]:
                 f"batch {index} starts at seed "
                 f"{payload['trials']['base_seed']}, expected "
                 f"{expected_seed} -- batches must be seed-contiguous"
-            )
-        if "per_trial" not in payload["results"]:
-            raise ConfigurationError(
-                f"batch {index} carries no per_trial series; only "
-                "current-schema payloads can be merged"
             )
     num_batches = len(payloads)
     num_trials = per_batch * num_batches
@@ -571,7 +568,7 @@ def _check_agreement(
 def _aggregate(scenario: Scenario, results: Sequence) -> dict[str, Any]:
     """Summarise per-trial series into the payload's ``results`` block.
 
-    Since PR 7 the block also records the raw per-trial values
+    The block also records the raw per-trial values
     (``results.per_trial``): the trend-report subsystem derives
     percentiles and sparklines from them, and the golden-artifact test
     layer re-derives every summary statistic, so a drift between the

@@ -22,18 +22,9 @@ from repro.dynamics import MODEL_KINDS
 from repro.errors import ConfigurationError
 from repro.simulation.rng import RNG_MODES
 
-#: The ``engine`` selectors that artifacts written before the selector's
-#: removal record as ``scenario.engine`` and ``engine.requested``; both
-#: named the CSR kernel.
-RECORDED_ENGINE_SELECTORS = ("auto", "sparse")
-
-#: Kernels those artifacts record as ``engine.selected``: the CSR kernel,
-#: and the dense matmul kernel that the earliest of them ran.
-RECORDED_KERNELS = ("dense", "sparse")
-
 #: Identifies the layout of a ``BENCH_*.json`` document.  Bump only with
 #: a migration note in ``docs/EXPERIMENTS.md``.
-SCHEMA_VERSION = "repro-bench/1"
+SCHEMA_VERSION = "repro-bench/2"
 
 #: Statistic blocks summarising a per-trial series.
 _SERIES_KEYS = ("mean", "min", "max")
@@ -83,7 +74,11 @@ def load_bench(path: Union[str, pathlib.Path]) -> dict[str, Any]:
 
 
 def validate_bench(payload: Mapping[str, Any]) -> None:
-    """Check ``payload`` against the documented ``repro-bench/1`` schema.
+    """Check ``payload`` against the documented ``repro-bench/2`` schema.
+
+    Every field is required except the ``dynamics`` blocks, which static
+    runs omit; unknown top-level keys (such as a load generator's
+    ``service`` block) are ignored.
 
     Raises
     ------
@@ -105,30 +100,9 @@ def validate_bench(payload: Mapping[str, Any]) -> None:
     _field(scenario, "algorithm", str, path="scenario.algorithm")
     _field(scenario, "collision_model", str, path="scenario.collision_model")
     _field(scenario, "spontaneous", bool, path="scenario.spontaneous")
-    # Added in PR 3; optional so pre-existing repro-bench/1 artifacts
-    # (implicitly skeleton, single-batch) keep validating.
-    if "strategy" in scenario:
-        _field(scenario, "strategy", str, path="scenario.strategy")
-    # Written, with the top-level engine block, only while the engine
-    # selector existed.
-    if "engine" in scenario:
-        _field(scenario, "engine", str, path="scenario.engine")
-        _expect(
-            scenario["engine"] in RECORDED_ENGINE_SELECTORS,
-            "scenario.engine",
-            f"must be one of {RECORDED_ENGINE_SELECTORS}, got "
-            f"{scenario['engine']!r}",
-        )
-    # Added in PR 6 alongside the top-level rng field.
-    if "rng" in scenario:
-        _field(scenario, "rng", str, path="scenario.rng")
-        _expect(
-            scenario["rng"] in RNG_MODES,
-            "scenario.rng",
-            f"must be one of {RNG_MODES}, got {scenario['rng']!r}",
-        )
-    # Added in PR 10 (the repro.dynamics fault-injection subsystem);
-    # optional so every static artifact keeps validating unchanged.
+    _field(scenario, "strategy", str, path="scenario.strategy")
+    _rng_field(scenario, path="scenario.rng")
+    # Static runs omit the fault environment.
     if "dynamics" in scenario:
         _dynamics(scenario["dynamics"], path="scenario.dynamics")
     _field(scenario, "topology_args", Mapping, path="scenario.topology_args")
@@ -144,69 +118,21 @@ def validate_bench(payload: Mapping[str, Any]) -> None:
 
     trials = _field(payload, "trials", Mapping)
     _int_field(trials, "vectorized", minimum=1, path="trials.vectorized")
-    # per_batch/seed_batches were added in PR 3 (the --seeds axis); both
-    # are optional for pre-existing artifacts but must be consistent --
-    # and present together -- when written.
+    _int_field(trials, "per_batch", minimum=1, path="trials.per_batch")
+    _int_field(trials, "seed_batches", minimum=1, path="trials.seed_batches")
     _expect(
-        ("per_batch" in trials) == ("seed_batches" in trials),
-        "trials.seed_batches",
-        "per_batch and seed_batches must be present together",
+        trials["per_batch"] * trials["seed_batches"] == trials["vectorized"],
+        "trials.vectorized",
+        "must equal per_batch * seed_batches",
     )
-    if "seed_batches" in trials:
-        _int_field(trials, "per_batch", minimum=1, path="trials.per_batch")
-        _int_field(
-            trials, "seed_batches", minimum=1, path="trials.seed_batches"
-        )
-        _expect(
-            trials["per_batch"] * trials["seed_batches"]
-            == trials["vectorized"],
-            "trials.vectorized",
-            "must equal per_batch * seed_batches",
-        )
     _int_field(trials, "reference", minimum=0, path="trials.reference")
-    _int_field(trials, "base_seed", path="trials.base_seed")
+    _int_field(trials, "base_seed", minimum=0, path="trials.base_seed")
 
-    # The engine block was written only while the engine selector
-    # existed; artifacts from before the CSR kernel and from after the
-    # selector's removal omit it.
-    if "engine" in payload:
-        engine = _field(payload, "engine", Mapping)
-        _field(engine, "requested", str, path="engine.requested")
-        _expect(
-            engine["requested"] in RECORDED_ENGINE_SELECTORS,
-            "engine.requested",
-            f"must be one of {RECORDED_ENGINE_SELECTORS}, got "
-            f"{engine['requested']!r}",
-        )
-        _field(engine, "selected", str, path="engine.selected")
-        _expect(
-            engine["selected"] in RECORDED_KERNELS,
-            "engine.selected",
-            f"must be one of {RECORDED_KERNELS} (never 'auto'), got "
-            f"{engine['selected']!r}",
-        )
-        _expect(
-            engine["requested"] in ("auto", engine["selected"]),
-            "engine.selected",
-            "must equal the requested engine unless 'auto' was requested",
-        )
+    _rng_field(payload, path="rng")
+    _int_field(payload, "workers", minimum=1)
 
-    # The rng policy and worker count were added in PR 6; optional so
-    # pre-existing repro-bench/1 artifacts -- which all ran the replay
-    # policy in one process -- keep validating.
-    if "rng" in payload:
-        _field(payload, "rng", str)
-        _expect(
-            payload["rng"] in RNG_MODES,
-            "rng",
-            f"must be one of {RNG_MODES}, got {payload['rng']!r}",
-        )
-    if "workers" in payload:
-        _int_field(payload, "workers", minimum=1)
-
-    # The top-level dynamics mirror was added in PR 10.  A writer that
-    # records the fault environment records it in both places, so the
-    # two blocks must appear together and agree.
+    # A writer that records the fault environment records it in both
+    # places, so the two blocks must appear together and agree.
     has_dynamics = "dynamics" in scenario
     _expect(
         ("dynamics" in payload) == has_dynamics,
@@ -237,13 +163,7 @@ def validate_bench(payload: Mapping[str, Any]) -> None:
         ]
     for key in series_keys:
         _series(results, key)
-    # The per-trial block was added in PR 7 (the trend-report subsystem
-    # needs the raw series for percentiles and sparklines); optional so
-    # every earlier repro-bench/1 artifact keeps validating.  When
-    # present it must be internally consistent: one value per vectorized
-    # trial, and the summary statistics must be re-derivable from it.
-    if "per_trial" in results:
-        _per_trial(results, series_keys, trials["vectorized"])
+    _per_trial(results, series_keys, trials["vectorized"])
 
     timing = _field(payload, "timing", Mapping)
     _number_field(timing, "vectorized_seconds", minimum=0.0, path="timing.vectorized_seconds")
@@ -274,7 +194,7 @@ def validate_bench(payload: Mapping[str, Any]) -> None:
         "must be true exactly when agreement was checked (a run that "
         "observes a disagreement raises instead of persisting)",
     )
-    if payload.get("rng") == "decoupled":
+    if payload["rng"] == "decoupled":
         # Decoupled draws never match the replayed reference streams, so
         # a decoupled artifact claiming round-exact agreement is lying.
         _expect(
@@ -341,8 +261,15 @@ def _number_field(
     return float(value)
 
 
+def _rng_field(container: Mapping[str, Any], path: str) -> None:
+    value = _field(container, "rng", str, path=path)
+    _expect(
+        value in RNG_MODES, path, f"must be one of {RNG_MODES}, got {value!r}"
+    )
+
+
 def _dynamics(value: Any, path: str) -> None:
-    """Validate one serialised ``DynamicsSpec`` block (PR 10)."""
+    """Validate one serialised ``DynamicsSpec`` block."""
     _expect(isinstance(value, Mapping), path, "must be a JSON object")
     _int_field(value, "fault_seed", minimum=0, path=f"{path}.fault_seed")
     models = _field(value, "models", list, path=f"{path}.models")
@@ -368,7 +295,11 @@ def _dynamics(value: Any, path: str) -> None:
 def _per_trial(
     results: Mapping[str, Any], series_keys: list, num_trials: int
 ) -> None:
-    """Validate the optional ``results.per_trial`` raw-series block."""
+    """Validate the ``results.per_trial`` raw-series block.
+
+    One value per vectorized trial, and the summary statistics must be
+    re-derivable from it.
+    """
     per_trial = _field(results, "per_trial", Mapping, path="results.per_trial")
     success = _field(per_trial, "success", list, path="results.per_trial.success")
     _expect(

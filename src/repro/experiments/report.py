@@ -164,14 +164,15 @@ def artifact_identity(payload: Mapping[str, Any]) -> str:
 
     Rebuilds the scenario from the artifact's ``scenario`` block (the
     block is documented as sufficient for exactly that) and digests its
-    :meth:`~repro.experiments.scenarios.Scenario.execution_config` --
-    so every axis that changes what a run *means* (strategy, rng,
-    collision model, margin, dynamics) changes the key, while
-    presentation fields (description, tags) and a recorded ``engine``
-    selector do not.
+    :meth:`~repro.experiments.scenarios.Scenario.execution_config` under
+    the top-level ``rng`` the run actually used (a CLI ``--rng``
+    override records it there, not in the scenario block) -- so every
+    axis that changes what a run *means* (strategy, rng, collision
+    model, margin, dynamics) changes the key, while presentation fields
+    (description, tags) do not.
     """
     scenario = Scenario.from_dict(payload["scenario"])
-    return scenario.execution_config().identity()
+    return scenario.execution_config(rng=payload["rng"]).identity()
 
 
 def load_artifact_set(
@@ -306,12 +307,10 @@ def _rounds_check(
     base: Mapping[str, Any], cand: Mapping[str, Any]
 ) -> Check:
     """Exact results-block agreement, applicable under replay only."""
-    base_rng = base.get("rng", "replay")
-    cand_rng = cand.get("rng", "replay")
-    if base_rng != "replay" or cand_rng != "replay":
+    if base["rng"] != "replay" or cand["rng"] != "replay":
         return Check(
             "replay-rounds", _CHECK_SKIPPED,
-            f"not gated: rng={cand_rng} (replay-exactness applies to "
+            f"not gated: rng={cand['rng']} (replay-exactness applies to "
             "replay artifacts only; decoupled parity is distributional)",
         )
     base_trials, cand_trials = base["trials"], cand["trials"]
@@ -507,11 +506,11 @@ def _axes(payload: Mapping[str, Any]) -> str:
     """Non-default execution axes, compressed for the summary table."""
     scenario = payload["scenario"]
     axes = []
-    if scenario.get("strategy", "skeleton") != "skeleton":
+    if scenario["strategy"] != "skeleton":
         axes.append(scenario["strategy"])
-    if payload.get("rng", "replay") != "replay":
+    if payload["rng"] != "replay":
         axes.append(payload["rng"])
-    if scenario.get("algorithm") not in ("broadcast", None):
+    if scenario["algorithm"] != "broadcast":
         axes.insert(0, scenario["algorithm"])
     return "·".join(axes) if axes else "defaults"
 
@@ -572,17 +571,12 @@ def _detail_section(row: ScenarioRow) -> list[str]:
     )
     for label, payload in (("baseline", base), ("candidate", cand)):
         rounds = payload["results"]["rounds"]
+        series = payload["results"]["per_trial"]["rounds"]
         stats = (
             f"mean {rounds['mean']:.1f}, min {rounds['min']:.0f}, "
-            f"max {rounds['max']:.0f}"
+            f"max {rounds['max']:.0f}, p50 {_percentile(series, 50):.0f}, "
+            f"p90 {_percentile(series, 90):.0f}"
         )
-        per_trial = payload["results"].get("per_trial")
-        if per_trial:
-            series = per_trial["rounds"]
-            stats += (
-                f", p50 {_percentile(series, 50):.0f}, "
-                f"p90 {_percentile(series, 90):.0f}"
-            )
         lines.append(
             f"- {label} rounds: {stats} · success rate "
             f"{payload['results']['success_rate']:.2f}"
@@ -608,29 +602,15 @@ def _percentile(values: Sequence[float], q: float) -> float:
 def _trend_svg(
     base: Mapping[str, Any], cand: Mapping[str, Any]
 ) -> str:
-    """Sparkline of per-trial rounds, or a min/mean/max range plot.
+    """Sparkline of per-trial rounds, baseline and candidate.
 
     Hand-rolled SVG, stdlib only; all coordinates are formatted with a
     fixed precision so the markup is deterministic.
     """
-    base_series = (base["results"].get("per_trial") or {}).get("rounds")
-    cand_series = (cand["results"].get("per_trial") or {}).get("rounds")
-    if base_series and cand_series:
-        return _sparkline_svg([
-            (_BASELINE_COLOR, [float(v) for v in base_series]),
-            (_CANDIDATE_COLOR, [float(v) for v in cand_series]),
-        ])
-    return _range_svg([
-        (_BASELINE_COLOR, base["results"]["rounds"]),
-        (_CANDIDATE_COLOR, cand["results"]["rounds"]),
+    return _sparkline_svg([
+        (_BASELINE_COLOR, base["results"]["per_trial"]["rounds"]),
+        (_CANDIDATE_COLOR, cand["results"]["per_trial"]["rounds"]),
     ])
-
-
-def _svg_open(width: int, height: int) -> str:
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" role="img">'
-    )
 
 
 def _sparkline_svg(
@@ -640,7 +620,10 @@ def _sparkline_svg(
     values = [value for _, points in series for value in points]
     low, high = min(values), max(values)
     span = (high - low) or 1.0
-    parts = [_svg_open(width, height)]
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}" role="img">'
+    ]
     for color, points in series:
         count = len(points)
         if count == 1:
@@ -655,37 +638,6 @@ def _sparkline_svg(
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{coords}"/>'
-        )
-    parts.append("</svg>")
-    return "  " + "".join(parts)
-
-
-def _range_svg(
-    series: Sequence[tuple], width: int = 200, height: int = 42,
-    pad: float = 6.0,
-) -> str:
-    """Horizontal min–max bars with a mean dot, one lane per series."""
-    values = [
-        block[stat] for _, block in series for stat in ("min", "mean", "max")
-    ]
-    low, high = min(values), max(values)
-    span = (high - low) or 1.0
-
-    def x_of(value: float) -> float:
-        return pad + (value - low) * (width - 2 * pad) / span
-
-    parts = [_svg_open(width, height)]
-    lane_height = height / len(series)
-    for lane, (color, block) in enumerate(series):
-        y = lane_height * (lane + 0.5)
-        parts.append(
-            f'<line x1="{x_of(block["min"]):.1f}" y1="{y:.1f}" '
-            f'x2="{x_of(block["max"]):.1f}" y2="{y:.1f}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<circle cx="{x_of(block["mean"]):.1f}" cy="{y:.1f}" r="3.5" '
-            f'fill="{color}"/>'
         )
     parts.append("</svg>")
     return "  " + "".join(parts)

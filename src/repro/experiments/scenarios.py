@@ -40,7 +40,6 @@ from repro.network.radio import CollisionModel
 from repro.api import DEFAULT_ALGORITHMS, ExecutionConfig
 from repro.core.compete import STRATEGIES
 from repro.core.parameters import DEFAULT_MARGIN
-from repro.experiments.persistence import RECORDED_ENGINE_SELECTORS
 from repro.simulation.rng import RNG_MODES
 from repro import topology
 
@@ -102,7 +101,7 @@ class Scenario:
     trials:
         Default number of seeded trials per benchmark run.
     seed:
-        Default base seed; trial ``i`` uses ``seed + i``.
+        Default base seed (non-negative); trial ``i`` uses ``seed + i``.
     margin:
         Schedule margin forwarded to
         :class:`~repro.core.parameters.CompeteParameters`.
@@ -166,6 +165,8 @@ class Scenario:
         object.__setattr__(self, "dynamics", coerce_dynamics(self.dynamics))
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.family in RANDOM_FAMILIES and "seed" not in self.topology_args:
             raise ConfigurationError(
                 f"scenario {self.name!r}: random family {self.family!r} "
@@ -229,25 +230,14 @@ class Scenario:
         """Rebuild a scenario from :meth:`to_dict` output.
 
         A key :meth:`to_dict` never writes is an error, so a typo cannot
-        silently run a default.  The one exception is ``engine``, which
-        blocks written before the selector was removed record: its
-        values there, ``"auto"`` and ``"sparse"``, both named the CSR
-        kernel every run uses, and are accepted and dropped.
+        silently run a default.  Keys it writes may be omitted (inline
+        service scenarios do) and take the field defaults.
         """
         known = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known - {"engine"})
+        unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigurationError(
                 f"unknown scenario key(s) {unknown}; known: {sorted(known)}"
-            )
-        engine = data.get("engine", "auto")
-        if engine not in RECORDED_ENGINE_SELECTORS:
-            removed = (
-                " (the dense engine was removed)" if engine == "dense" else ""
-            )
-            raise ConfigurationError(
-                f"engine must be one of {RECORDED_ENGINE_SELECTORS}, got "
-                f"{engine!r}{removed}"
             )
         return cls(
             name=data["name"],

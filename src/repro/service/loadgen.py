@@ -12,7 +12,7 @@ running server (``--url``) or spawns one itself on an ephemeral port
    identical execution identity and topology digest -- which must hit
    the LRU;
 3. writes ``BENCH_service-cold.json`` / ``BENCH_service-warm.json``:
-   the jobs' benchmark payloads (already valid ``repro-bench/1``
+   the jobs' benchmark payloads (already valid ``repro-bench/2``
    documents, since the service runs the same
    :func:`~repro.experiments.bench.run_benchmark` path), each extended
    with a ``service`` block recording the resolve outcome and latency
@@ -162,7 +162,7 @@ def attach_service_block(
     """The job's bench payload with the ``service`` sidecar block.
 
     ``validate_bench`` ignores unknown top-level fields, so the extended
-    payload still validates under ``repro-bench/1``.
+    payload still validates under ``repro-bench/2``.
     """
     payload = dict(status["result"])
     payload["service"] = {

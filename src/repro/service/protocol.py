@@ -220,6 +220,10 @@ def _parse_overrides(payload: Mapping[str, Any]) -> RunOverrides:
             raise RequestError(
                 "bad-request", f"{field} must be >= 1, got {values[field]}"
             )
+    if values.get("seed", 0) < 0:
+        raise RequestError(
+            "bad-request", f"seed must be >= 0, got {values['seed']}"
+        )
     if "timeout_seconds" in values:
         values["timeout_seconds"] = float(values["timeout_seconds"])
         if not values["timeout_seconds"] > 0:

@@ -1,9 +1,9 @@
 """The classical repeated-Decay broadcast baseline (registry plugin).
 
 Pins the baseline's semantics (no spontaneous transmissions, uniform
-Decay schedule only), its three-way backend/kernel equivalence, the
-batch API, and its integration through the registry, scenarios, the
-benchmark runner and the CLI.
+Decay schedule only), its backend equivalence, the batch API, and its
+integration through the registry, scenarios, the benchmark runner and
+the CLI.
 """
 
 import json
@@ -12,19 +12,15 @@ import pytest
 
 from repro import topology
 from repro.api import DEFAULT_ALGORITHMS, ExecutionConfig
-from repro.core.decay_broadcast import (
-    DecayBroadcastResult,
-    decay_broadcast,
-    decay_broadcast_batch,
-)
+from repro.core.broadcast import BroadcastResult
+from repro.core.decay_broadcast import decay_broadcast, decay_broadcast_batch
 from repro.errors import ConfigurationError
 from repro.experiments import get_scenario, run_benchmark, validate_bench
 from repro.experiments.cli import main
 from repro.experiments.scenarios import Scenario
 
 
-def assert_same_result(a: DecayBroadcastResult, b: DecayBroadcastResult,
-                       context=""):
+def assert_same_result(a: BroadcastResult, b: BroadcastResult, context=""):
     assert a.success == b.success, context
     assert a.source == b.source, context
     assert a.message == b.message, context

@@ -90,11 +90,11 @@ def test_strategy_round_trips_and_comparison_pairs_exist():
     )
     rebuilt = Scenario.from_dict(clustered.to_dict())
     assert rebuilt.strategy == "clustered"
-    # Dicts without a strategy key (pre-strategy artifacts) default to
-    # the skeleton.
-    legacy = clustered.to_dict()
-    del legacy["strategy"]
-    assert Scenario.from_dict(legacy).strategy == "skeleton"
+    # Inline scenario dicts may omit the strategy; it defaults to the
+    # skeleton.
+    inline = clustered.to_dict()
+    del inline["strategy"]
+    assert Scenario.from_dict(inline).strategy == "skeleton"
     # The built-in sweep carries skeleton-vs-clustered twins.
     for name in ("broadcast-path-n256", "broadcast-grid-n256",
                  "broadcast-gnp-n256"):
@@ -115,19 +115,14 @@ def test_scenario_round_trips_through_dict():
     assert json.loads(json.dumps(TINY.to_dict())) == TINY.to_dict()
 
 
-def test_recorded_engine_key_is_accepted_and_dropped():
-    # Scenario blocks written while the engine selector existed record
-    # "auto" or "sparse"; both named the CSR kernel every run uses.
+def test_recorded_engine_key_is_refused():
+    # The engine selector is gone: a scenario block naming one, even the
+    # "auto" that repro-bench/1 artifacts recorded, is an unknown key.
     assert "engine" not in TINY.to_dict()
-    for recorded in ("auto", "sparse"):
-        block = {**TINY.to_dict(), "engine": recorded}
-        assert Scenario.from_dict(block) == TINY
-    with pytest.raises(ConfigurationError, match="engine"):
-        Scenario.from_dict({**TINY.to_dict(), "engine": "gpu"})
-    with pytest.raises(ConfigurationError) as error:
-        Scenario.from_dict({**TINY.to_dict(), "engine": "dense"})
+    with pytest.raises(ConfigurationError, match="unknown") as error:
+        Scenario.from_dict({**TINY.to_dict(), "engine": "auto"})
     message = str(error.value)
-    assert "dense engine was removed" in message and "\n" not in message
+    assert "'engine'" in message and "\n" not in message
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -148,10 +143,10 @@ def test_rng_field_round_trips_and_validates():
     assert decoupled.execution_config().rng == "decoupled"
     # The per-call override wins without mutating the scenario.
     assert decoupled.execution_config(rng="replay").rng == "replay"
-    # Dicts without an rng key (pre-PR-6 artifacts) default to replay.
-    legacy = decoupled.to_dict()
-    del legacy["rng"]
-    assert Scenario.from_dict(legacy).rng == "replay"
+    # Inline scenario dicts may omit the rng; it defaults to replay.
+    inline = decoupled.to_dict()
+    del inline["rng"]
+    assert Scenario.from_dict(inline).rng == "replay"
     with pytest.raises(ConfigurationError, match="rng"):
         Scenario(name="x", description="", family="path",
                  topology_args={"num_nodes": 8}, algorithm="broadcast",
@@ -401,8 +396,8 @@ def test_run_benchmark_without_reference():
 def test_validate_bench_rejects_corrupted_payloads():
     payload = run_benchmark(TINY, include_reference=False)
 
-    def corrupt(mutate, base=payload):
-        broken = copy.deepcopy(base)
+    def corrupt(mutate):
+        broken = copy.deepcopy(payload)
         mutate(broken)
         with pytest.raises(ConfigurationError, match="bench payload invalid"):
             validate_bench(broken)
@@ -418,22 +413,9 @@ def test_validate_bench_rejects_corrupted_payloads():
     corrupt(lambda p: p["agreement"].update(round_exact=True))  # unchecked
     corrupt(lambda p: p["environment"].pop("numpy"))
     corrupt(lambda p: p["scenario"].update(strategy=7))  # not a string
-    corrupt(lambda p: p["trials"].pop("seed_batches"))  # per_batch orphaned
+    corrupt(lambda p: p["trials"].pop("seed_batches"))
     corrupt(lambda p: p["trials"].update(seed_batches=2))  # 2*3 != 3
-    # Artifacts written while the engine selector existed record it as
-    # scenario.engine and a top-level engine block; both stay checked.
-    recorded = copy.deepcopy(payload)
-    recorded["scenario"]["engine"] = "auto"
-    recorded["engine"] = {"requested": "auto", "selected": "sparse"}
-    validate_bench(recorded)
-    corrupt(lambda p: p["scenario"].update(engine="gpu"), recorded)
-    corrupt(lambda p: p["engine"].pop("selected"), recorded)
-    corrupt(lambda p: p["engine"].update(requested="gpu"), recorded)
-    # The recorded kernel is never "auto".
-    corrupt(lambda p: p["engine"].update(selected="auto"), recorded)
-    # A non-auto request must match what ran.
-    corrupt(lambda p: p["engine"].update(requested="sparse",
-                                         selected="dense"), recorded)
+    corrupt(lambda p: p["trials"].update(base_seed=-1))
     # The per-trial series block must stay derivable: every series one
     # entry per trial, summary stats recomputable from the raw values.
     corrupt(lambda p: p["results"]["per_trial"]["success"].pop())
@@ -446,16 +428,38 @@ def test_validate_bench_rejects_corrupted_payloads():
     corrupt(lambda p: p["results"].update(
         success_rate=1.0 - p["results"]["success_rate"]))
 
-    # Pre-PR-3 artifacts (no strategy, no batch fields) still validate.
-    legacy = copy.deepcopy(payload)
-    legacy["scenario"].pop("strategy")
-    legacy["trials"].pop("per_batch")
-    legacy["trials"].pop("seed_batches")
-    validate_bench(legacy)
 
-    # Pre-PR-7 artifacts omit the raw per-trial series block.
-    legacy["results"].pop("per_trial")
-    validate_bench(legacy)
+def _drop(*paths):
+    def mutate(payload):
+        for path in paths:
+            *parents, key = path.split(".")
+            block = payload
+            for parent in parents:
+                block = block[parent]
+            del block[key]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (_drop("scenario.strategy"), "scenario.strategy"),
+    (_drop("scenario.rng"), "scenario.rng"),
+    (_drop("rng"), "rng"),
+    (_drop("workers"), "workers"),
+    (_drop("trials.per_batch", "trials.seed_batches"), "trials.per_batch"),
+    (_drop("results.per_trial"), "results.per_trial"),
+    (lambda p: p.update(schema="repro-bench/1"), "schema"),
+], ids=["strategy", "scenario-rng", "rng", "workers", "batch-fields",
+        "per-trial", "v1-schema"])
+def test_validate_bench_requires_every_v2_key(mutate, path):
+    # repro-bench/1 let artifacts written before these fields existed
+    # omit them; repro-bench/2 requires every one.
+    payload = run_benchmark(TINY, include_reference=False)
+    mutate(payload)
+    with pytest.raises(ConfigurationError) as error:
+        validate_bench(payload)
+    message = str(error.value)
+    assert message.startswith(f"bench payload invalid at {path}:")
+    assert "\n" not in message
 
 
 def test_run_benchmark_rejects_bad_trial_overrides():
@@ -465,6 +469,8 @@ def test_run_benchmark_rejects_bad_trial_overrides():
         run_benchmark(TINY, reference_trials=-1)
     with pytest.raises(ConfigurationError, match="workers"):
         run_benchmark(TINY, workers=0)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        run_benchmark(TINY, seed=-1)
 
 
 def test_run_benchmark_records_rng_and_workers():
@@ -532,13 +538,6 @@ def test_validate_bench_rejects_bad_rng_and_workers_fields():
     corrupted["trials"].update(reference=1)
     with pytest.raises(ConfigurationError, match="decoupled"):
         validate_bench(corrupted)
-
-    # Pre-PR-6 artifacts (no rng/workers fields) still validate.
-    legacy = copy.deepcopy(payload)
-    legacy.pop("rng")
-    legacy.pop("workers")
-    legacy["scenario"].pop("rng")
-    validate_bench(legacy)
 
 
 def test_bench_filename_sanitises():
@@ -633,6 +632,14 @@ def test_cli_errors_return_nonzero(tmp_path, capsys):
     bad = tmp_path / "BENCH_bad.json"
     bad.write_text("{}")
     assert main(["validate", str(bad)]) == 1
+    capsys.readouterr()
+    # A negative seed is refused where it enters, not deep in numpy.
+    assert main([
+        "run", "broadcast-star-n32", "--seed", "-1", "--out", str(tmp_path),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be >= 0" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_report_against_missing_dir_is_one_line_error(tmp_path, capsys):

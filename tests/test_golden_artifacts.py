@@ -5,16 +5,11 @@ are the perf-regression gate's comparison set *and* the historical
 record of every headline number the README/CHANGES cite -- so this
 module treats each one as a golden file:
 
-* it must validate against the **current** ``repro-bench/1`` schema
-  (pre-PR-4 / pre-PR-6 artifacts included: their migration notes promise
-  optional fields, and this is where that promise is enforced against
-  real data rather than synthetic fixtures);
+* it must validate against the **current** ``repro-bench/2`` schema,
+  which requires every field but the ``dynamics`` blocks;
 * its summary statistics must be re-derivable from the recorded
   per-trial series and internally consistent (timing arithmetic,
-  filename, scenario identity) -- every artifact under ``benchmarks/``
-  carries the series; only the committed legacy fixture under
-  ``tests/data/legacy/`` (kept to pin the schema's pre-PR-7 tolerance)
-  may omit it;
+  filename, scenario identity);
 * its scenario block must rebuild through the current code paths --
   :meth:`Scenario.from_dict`, :meth:`Scenario.execution_config`, the
   config identity digest -- and agree with the registry's current
@@ -46,13 +41,7 @@ from repro.topology.validation import summarize_topology
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCHMARKS = REPO_ROOT / "benchmarks"
-#: Pre-PR-7 artifacts (no ``results.per_trial``) kept as fixtures: they
-#: pin the schema's documented legacy tolerance without grandfathering
-#: incomplete data into the live baseline set.
-LEGACY_DIR = REPO_ROOT / "tests" / "data" / "legacy"
 ARTIFACT_PATHS = sorted(BENCHMARKS.glob("BENCH_*.json"))
-LEGACY_PATHS = sorted(LEGACY_DIR.glob("BENCH_*.json"))
-ALL_PATHS = ARTIFACT_PATHS + LEGACY_PATHS
 
 #: Above this node count the topology rebuild moves to the slow tier
 #: (building the n ~ 10^5 graphs plus the two-sweep summary's six BFS
@@ -61,9 +50,7 @@ _FAST_REBUILD_NODES = 2000
 
 #: The scenario-block fields that define what an artifact *measures*;
 #: they must agree with the current registry definition.  Presentation
-#: fields (description, tags) may drift without orphaning a baseline,
-#: and so may a recorded ``engine`` selector: its values named the one
-#: CSR kernel.
+#: fields (description, tags) may drift without orphaning a baseline.
 _IDENTITY_FIELDS = (
     "family", "topology_args", "algorithm", "collision_model",
     "spontaneous", "strategy", "rng", "margin", "seed", "dynamics",
@@ -71,19 +58,17 @@ _IDENTITY_FIELDS = (
 
 
 def _param_id(path):
-    stem = path.stem.replace("BENCH_", "")
-    return f"legacy-{stem}" if path.parent == LEGACY_DIR else stem
+    return path.stem.replace("BENCH_", "")
 
 
 def _artifact_params():
     assert ARTIFACT_PATHS, "no committed benchmark artifacts found"
-    assert LEGACY_PATHS, "the documented legacy fixture is missing"
-    for path in ALL_PATHS:
+    for path in ARTIFACT_PATHS:
         yield pytest.param(path, id=_param_id(path))
 
 
 def _rebuild_params():
-    for path in ALL_PATHS:
+    for path in ARTIFACT_PATHS:
         payload = json.loads(path.read_text())
         marks = (
             (pytest.mark.slow,)
@@ -96,7 +81,7 @@ def _rebuild_params():
 @pytest.fixture(scope="module")
 def payloads():
     # One validated load per artifact for the whole module.
-    return {path: load_bench(path) for path in ALL_PATHS}
+    return {path: load_bench(path) for path in ARTIFACT_PATHS}
 
 
 @pytest.mark.parametrize("path", _artifact_params())
@@ -121,12 +106,6 @@ def test_scenario_block_rebuilds_through_current_code(path, payloads):
     identity = artifact_identity(payload)
     assert identity == config.identity()
     assert len(identity) == 12 and int(identity, 16) >= 0
-    # The recorded engine selector joins no identity.
-    without_engine = dict(payload, scenario={
-        key: value for key, value in payload["scenario"].items()
-        if key != "engine"
-    })
-    assert artifact_identity(without_engine) == identity
 
 
 @pytest.mark.parametrize("path", _artifact_params())
@@ -139,9 +118,8 @@ def test_scenario_block_agrees_with_registry(path, payloads):
     )
     registered = get_scenario(name).to_dict()
     for field in _IDENTITY_FIELDS:
-        if field not in scenario_block:
-            continue  # optional pre-migration fields
-        assert scenario_block[field] == registered[field], (
+        # Only dynamics may be absent, on both sides, for a static run.
+        assert scenario_block.get(field) == registered.get(field), (
             f"{path.name}: scenario.{field} drifted from the registry "
             "definition; the baseline no longer measures the registered "
             "configuration -- re-run and re-commit it"
@@ -176,19 +154,7 @@ def test_timing_block_is_internally_consistent(path, payloads):
 def test_summary_statistics_rederive_from_per_trial_series(path, payloads):
     payload = payloads[path]
     results = payload["results"]
-    per_trial = results.get("per_trial")
-    if per_trial is None:
-        if path.parent == LEGACY_DIR:
-            # The one place the pre-PR-7 summaries-only form remains
-            # acceptable: the committed fixture that pins the schema's
-            # legacy tolerance.  validate_bench already enforced the
-            # min <= mean <= max invariant, all that can be re-checked.
-            pytest.skip("documented legacy fixture predates per_trial")
-        pytest.fail(
-            f"{path.name} lacks results.per_trial; live baselines must "
-            "carry the series -- regenerate with "
-            f"`python -m repro.experiments run {payload['scenario']['name']}`"
-        )
+    per_trial = results["per_trial"]
     num_trials = payload["trials"]["vectorized"]
     assert len(per_trial["success"]) == num_trials
     derived_rate = sum(per_trial["success"]) / num_trials

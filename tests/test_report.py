@@ -173,9 +173,22 @@ def test_one_sided_scenarios_never_gate(baseline):
     )
 
 
-def test_config_change_is_reported_but_not_gated(baseline):
+def _edit_strategy(payload):
+    payload["scenario"]["strategy"] = "clustered"
+
+
+def _override_rng(payload):
+    # What `run --rng decoupled` writes: the scenario block keeps the
+    # registered rng, the top-level field records the one that ran.
+    payload["rng"] = "decoupled"
+
+
+@pytest.mark.parametrize(
+    "edit", [_edit_strategy, _override_rng], ids=["strategy", "rng-override"]
+)
+def test_config_change_is_reported_but_not_gated(baseline, edit):
     candidate = copy.deepcopy(baseline)
-    candidate["tiny-a-star"]["scenario"]["strategy"] = "clustered"
+    edit(candidate["tiny-a-star"])
     report = compare_artifact_sets(baseline, candidate)
     assert report.verdict == "ok"
     row = {r.name: r for r in report.rows}["tiny-a-star"]
@@ -286,19 +299,6 @@ def test_markdown_contents(baseline):
     assert "baseline gray, candidate blue" in markdown
     ok_report = compare_artifact_sets(baseline, copy.deepcopy(baseline))
     assert "**Verdict: OK**" in render_markdown(ok_report)
-
-
-def test_markdown_for_legacy_artifacts_without_per_trial(baseline):
-    # Pre-PR-7 artifacts carry summary stats only; the trend plot falls
-    # back to min/mean/max range bars instead of sparklines.
-    legacy = copy.deepcopy(baseline)
-    for payload in legacy.values():
-        del payload["results"]["per_trial"]
-    report = compare_artifact_sets(legacy, copy.deepcopy(legacy))
-    markdown = render_markdown(report)
-    assert report.verdict == "ok"
-    assert "<circle" in markdown and "<polyline" not in markdown
-    assert "p50" not in markdown
 
 
 def test_markdown_config_changed_section(baseline):

@@ -212,16 +212,17 @@ def test_committed_n1e5_artifacts_record_decoupled_rng():
         assert payload["scenario"]["rng"] == "decoupled"
         assert payload["topology"]["num_nodes"] >= 99_000
         assert payload["agreement"]["checked_trials"] == 0
-        assert payload["engine"]["selected"] == "sparse"
 
 
 def test_committed_n16384_decoupled_speedup():
-    # The headline claim of the decoupled mode: >= 5x wall clock over
-    # replay on the same 128x128 grid scenario, same machine, recorded
-    # in the two committed twins.
+    # Pins the two committed twins: on the same 128x128 grid scenario
+    # and machine they record decoupled >= 5x faster per trial than
+    # replay (6.98x).  The twins predate the replay kernel speed-ups
+    # that later narrowed the gap, so this checks the recorded data,
+    # not today's code.
     replay = _load("BENCH_broadcast-grid-n16384.json")
     decoupled = _load("BENCH_broadcast-grid-n16384-decoupled.json")
-    assert replay.get("rng", "replay") == "replay"
+    assert replay["rng"] == "replay"
     assert decoupled["rng"] == "decoupled"
     assert replay["scenario"]["topology_args"] == \
         decoupled["scenario"]["topology_args"]
@@ -234,4 +235,4 @@ def test_committed_n16384_decoupled_speedup():
         replay["timing"]["vectorized_seconds_per_trial"]
         / decoupled["timing"]["vectorized_seconds_per_trial"]
     )
-    assert ratio >= 5.0, f"decoupled speedup regressed: {ratio:.2f}x < 5x"
+    assert ratio >= 5.0, f"recorded decoupled speedup {ratio:.2f}x < 5x"

@@ -74,6 +74,10 @@ def test_parse_request_rejects_malformed():
          "trials"),
         ({"op": "run", "scenario": "broadcast-path-n32", "trials": True},
          "boolean"),
+        ({"op": "run", "scenario": "broadcast-path-n32", "seed": -1},
+         "seed must be >= 0"),
+        ({"op": "run", "scenario": {**TINY.to_dict(), "seed": -1}},
+         "seed must be >= 0"),
         ({"op": "run", "scenario": "broadcast-path-n32",
           "timeout_seconds": 0}, "timeout_seconds"),
         ({"op": "sweep", "limit": 0}, "limit"),
@@ -108,7 +112,7 @@ def test_parse_request_accepts_registered_and_inline_scenarios():
     assert inline.scenario.name == TINY.name
     assert inline.scenario.topology_args == TINY.topology_args
 
-    with pytest.raises(RequestError, match="dense engine was removed") as bad:
+    with pytest.raises(RequestError, match="engine") as bad:
         parse_request(
             {"op": "run", "scenario": {**TINY.to_dict(), "engine": "dense"}},
             registry=DEFAULT_REGISTRY,
