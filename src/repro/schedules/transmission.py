@@ -93,26 +93,34 @@ class TransmissionSchedule:
                 "node_probabilities must cover at least one node"
             )
         cycles: dict[object, tuple[float, ...]] = {}
+        # Each distinct cycle is converted and checked once, and every
+        # node with an equal cycle shares the one checked tuple; the
+        # first node that brings a bad cycle is the one named.
+        checked: dict[tuple, tuple[float, ...]] = {}
         cycle_length = 1
         for node, probabilities in node_probabilities.items():
-            cycle = tuple(float(p) for p in probabilities)
-            if not cycle:
-                raise ConfigurationError(
-                    f"node {node!r} has an empty probability cycle"
-                )
-            for probability in cycle:
-                if not 0.0 < probability <= 1.0:
+            given = tuple(probabilities)
+            cycle = checked.get(given)
+            if cycle is None:
+                cycle = tuple(float(p) for p in given)
+                if not cycle:
                     raise ConfigurationError(
-                        f"node {node!r} has transmission probability "
-                        f"{probability}, outside (0, 1]"
+                        f"node {node!r} has an empty probability cycle"
                     )
+                for probability in cycle:
+                    if not 0.0 < probability <= 1.0:
+                        raise ConfigurationError(
+                            f"node {node!r} has transmission probability "
+                            f"{probability}, outside (0, 1]"
+                        )
+                cycle_length = math.lcm(cycle_length, len(cycle))
+                if cycle_length > MAX_CYCLE_LENGTH:
+                    raise ConfigurationError(
+                        f"combined cycle length exceeds {MAX_CYCLE_LENGTH}; "
+                        "use nesting (power-of-two) period lengths"
+                    )
+                checked[given] = cycle
             cycles[node] = cycle
-            cycle_length = math.lcm(cycle_length, len(cycle))
-            if cycle_length > MAX_CYCLE_LENGTH:
-                raise ConfigurationError(
-                    f"combined cycle length exceeds {MAX_CYCLE_LENGTH}; "
-                    "use nesting (power-of-two) period lengths"
-                )
         self._cycles = cycles
         self._cycle_length = cycle_length
         self._name = name
@@ -167,12 +175,16 @@ class TransmissionSchedule:
         """
         import numpy as np
 
+        # Nodes with equal cycles share one tuple (see ``__init__``), so
+        # grouping columns by tuple identity fills one block per cycle.
         nodes = list(order)
-        matrix = np.empty((self._cycle_length, len(nodes)), dtype=np.float64)
+        blocks: dict[int, tuple[tuple[float, ...], list[int]]] = {}
         for column, node in enumerate(nodes):
             cycle = self._probabilities_of(node)
-            for row in range(self._cycle_length):
-                matrix[row, column] = cycle[row % len(cycle)]
+            blocks.setdefault(id(cycle), (cycle, []))[1].append(column)
+        matrix = np.empty((self._cycle_length, len(nodes)), dtype=np.float64)
+        for cycle, columns in blocks.values():
+            matrix[:, columns] = np.resize(cycle, self._cycle_length)[:, None]
         return matrix
 
     def __eq__(self, other) -> bool:

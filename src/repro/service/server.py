@@ -80,6 +80,11 @@ _MAX_BODY_BYTES = 1 << 20
 #: missed wakeup can only delay a batch, never lose it.
 _STREAM_POLL_SECONDS = 0.5
 
+#: Deadline for reading one request (request line, headers and body).
+#: A client that has not sent its whole request by then is closed on
+#: quietly, so a half-open connection cannot hold its handler forever.
+_REQUEST_READ_SECONDS = 10.0
+
 
 class ServiceServer:
     """The HTTP transport bound to one :class:`JobManager`."""
@@ -178,12 +183,18 @@ class ServiceServer:
     ) -> None:
         try:
             try:
-                method, path, body = await self._read_request(reader)
+                method, path, body = await asyncio.wait_for(
+                    self._read_request(reader), _REQUEST_READ_SECONDS
+                )
             except RequestError as error:
                 # Malformed framing, answered before any routing.
                 return await _send_json(
                     writer, 400, error_response(error.code, str(error))
                 )
+            except asyncio.TimeoutError:
+                # The request did not arrive whole before the deadline
+                # (a stalled or half-open client): close quietly.
+                return
             if method is None:
                 return
             await self._route(method, path, body, writer)

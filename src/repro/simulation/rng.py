@@ -3,9 +3,12 @@
 The vectorized engine's default randomness policy (``rng="replay"``,
 :class:`repro.simulation.vectorized.DrawStreams`) replays the reference
 runner's per-(trial, node) ``SeedSequence`` streams so that every backend
-agrees round for round.  That guarantee costs real time: spawning
-``trials * n`` generator objects and refilling their pre-draw blocks is
-40% of the wall clock at ``n = 16384`` -- and the streams are inherently
+agrees round for round.  That guarantee costs real time: one NumPy
+``Generator`` per (trial, node).  Their seed words come from one
+vectorized pass over ``SeedSequence.spawn``'s mixing, yet building and
+first filling the 16384 streams of an ``n = 16384`` trial still takes
+50-110 ms on a 2-vCPU VM, and refilling all of their 128-draw blocks
+another 20-40 ms every 128 rounds.  The streams are also inherently
 *stateful*, so they cannot be sharded, replayed out of order, or skipped
 past silent rounds.
 

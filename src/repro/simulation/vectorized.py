@@ -41,16 +41,21 @@ reference gives each node a private generator from
 ``SeedSequence(seed).spawn(n)`` (:func:`~repro.simulation.runner.spawn_node_rngs`)
 and a node consumes exactly one uniform draw per round *while it holds a
 message* (uninformed nodes listen without drawing).  :class:`DrawStreams`
-replays those per-node streams from identically-spawned generators,
-pre-drawing blocks per node and consuming them one element per informed
-round, so the k-th decision of every node matches the reference's k-th
-decision exactly.  ``tests/test_engine_equivalence.py`` pins this
-equivalence across topology families, strategies and fault models.
+replays those per-node streams: the same ``SeedSequence.spawn``
+children, whose PCG64 seed words :func:`spawned_seed_words` computes for
+all ``n`` nodes of a trial in one NumPy pass instead of through ``n``
+``SeedSequence`` objects.  It pre-draws blocks per node and consumes
+them one element per informed round, so the k-th decision of every node
+matches the reference's k-th decision exactly.  The reference runner
+keeps NumPy's own ``SeedSequence``, so
+``tests/test_engine_equivalence.py`` cross-checks the seeding as well as
+the rounds, across topology families, strategies and fault models.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,16 +76,113 @@ NO_MESSAGE = 0
 #: 512 and 2048 measured no faster.
 DEFAULT_DRAW_BLOCK = 128
 
+#: NumPy's ``SeedSequence`` constants (``numpy/random/bit_generator.pyx``):
+#: the entropy pool size, the two hash-constant sequences (``A`` mixes
+#: entropy into the pool, ``B`` draws the output state from it) and the
+#: multipliers of ``mix``.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, hash_const: int, multiplier: int):
+    """NumPy's ``hashmix`` on a Python int or a ``uint32`` array.
+
+    Returns the mixed value and the next hash constant.
+    """
+    next_const = (hash_const * multiplier) & _MASK32
+    value = ((value ^ hash_const) * next_const) & _MASK32
+    return value ^ (value >> 16), next_const
+
+
+def _mix(x: int, y):
+    """NumPy's ``mix`` of pool word ``x`` (a Python int) with ``y``."""
+    result = (((_MIX_MULT_L * x) & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def spawned_seed_words(entropy: int, num_children: int) -> np.ndarray:
+    """The PCG64 seed words of every child of a spawned ``SeedSequence``.
+
+    Row ``i`` of the ``(num_children, 4)`` ``uint64`` result equals
+    ``SeedSequence(entropy).spawn(num_children)[i].generate_state(4,
+    np.uint64)`` bit for bit.  A child's entropy is the parent's words,
+    zero-padded to the pool size, followed by its spawn key ``i``.  Every
+    pool step before the spawn key is the same for all children, so it
+    runs once on Python ints; only the four spawn-key mixing steps and
+    the eight output words run over the children, as ``uint32`` lanes.
+    """
+    entropy = operator.index(entropy)
+    if entropy < 0:
+        raise ValueError(f"entropy must be non-negative, got {entropy}")
+    words = [entropy & _MASK32]
+    while entropy >> 32:
+        entropy >>= 32
+        words.append(entropy & _MASK32)
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    # Spawn key ``i`` is the one word of ``i`` (nodes number < 2**32).
+    keys = np.arange(num_children, dtype=np.uint32)
+    children = []
+    for dst in range(_POOL_SIZE):
+        value, hash_const = _hashmix(keys, hash_const, _MULT_A)
+        children.append(_mix(pool[dst], value))
+    # ``generate_state(4, np.uint64)``: eight 32-bit words cycling over
+    # the pool, joined little-endian in pairs.
+    hash_const = _INIT_B
+    state = []
+    for index in range(2 * _POOL_SIZE):
+        value, hash_const = _hashmix(
+            children[index % _POOL_SIZE], hash_const, _MULT_B
+        )
+        state.append(value.astype(np.uint64))
+    low, high = np.stack(state[0::2], axis=1), np.stack(state[1::2], axis=1)
+    return low | (high << np.uint64(32))
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands ``PCG64`` seed words that were computed in advance."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                "only PCG64's request for 4 uint64 words is precomputed, "
+                f"got {n_words} x {np.dtype(dtype)}"
+            )
+        return self._words
+
 
 class DrawStreams:
     """Replays the reference runner's per-node uniform draw streams, batched.
 
     One stream per (trial, node) pair, seeded exactly like
-    :func:`~repro.simulation.runner.spawn_node_rngs`: trial ``t`` spawns
-    ``SeedSequence(seeds[t]).spawn(num_nodes)`` and stream ``i`` draws from
-    ``default_rng`` of the i-th child.  :meth:`take` hands out the next
-    element of each requested stream; streams that are not requested in a
-    round advance by nothing, mirroring a listening (uninformed) node.
+    :func:`~repro.simulation.runner.spawn_node_rngs`: stream ``i`` of
+    trial ``t`` draws from ``default_rng`` of the i-th child of
+    ``SeedSequence(seeds[t]).spawn(num_nodes)``.  The children's seed
+    words come from :func:`spawned_seed_words`, one NumPy pass per trial;
+    a ``None`` seed still takes fresh OS entropy and a negative one still
+    raises, because each trial's entropy is read from
+    ``SeedSequence(seeds[t])``.  :meth:`take` hands out the next element
+    of each requested stream; streams that are not requested in a round
+    advance by nothing, mirroring a listening (uninformed) node.
     """
 
     def __init__(
@@ -94,14 +196,17 @@ class DrawStreams:
         if block < 1:
             raise ConfigurationError(f"block must be >= 1, got {block}")
         self._block = block
-        self._generators: list[np.random.Generator] = []
-        for seed in seeds:
-            children = np.random.SeedSequence(seed).spawn(num_nodes)
-            self._generators.extend(np.random.default_rng(c) for c in children)
+        self._generators = [
+            np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            for seed in seeds
+            for words in spawned_seed_words(
+                np.random.SeedSequence(seed).entropy, num_nodes
+            )
+        ]
         count = len(self._generators)
         self._buffer = np.empty((count, block), dtype=np.float64)
-        for row, generator in enumerate(self._generators):
-            generator.random(out=self._buffer[row])
+        for generator, row in zip(self._generators, self._buffer):
+            generator.random(out=row)
         # Stream ``i``'s next draw is ``flat[cursor[i]]``; the cursor
         # stays inside row ``i``, in ``[i * block, row_end[i])``.
         self._flat = self._buffer.reshape(-1)
@@ -262,23 +367,22 @@ class VectorizedCompeteEngine:
         self._probabilities = schedule.probability_matrix(nodes)
         self._max_rounds = max_rounds
         if rng == "decoupled":
-            # Pre-scale the probability cycle to integer thresholds so
-            # the hot loop compares the raw hash words directly: with
+            # Pre-scale the probability cycle to inclusive integer limits
+            # so the hot loop compares the raw hash words directly: with
             # draw mantissa ``m = bits >> 11``, ``m * 2**-53 < p`` iff
-            # ``m < t = ceil(p * 2**53)`` iff ``bits < t << 11``.  The
-            # one inexact corner is ``p >= 1`` (threshold saturates at
-            # 2**64 - 1, missing the all-ones word with probability
-            # 2**-64 per draw); Decay probabilities never exceed 1/2.
-            mantissa_thresholds = np.ceil(
-                np.clip(self._probabilities, 0.0, 1.0) * 2.0 ** 53
+            # ``m < t = ceil(p * 2**53)`` iff ``bits <= (t << 11) - 1``.
+            # At ``p = 1`` that limit is 2**64 - 1, so every word
+            # transmits; it is set directly, as ``t << 11`` would wrap.
+            mantissa_limits = np.ceil(
+                self._probabilities * 2.0 ** 53
             ).astype(np.uint64)
-            self._thresholds = np.where(
-                mantissa_thresholds >= np.uint64(2 ** 53),
+            self._limits = np.where(
+                self._probabilities < 1.0,
+                (mantissa_limits << np.uint64(11)) - np.uint64(1),
                 np.iinfo(np.uint64).max,
-                mantissa_thresholds << np.uint64(11),
             )
         else:
-            self._thresholds = None
+            self._limits = None
 
     @property
     def nodes(self) -> tuple:
@@ -382,7 +486,7 @@ class VectorizedCompeteEngine:
                     < self._probabilities[row]
                 )
             else:
-                transmit = streams.bits(round_number) < self._thresholds[row]
+                transmit = streams.bits(round_number) <= self._limits[row]
                 transmit &= wanted
 
             entry_mask = None

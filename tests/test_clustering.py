@@ -16,6 +16,7 @@ covered by the case table in ``tests/test_engine_equivalence.py``.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import topology
@@ -167,6 +168,37 @@ def test_transmission_schedule_basics():
         TransmissionSchedule({0: (0.0,)})
     with pytest.raises(ConfigurationError, match="outside"):
         TransmissionSchedule({0: (1.5,)})
+    with pytest.raises(ConfigurationError, match="node 1 "):
+        TransmissionSchedule({0: (0.5,), 1: (1.5,), 2: (1.5,)})
+
+
+@pytest.mark.parametrize("name", ["uniform", "clustered", "hand-built"])
+def test_probability_matrix_matches_scalar_definition(name):
+    # Nodes with equal cycles share one compiled tuple and the matrix is
+    # filled one column block per distinct cycle; every entry must still
+    # be ``cycle[r % len(cycle)]``.
+    if name == "uniform":
+        schedule = uniform_decay_schedule(range(20), 5)
+    elif name == "clustered":
+        schedule = cluster_schedule(decompose(topology.grid_graph(6, 5), 2))
+    else:
+        schedule = TransmissionSchedule(
+            {"a": [0.5, 0.25], "b": (0.5, 0.25), "c": (1.0,),
+             "d": (0.5, 0.25, 0.125, 0.0625)}
+        )
+    periods = {schedule.period(node) for node in schedule.nodes}
+    assert (len(periods) > 1) == (name != "uniform")
+    if name == "hand-built":
+        assert schedule.probabilities("a") is schedule.probabilities("b")
+    order = list(reversed(schedule.nodes))
+    expected = [
+        [schedule.probabilities(node)[r % schedule.period(node)]
+         for node in order]
+        for r in range(schedule.cycle_length)
+    ]
+    matrix = schedule.probability_matrix(order)
+    assert matrix.dtype == np.float64
+    assert matrix.tolist() == expected
 
 
 def test_uniform_decay_schedule_matches_decay_rule():

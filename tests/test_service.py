@@ -549,12 +549,25 @@ def _raw_http(port, request, close_write):
         (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", False, True),
         (b"POST /v1/run HTTP/1.1\r\nX-Long: " + b"a" * 70_000
          + b"\r\n\r\n", False, True),
+        # A client that stops sending but keeps its side open, inside
+        # the headers or before a promised body: the read deadline
+        # closes the connection quietly.
+        (b"GET /healthz HTTP/1.1\r\nHost: x\r\n", False, False),
+        (b"POST /v1/run HTTP/1.1\r\nContent-Length: 64\r\n\r\n",
+         False, False),
     ],
-    ids=["negative-length", "short-body", "long-request-line", "long-header"],
+    ids=["negative-length", "short-body", "long-request-line", "long-header",
+         "stalled-headers", "stalled-body"],
 )
 def test_http_malformed_body_ends_as_response_or_quiet_close(
-    caplog, request_bytes, close_write, answered
+    caplog, monkeypatch, request_bytes, close_write, answered
 ):
+    # Well under _raw_http's 10-s socket timeout, so a missing deadline
+    # fails the test instead of passing it late.
+    monkeypatch.setattr(
+        "repro.service.server._REQUEST_READ_SECONDS", 0.5
+    )
+
     async def drive():
         server = ServiceServer(JobManager())
         await server.start()

@@ -4,8 +4,9 @@ The *equivalence* guarantee -- reference runner vs engine vs dense
 oracle, round for round, across the family x strategy x collision x
 algorithm table -- is pinned by ``tests/test_engine_equivalence.py``.
 This file covers what is not visible from the outside: batch/single
-consistency, draw-stream buffering, input validation, rank exactness,
-cache invalidation on graph mutation, and the message-ranking reduction.
+consistency, draw-stream seeding and buffering, the decoupled ``p = 1``
+limit, input validation, rank exactness, cache invalidation on graph
+mutation, and the message-ranking reduction.
 """
 
 import dataclasses
@@ -21,13 +22,18 @@ from repro.core.parameters import CompeteParameters
 from repro.dynamics import DynamicsSpec, EdgeChurn, JammingWindows, NodeCrash
 from repro.errors import ConfigurationError
 from repro.network.messages import Message
-from repro.schedules.transmission import uniform_decay_schedule
+from repro.schedules.transmission import (
+    TransmissionSchedule,
+    uniform_decay_schedule,
+)
+from repro.simulation.rng import DecoupledStreams
 from repro.simulation.vectorized import (
     DEFAULT_DRAW_BLOCK,
     NO_MESSAGE,
     DrawStreams,
     VectorizedCompeteEngine,
     rank_messages,
+    spawned_seed_words,
 )
 
 
@@ -126,12 +132,32 @@ def test_engine_draw_block_size_is_invisible(block, monkeypatch):
         ), field.name
 
 
+@pytest.mark.parametrize("seed", [
+    0, 1, 2017, 2**32 - 1, 2**32, 2**100 + 3, 2**128 + 9, 2**200 + 1,
+])
+@pytest.mark.parametrize("num_children", [1, 2, 257])
+def test_spawned_seed_words_match_numpy_spawn(seed, num_children):
+    # The one-pass replica of SeedSequence.spawn must give every child
+    # NumPy's own PCG64 seed words, bit for bit: for entropy of one word
+    # (zero-padded to the pool of four), of several, and of more than
+    # four (2**128 + 9 and 2**200 + 1), which mix in after the pool.
+    expected = [
+        child.generate_state(4, np.uint64)
+        for child in np.random.SeedSequence(seed).spawn(num_children)
+    ]
+    words = spawned_seed_words(seed, num_children)
+    assert words.dtype == np.uint64
+    assert words.tolist() == np.array(expected).tolist()
+
+
+@pytest.mark.parametrize("seeds", [[5, 11], [0, 2**64 + 7], [2**128 + 9, 5]])
 @pytest.mark.parametrize("block", [1, 3, 128])
-def test_draw_streams_replay_independent_node_streams(block):
+def test_draw_streams_replay_independent_node_streams(seeds, block):
     # Each (trial, node) stream must hand out exactly the draws of a
     # generator built on its own from the same spawned seed, whatever
-    # the block size and however the requests fall across refills.
-    seeds, num_nodes = [5, 11], 6
+    # the seed's width, the block size and however the requests fall
+    # across refills.
+    num_nodes = 6
     streams = DrawStreams(seeds, num_nodes, block)
     oracles = [
         np.random.default_rng(child)
@@ -152,6 +178,39 @@ def test_draw_streams_replay_independent_node_streams(block):
         assert np.isnan(draws[~wanted]).all()
         expected = [oracles[i].random() for i in np.flatnonzero(wanted)]
         assert draws[wanted].tolist() == expected
+
+
+def test_draw_streams_seed_none_is_fresh_and_negative_raises():
+    # Each trial's entropy comes from SeedSequence(seed): None draws
+    # fresh OS entropy per trial, and a negative seed is NumPy's error.
+    streams = DrawStreams([None, None], 3)
+    draws = streams.take(np.ones(6, dtype=bool)).reshape(2, 3)
+    assert draws[0].tolist() != draws[1].tolist()
+    with pytest.raises(ValueError):
+        DrawStreams([-1], 3)
+
+
+def test_decoupled_probability_one_transmits_the_all_ones_word(monkeypatch):
+    # A p = 1 node transmits on every draw, also on the all-ones hash
+    # word, whose uniform (2**53 - 1) / 2**53 is below 1: the informed
+    # centre of a star reaches every leaf in round 1.
+    def all_ones(self, round_number):
+        return np.full((self.num_trials, self.num_nodes),
+                       np.iinfo(np.uint64).max, dtype=np.uint64)
+
+    monkeypatch.setattr(DecoupledStreams, "bits", all_ones)
+    graph = topology.star_graph(4)
+    engine = VectorizedCompeteEngine(
+        graph,
+        schedule=TransmissionSchedule({node: (1.0,) for node in graph.nodes()}),
+        max_rounds=10,
+        rng="decoupled",
+    )
+    ranks = np.zeros((1, graph.num_nodes), dtype=np.int64)
+    ranks[0, engine.nodes.index(0)] = 1
+    outcome = engine.run_batch(ranks, 1, [0])
+    assert outcome.saturated.tolist() == [True]
+    assert outcome.rounds.tolist() == [1]
 
 
 @pytest.mark.parametrize("rank", [2**53 + 1, 2**62])
