@@ -26,7 +26,8 @@ strategy compiled to a
 :class:`~repro.schedules.transmission.TransmissionSchedule`, the
 normalised collision model and the fault schedule -- and
 :meth:`ResolvedExecution.build_engine` constructs the vectorized engine
-it describes.
+it describes.  :class:`~repro.core.compete.Compete` resolves its config
+once, and again only after its graph is mutated.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ class ExecutionConfig:
         string value (``"no-detection"`` / ``"with-detection"``) and is
         normalised to the enum.
     parameters:
-        Explicit round budget (:class:`CompeteParameters`); ``None``
-        derives it from the graph at resolution time.  Graph-specific,
-        so configs carrying it only fit graphs of that size.
+        Explicit round budget (:class:`CompeteParameters`), the one way
+        to pin a run's budget; ``None`` derives it from the graph at
+        resolution time.  Graph-specific, so configs carrying it only
+        fit graphs of that size.
     margin:
         Multiplier on ``D + log2 n`` for the derived round budget
         (ignored when ``parameters`` is given).
@@ -233,14 +235,15 @@ class ExecutionConfig:
         when :meth:`identity` and the digest both agree, so configs that
         execute identically on *different* graphs -- the classic cache
         collision -- can never share an entry.  ``repro.service`` keys
-        its compiled-:class:`ResolvedExecution` LRU with this.
+        its LRU of prepared topologies (graph, diameter summary, round
+        budget, CSR adjacency) with this.
 
         Note the deliberate blind spots, matching :meth:`identity`: the
         backend (both agree round for round) and an explicit
         ``parameters`` round budget (graph-derived on the service path,
-        where requests arrive as scenario payloads).  Callers that pin
-        explicit parameters must not share a cache across different
-        budgets.
+        where requests arrive as scenario payloads).
+        :func:`~repro.experiments.bench.run_benchmark` refuses a
+        prepared topology whose config pins a different budget.
         """
         return f"{self.identity()}:{topology}"
 
@@ -361,30 +364,15 @@ class ResolvedExecution:
 
 
 def resolve_execution(
-    graph: Graph,
-    config: Optional[ExecutionConfig] = None,
-    *,
-    parameters: Optional[CompeteParameters] = None,
-    diameter: Optional[int] = None,
+    graph: Graph, config: Optional[ExecutionConfig] = None
 ) -> ResolvedExecution:
     """Bind ``config`` (default :class:`ExecutionConfig()`) to ``graph``.
 
     This is the single shared resolution path: topology validation, the
     round-budget derivation and strategy lookup all happen here, so
-    every caller agrees on them.
-
-    Parameters
-    ----------
-    graph:
-        A connected radio-network topology.
-    config:
-        The execution description; ``None`` means all defaults.
-    parameters:
-        Explicit round budget, overriding ``config.parameters``; useful
-        when the caller already knows the diameter.
-    diameter:
-        Skip the exact diameter computation when deriving parameters
-        (forwarded to :meth:`CompeteParameters.from_graph`).
+    every caller agrees on them.  The budget is ``config.parameters``
+    when set (it must be for ``graph``'s size), otherwise derived from
+    the graph's ``(n, D)`` and ``config.margin``.
 
     >>> from repro import topology
     >>> resolved = resolve_execution(topology.path_graph(8))
@@ -394,12 +382,9 @@ def resolve_execution(
     if config is None:
         config = ExecutionConfig()
     validate_radio_topology(graph)
+    parameters = config.parameters
     if parameters is None:
-        parameters = config.parameters
-    if parameters is None:
-        parameters = CompeteParameters.from_graph(
-            graph, diameter=diameter, margin=config.margin
-        )
+        parameters = CompeteParameters.from_graph(graph, margin=config.margin)
     elif parameters.num_nodes != graph.num_nodes:
         raise ConfigurationError(
             f"parameters are for n={parameters.num_nodes} but the graph "

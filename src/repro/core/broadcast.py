@@ -68,7 +68,6 @@ def broadcast(
     seed: Optional[int] = None,
     spontaneous: bool = True,
     config=None,
-    parameters: Optional[CompeteParameters] = None,
 ) -> BroadcastResult:
     """Broadcast a message from ``source`` to every node of ``graph``.
 
@@ -89,9 +88,6 @@ def broadcast(
         The :class:`~repro.api.config.ExecutionConfig` selecting
         backend, strategy, collision model and round budget; ``None``
         means all defaults.
-    parameters:
-        Explicit schedule lengths, overriding the config's derived
-        budget.
 
     >>> from repro import topology
     >>> result = broadcast(topology.star_graph(8), source=0, seed=1)
@@ -100,7 +96,7 @@ def broadcast(
     """
     if source not in graph:
         raise ConfigurationError(f"source node {source!r} is not in the graph")
-    primitive = Compete(graph, config=config, parameters=parameters)
+    primitive = Compete(graph, config=config)
     message = Message(value=1, source=source)
     compete_result = primitive.run(
         {source: message}, seed=seed, spontaneous=spontaneous
@@ -115,7 +111,6 @@ def broadcast_batch(
     seeds,
     spontaneous: bool = True,
     config=None,
-    parameters: Optional[CompeteParameters] = None,
 ) -> list[BroadcastResult]:
     """One seeded broadcast per entry of ``seeds``, batched.
 
@@ -126,7 +121,7 @@ def broadcast_batch(
     """
     if source not in graph:
         raise ConfigurationError(f"source node {source!r} is not in the graph")
-    primitive = Compete(graph, config=config, parameters=parameters)
+    primitive = Compete(graph, config=config)
     message = Message(value=1, source=source)
     compete_results = primitive.run_batch(
         {source: message}, seeds=seeds, spontaneous=spontaneous

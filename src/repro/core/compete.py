@@ -79,11 +79,7 @@ from repro.schedules.transmission import (
     uniform_decay_schedule,
 )
 from repro.simulation.runner import ProtocolRunner, spawn_node_rngs
-from repro.simulation.vectorized import (
-    NO_MESSAGE,
-    VectorizedCompeteEngine,
-    rank_messages,
-)
+from repro.simulation.vectorized import NO_MESSAGE, rank_messages
 from repro.core.parameters import CompeteParameters
 
 #: Candidate specifications accepted by :meth:`Compete.run`: a mapping
@@ -324,6 +320,12 @@ class CompeteResult:
 class Compete:
     """The Compete primitive bound to one network topology.
 
+    The config is resolved against the graph
+    (:func:`~repro.api.config.resolve_execution`: round budget, strategy
+    schedule, fault schedule) at construction, and again before a run
+    only if the graph has been mutated since, so every run simulates the
+    current topology under the budget a fresh instance would derive.
+
     Parameters
     ----------
     graph:
@@ -332,23 +334,15 @@ class Compete:
         applied eagerly).
     config:
         The :class:`~repro.api.config.ExecutionConfig` describing every
-        execution axis -- backend, strategy, collision model,
-        round-budget margin, seed policy and fault environment.  ``None``
-        means all defaults (reference backend, skeleton strategy, no
-        collision detection).
-    parameters:
-        Explicit schedule lengths, overriding both the config's
-        ``parameters`` field and the graph-derived budget; useful when
-        the caller already knows the diameter.
+        execution axis -- backend, strategy, collision model, round
+        budget, seed policy and fault environment.  ``None`` means all
+        defaults (reference backend, skeleton strategy, no collision
+        detection, budget derived from the graph).  An explicit budget
+        is ``ExecutionConfig(parameters=...)``; there is no separate
+        ``parameters=`` keyword.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        *,
-        config=None,
-        parameters: Optional[CompeteParameters] = None,
-    ) -> None:
+    def __init__(self, graph: Graph, *, config=None) -> None:
         # api sits above core in the layering, so the import is local.
         from repro.api.config import ExecutionConfig, resolve_execution
 
@@ -357,17 +351,8 @@ class Compete:
         self._resolve_execution = resolve_execution
         self._graph = graph
         self._config = config
-        resolved = resolve_execution(graph, config, parameters=parameters)
-        self._parameters = resolved.parameters
-        self._strategy = resolved.strategy
-        self._collision_model = resolved.collision_model
-        # The strategy's schedule and the vectorized engine both depend
-        # on the topology, so the resolution is cached against an
-        # adjacency snapshot: mutating the graph between runs re-resolves
-        # rather than silently simulating a stale topology.
-        self._cache_adjacency: Optional[Mapping] = graph.adjacency()
-        self._cache_resolved = resolved
-        self._cache_engine: Optional[VectorizedCompeteEngine] = None
+        self._csr = None
+        self._resolved()
 
     @property
     def config(self):
@@ -376,13 +361,13 @@ class Compete:
 
     @property
     def parameters(self) -> CompeteParameters:
-        """The schedule this instance runs."""
-        return self._parameters
+        """The round budget of the next run."""
+        return self._resolved().parameters
 
     @property
     def strategy(self) -> CompeteStrategy:
         """The inner-loop strategy scheduling transmissions."""
-        return self._strategy
+        return self._resolved().strategy
 
     @property
     def backend(self) -> str:
@@ -421,8 +406,9 @@ class Compete:
         messages = self._normalise_candidates(candidates)
         winner = highest_message(*messages.values())
         graph = self._graph
-        params = self._parameters
-        schedule = self._schedule()
+        resolved = self._resolved()
+        params = resolved.parameters
+        schedule = resolved.schedule
         initial = self._initial_messages(messages, spontaneous)
 
         rngs = spawn_node_rngs(graph, seed)
@@ -442,9 +428,7 @@ class Compete:
         # same channel masks the vectorized engines apply, and every run
         # starts it back at round 0 via its replay cursor.
         network = RadioNetwork(
-            graph,
-            self._collision_model,
-            dynamics=self._resolved().fault_schedule,
+            graph, resolved.collision_model, dynamics=resolved.fault_schedule
         )
 
         def saturated() -> bool:
@@ -486,7 +470,7 @@ class Compete:
             final_messages=final_messages,
             metrics=metrics,
             parameters=params,
-            strategy=self._strategy.name,
+            strategy=resolved.strategy.name,
         )
 
     def run_batch(
@@ -509,7 +493,7 @@ class Compete:
             return []
         messages = self._normalise_candidates(candidates)
         winner = highest_message(*messages.values())
-        params = self._parameters
+        resolved = self._resolved()
         initial = self._initial_messages(messages, spontaneous)
 
         rank_of = rank_messages(
@@ -518,7 +502,9 @@ class Compete:
         message_of = {rank: message for message, rank in rank_of.items()}
         winner_rank = rank_of[winner] if winner is not None else None
 
-        engine = self._vectorized_engine()
+        if self._engine is None:
+            self._engine = resolved.build_engine()
+        engine = self._engine
         initial_row = np.array(
             [
                 NO_MESSAGE if initial[node] is None else rank_of[initial[node]]
@@ -551,8 +537,8 @@ class Compete:
                     reception_rounds=reception_rounds,
                     final_messages=final_messages,
                     metrics=outcome.metrics(trial),
-                    parameters=params,
-                    strategy=self._strategy.name,
+                    parameters=resolved.parameters,
+                    strategy=resolved.strategy.name,
                 )
             )
         return results
@@ -574,26 +560,20 @@ class Compete:
         return initial
 
     def _resolved(self):
-        """The config resolved against the graph's *current* topology."""
-        adjacency = self._graph.adjacency()
-        if adjacency != self._cache_adjacency:
-            self._cache_resolved = self._resolve_execution(
-                self._graph, self._config, parameters=self._parameters
+        """The config resolved against the graph's *current* topology.
+
+        Every graph mutation replaces the memoized
+        :meth:`~repro.network.graph.Graph.adjacency_csr`, so a new object
+        means a new topology: budget, schedule and engine are rebuilt.
+        """
+        csr = self._graph.adjacency_csr()
+        if csr is not self._csr:
+            self._resolution = self._resolve_execution(
+                self._graph, self._config
             )
-            self._cache_adjacency = adjacency
-            self._cache_engine = None
-        return self._cache_resolved
-
-    def _schedule(self) -> TransmissionSchedule:
-        """The strategy's schedule for the graph's *current* topology."""
-        return self._resolved().schedule
-
-    def _vectorized_engine(self) -> VectorizedCompeteEngine:
-        """The lazily built (graph-and-schedule-bound) vectorized engine."""
-        resolved = self._resolved()
-        if self._cache_engine is None:
-            self._cache_engine = resolved.build_engine()
-        return self._cache_engine
+            self._csr = csr
+            self._engine = None
+        return self._resolution
 
     def _normalise_candidates(
         self, candidates: CandidateSpec
@@ -628,7 +608,6 @@ def compete(
     seed: Optional[int] = None,
     spontaneous: bool = False,
     config=None,
-    parameters: Optional[CompeteParameters] = None,
 ) -> CompeteResult:
     """One-shot convenience wrapper around :class:`Compete`.
 
@@ -653,5 +632,5 @@ def compete(
     >>> clustered.success and clustered.strategy
     'clustered'
     """
-    primitive = Compete(graph, config=config, parameters=parameters)
+    primitive = Compete(graph, config=config)
     return primitive.run(candidates, seed=seed, spontaneous=spontaneous)

@@ -36,7 +36,6 @@ from typing import Any, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.core.broadcast import BroadcastResult, broadcast, broadcast_batch
-from repro.core.parameters import CompeteParameters
 
 
 def _check_classical(
@@ -63,7 +62,6 @@ def decay_broadcast(
     seed: Optional[int] = None,
     spontaneous: bool = False,
     config=None,
-    parameters: Optional[CompeteParameters] = None,
 ) -> BroadcastResult:
     """Broadcast from ``source`` with the classical repeated-Decay protocol.
 
@@ -80,8 +78,7 @@ def decay_broadcast(
     """
     _check_classical(graph, source, spontaneous, config)
     return broadcast(
-        graph, source, seed=seed, spontaneous=False, config=config,
-        parameters=parameters,
+        graph, source, seed=seed, spontaneous=False, config=config
     )
 
 
@@ -92,7 +89,6 @@ def decay_broadcast_batch(
     seeds: Sequence[Optional[int]],
     spontaneous: bool = False,
     config=None,
-    parameters: Optional[CompeteParameters] = None,
 ) -> list[BroadcastResult]:
     """One seeded trial per entry of ``seeds``, batched on the engine.
 
@@ -101,6 +97,5 @@ def decay_broadcast_batch(
     """
     _check_classical(graph, source, spontaneous, config)
     return broadcast_batch(
-        graph, source, seeds=seeds, spontaneous=False, config=config,
-        parameters=parameters,
+        graph, source, seeds=seeds, spontaneous=False, config=config
     )

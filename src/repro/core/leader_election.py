@@ -80,7 +80,6 @@ def elect_leader(
     max_attempts: Optional[int] = None,
     spontaneous: bool = False,
     config=None,
-    parameters: Optional[CompeteParameters] = None,
 ) -> LeaderElectionResult:
     """Elect a unique leader known to every node of ``graph``.
 
@@ -103,9 +102,6 @@ def elect_leader(
         The :class:`~repro.api.config.ExecutionConfig` governing every
         Compete attempt; both backends yield identical elections for
         the same master seed (per strategy).
-    parameters:
-        Explicit schedule lengths, overriding the config's derived
-        budget.
 
     >>> from repro import topology
     >>> result = elect_leader(topology.complete_graph(16), seed=3)
@@ -127,7 +123,7 @@ def elect_leader(
             f"max_attempts must be >= 1, got {max_attempts}"
         )
 
-    primitive = Compete(graph, config=config, parameters=parameters)
+    primitive = Compete(graph, config=config)
     # The identifier space is polynomial in n, so identifiers collide only
     # with polynomially small probability; Message's source tie-break keeps
     # the winner unique even if they do.
@@ -167,7 +163,7 @@ def elect_leader(
                 num_candidates=result.num_candidates,
                 reception_rounds=result.reception_rounds,
                 metrics=total_metrics,
-                parameters=primitive.parameters,
+                parameters=result.parameters,
                 compete_result=result,
             )
 
@@ -180,6 +176,6 @@ def elect_leader(
         num_candidates=last_result.num_candidates,
         reception_rounds=last_result.reception_rounds,
         metrics=total_metrics,
-        parameters=primitive.parameters,
+        parameters=last_result.parameters,
         compete_result=last_result,
     )

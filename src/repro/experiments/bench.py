@@ -22,12 +22,7 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.graph import Graph
 from repro.topology.validation import TopologySummary, summarize_topology
-from repro.api import (
-    DEFAULT_ALGORITHMS,
-    ExecutionConfig,
-    ResolvedExecution,
-    resolve_execution,
-)
+from repro.api import DEFAULT_ALGORITHMS, ExecutionConfig
 from repro.core.leader_election import LeaderElectionResult
 from repro.core.parameters import CompeteParameters
 from repro.experiments.persistence import SCHEMA_VERSION
@@ -39,15 +34,18 @@ DEFAULT_REFERENCE_TRIALS = 2
 
 @dataclasses.dataclass(frozen=True)
 class PreparedScenario:
-    """Everything expensive about starting a run, computed once.
+    """A scenario's topology, prepared once for many runs.
 
-    Produced by :func:`prepare_scenario`; holds the built topology, its
-    summary (including the diameter), the derived round budget and the
-    bound :class:`ResolvedExecution` with its schedule already compiled.
-    ``repro.service`` keeps these in its resolution cache keyed by
-    :meth:`ExecutionConfig.cache_key` so repeated requests for the same
-    (config, topology) pay the compilation exactly once; passing one to
-    :func:`run_benchmark` via ``prepared=`` skips the whole cold path.
+    Produced by :func:`prepare_scenario`; holds the built topology
+    (with its CSR adjacency memoized), its summary (including the
+    diameter) and the round budget derived from it.  The schedule and
+    the engine are not here: each run binds the config to the graph in
+    its own :class:`~repro.core.compete.Compete`, so runs that share a
+    prepared topology share no mutable state.  ``repro.service`` keeps
+    these in an LRU keyed by :meth:`ExecutionConfig.cache_key`, so
+    repeated requests for the same (config, topology) build the graph
+    and measure its diameter once; passing one to :func:`run_benchmark`
+    via ``prepared=`` skips that cold path.
     """
 
     scenario: Scenario
@@ -55,20 +53,19 @@ class PreparedScenario:
     graph: Graph
     summary: TopologySummary
     parameters: CompeteParameters
-    resolved: ResolvedExecution
 
 
 def prepare_scenario(
     scenario: Scenario,
     config: Optional[ExecutionConfig] = None,
 ) -> PreparedScenario:
-    """Compile ``scenario`` into a reusable :class:`PreparedScenario`.
+    """Prepare ``scenario``'s topology as a reusable :class:`PreparedScenario`.
 
-    This is the benchmark's cold path -- topology construction, the CSR
-    adjacency build, the diameter summary, round-budget derivation and
-    strategy-schedule compilation -- factored out so callers (most
-    importantly the ``repro.service`` resolution cache) can pay it once
-    and amortise it over many runs.
+    This is the benchmark's cold path -- topology construction, the
+    diameter summary, round-budget derivation and the CSR adjacency
+    build -- factored out so callers (most importantly the
+    ``repro.service`` cache) can pay it once and amortise it over many
+    runs.
     """
     if config is None:
         config = scenario.execution_config()
@@ -81,13 +78,8 @@ def prepare_scenario(
         parameters = CompeteParameters.from_graph(
             graph, diameter=summary.diameter, margin=config.margin
         )
-    resolved = resolve_execution(graph, config, parameters=parameters)
-    # Force the lazy compilations now, while we are on the cold path:
-    # the strategy schedule (cluster decomposition is not free) and the
-    # graph's memoized CSR adjacency, so a cached PreparedScenario
-    # starts a warm run without rebuilding either.  The exact diameter
-    # (n <= 2000) already built the CSR; above that this builds it.
-    resolved.schedule
+    # Memoize the CSR adjacency now, while on the cold path: the exact
+    # diameter (n <= 2000) already built it; above that this builds it.
     graph.adjacency_csr()
     return PreparedScenario(
         scenario=scenario,
@@ -95,7 +87,6 @@ def prepare_scenario(
         graph=graph,
         summary=summary,
         parameters=parameters,
-        resolved=resolved,
     )
 
 
@@ -150,11 +141,11 @@ def run_benchmark(
         the payload's top-level ``workers`` field.
     prepared:
         A :class:`PreparedScenario` from :func:`prepare_scenario` to
-        reuse (the ``repro.service`` cache seam): the topology build,
-        diameter summary, round budget and compiled schedule are taken
-        from it instead of being recomputed.  It must have been prepared
-        for this scenario and config (checked); results are identical
-        with or without it.
+        reuse (the ``repro.service`` cache seam): the topology, diameter
+        summary and round budget are taken from it instead of being
+        recomputed.  It must have been prepared for this scenario and
+        config, explicit ``parameters`` included (checked); results are
+        identical with or without it.
 
     Raises
     ------
@@ -202,19 +193,21 @@ def run_benchmark(
         prepared.scenario.family != scenario.family
         or prepared.scenario.topology_args != scenario.topology_args
         or prepared.config.identity() != config.identity()
+        or prepared.config.parameters != config.parameters
     ):
         # Scenario *names* may differ: the service cache deliberately
-        # shares one resolution across scenarios with identical
+        # shares one prepared topology across scenarios with identical
         # execution identity and topology (e.g. the service-cold /
         # service-warm probe pair).  What must match is everything the
-        # resolution was compiled from.
+        # topology and its round budget were prepared from.
         raise ConfigurationError(
             f"prepared resolution is for scenario "
             f"{prepared.scenario.name!r} ({prepared.scenario.family} "
             f"{dict(prepared.scenario.topology_args)!r} / config "
-            f"{prepared.config.identity()}), not {scenario.name!r} "
+            f"{prepared.config.identity()} / parameters "
+            f"{prepared.config.parameters}), not {scenario.name!r} "
             f"({scenario.family} {dict(scenario.topology_args)!r} / "
-            f"{config.identity()})"
+            f"{config.identity()} / parameters {config.parameters})"
         )
     graph = prepared.graph
     summary = prepared.summary

@@ -28,19 +28,11 @@ import dataclasses
 from typing import Any, Iterator, Mapping, Optional
 
 from repro.errors import ConfigurationError
-from repro.dynamics import (
-    DynamicsSpec,
-    EdgeChurn,
-    JammingWindows,
-    NodeCrash,
-    coerce_dynamics,
-)
+from repro.dynamics import DynamicsSpec, EdgeChurn, JammingWindows, NodeCrash
 from repro.network.graph import Graph
 from repro.network.radio import CollisionModel
 from repro.api import DEFAULT_ALGORITHMS, ExecutionConfig
-from repro.core.compete import STRATEGIES
 from repro.core.parameters import DEFAULT_MARGIN
-from repro.simulation.rng import RNG_MODES
 from repro import topology
 
 def __getattr__(name: str):
@@ -59,9 +51,6 @@ def __getattr__(name: str):
 RANDOM_FAMILIES = frozenset(
     {"gnp", "geometric", "clustered", "random-tree", "diameter-controlled"}
 )
-
-_COLLISION_MODELS = {model.value: model for model in CollisionModel}
-
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
@@ -141,28 +130,28 @@ class Scenario:
         # collision models, spontaneous-transmission support) at
         # registration time rather than mid-benchmark.
         algorithm = DEFAULT_ALGORITHMS.get(self.algorithm)
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
-        if self.rng not in RNG_MODES:
-            raise ConfigurationError(
-                f"rng must be one of {RNG_MODES}, got {self.rng!r}"
-            )
         if self.family not in topology.FAMILIES:
             known = ", ".join(sorted(topology.FAMILIES))
             raise ConfigurationError(
                 f"unknown topology family {self.family!r}; known: {known}"
             )
-        if self.collision_model not in _COLLISION_MODELS:
+        if not isinstance(self.strategy, str) or not isinstance(
+            self.collision_model, str
+        ):
+            # The config also takes the enum and strategy instances;
+            # a scenario keeps the names it persists.
             raise ConfigurationError(
-                "collision_model must be one of "
-                f"{sorted(_COLLISION_MODELS)}, got {self.collision_model!r}"
+                "scenario strategy and collision_model must be names, got "
+                f"{self.strategy!r} and {self.collision_model!r}"
             )
+        # The execution axes (strategy, collision model, margin, rng,
+        # dynamics) are validated once, by the config they describe.
+        config = self.execution_config()
         algorithm.check(
-            collision_model=self.collision(), spontaneous=self.spontaneous
+            collision_model=config.collision_model,
+            spontaneous=self.spontaneous,
         )
-        object.__setattr__(self, "dynamics", coerce_dynamics(self.dynamics))
+        object.__setattr__(self, "dynamics", config.dynamics)
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -178,10 +167,6 @@ class Scenario:
         """Instantiate the scenario's topology."""
         return topology.make_topology(self.family, **dict(self.topology_args))
 
-    def collision(self) -> CollisionModel:
-        """The collision model as the enum the network layer uses."""
-        return _COLLISION_MODELS[self.collision_model]
-
     def execution_config(
         self, *, rng: Optional[str] = None
     ) -> ExecutionConfig:
@@ -196,7 +181,7 @@ class Scenario:
         return ExecutionConfig(
             backend="vectorized",
             strategy=self.strategy,
-            collision_model=self.collision(),
+            collision_model=self.collision_model,
             margin=self.margin,
             rng=rng if rng is not None else self.rng,
             dynamics=self.dynamics,
@@ -580,7 +565,8 @@ def _populate(registry: ScenarioRegistry) -> None:
     # Identical execution axes on the identical 64x64 grid, so both map
     # to one resolution-cache key (identity excludes the name): running
     # "cold" then "warm" through ``repro.service`` measures exactly the
-    # compile-versus-cache-hit gap the BENCH_service-* artifacts record.
+    # preparation-versus-cache-hit gap the BENCH_service-* artifacts
+    # record.
     add("service-cold",
         "64x64 grid, n=4096: first (cache-cold) service request",
         "grid", {"rows": 64, "cols": 64}, "broadcast", trials=2,

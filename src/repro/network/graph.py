@@ -21,7 +21,7 @@ Nodes may be arbitrary hashable objects; the topology generators in
 from __future__ import annotations
 
 import collections
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator
 from typing import Optional
 
 from repro.errors import GraphError
@@ -68,11 +68,12 @@ class Graph:
         edges: Optional[Iterable[Edge]] = None,
     ) -> None:
         self._adjacency: dict[NodeId, set[NodeId]] = {}
-        # Default-order CSR memo (indptr, indices, nodes); invalidated
-        # by every mutation.  One topology is typically consumed by many
-        # engine constructions (batch runs, the service's resolution
-        # cache), and the CSR build is the only O(n + m) Python-loop
-        # step left on the warm path.
+        # Default-order CSR memo (indptr, indices, nodes); dropped by
+        # every mutation, so a new memo object also marks a new
+        # topology (Compete re-resolves on it).  One topology is
+        # typically consumed by many engine constructions (batch runs,
+        # the service's cache of prepared topologies), and the CSR build
+        # is the only O(n + m) Python-loop step left on the warm path.
         self._csr_cache = None
         if nodes is not None:
             for node in nodes:
@@ -527,11 +528,13 @@ class Graph:
         :mod:`repro.simulation.vectorized` (see
         :class:`repro.simulation.sparse.CSRAdjacency`).
 
-        The default-order result is memoized on the graph (mutations
-        invalidate it), so repeated engine constructions over one
-        topology -- batch runs, the ``repro.service`` resolution cache
-        -- pay the Python-loop build once.  Callers must treat the
-        returned arrays as read-only.
+        The default-order result is memoized on the graph, so repeated
+        engine constructions over one topology -- batch runs, the
+        ``repro.service`` cache of prepared topologies -- pay the
+        Python-loop build once.  Every mutation drops the memo, so calls
+        return the same tuple object until the next mutation;
+        :class:`~repro.core.compete.Compete` re-resolves when the object
+        changes.  Callers must treat the returned arrays as read-only.
 
         ``numpy`` is imported lazily so the graph module itself stays
         dependency-free.
@@ -567,10 +570,6 @@ class Graph:
             for node in inside
             if any(nbr not in inside for nbr in self._adjacency.get(node, ()))
         }
-
-    def adjacency(self) -> Mapping[NodeId, frozenset]:
-        """Return a read-only view of the adjacency structure."""
-        return {node: frozenset(nbrs) for node, nbrs in self._adjacency.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.num_nodes}, m={self.num_edges})"

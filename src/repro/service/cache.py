@@ -1,20 +1,23 @@
-"""The resolution cache: compiled executions served warm.
+"""The resolution cache: prepared topologies served warm.
 
-Every cold benchmark run pays topology construction, the CSR adjacency
-build, the diameter summary, round-budget derivation and
-strategy-schedule compilation before the first trial draws a bit
-(:func:`repro.experiments.bench.prepare_scenario`).  The service
-amortises that over repeated requests with a small LRU keyed by
+Every cold benchmark run pays topology construction, the diameter
+summary, round-budget derivation and the CSR adjacency build before the
+first trial draws a bit (:func:`repro.experiments.bench.prepare_scenario`).
+The service amortises that over repeated requests with a small LRU of
+:class:`~repro.experiments.bench.PreparedScenario` entries keyed by
 :meth:`repro.api.ExecutionConfig.cache_key` -- the config's execution
 identity joined with a :func:`repro.api.topology_digest` of the
 scenario's topology description -- so two requests share an entry
-exactly when they would compile the identical resolution, and two
-configs that execute identically on *different* graphs never collide.
+exactly when they would prepare the identical topology and budget, and
+two configs that execute identically on *different* graphs never
+collide.  An entry holds no schedule, engine or fault schedule: each
+job's runs bind the config to the graph themselves, so concurrent jobs
+on one entry share nothing they mutate.
 
 :class:`ResolutionCache` is the synchronous LRU (usable on its own);
 :class:`CachedResolver` is the ``asyncio`` facade the server uses,
 adding single-flight coalescing: concurrent requests for the same key
-await one shared compile instead of stampeding the executor.
+await one shared preparation instead of stampeding the executor.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from repro.api import ExecutionConfig, topology_digest
 from repro.experiments.bench import PreparedScenario, prepare_scenario
 from repro.experiments.scenarios import Scenario
 
-#: Default number of compiled resolutions kept warm.  Entries hold the
-#: full graph + schedule, so the budget is deliberately modest; size it
-#: to the working set of distinct (config, topology) pairs, not to the
-#: request volume.
+#: Default number of prepared topologies kept warm.  Entries hold the
+#: full graph and its CSR adjacency, so the budget is deliberately
+#: modest; size it to the working set of distinct (config, topology)
+#: pairs, not to the request volume.
 DEFAULT_CACHE_CAPACITY = 32
 
 
@@ -104,11 +107,12 @@ class CachedResolver:
 
     ``resolve`` returns ``(prepared, outcome, seconds)`` where
     ``outcome`` is ``"hit"`` (served from the LRU), ``"miss"`` (this
-    call compiled) or ``"coalesced"`` (another in-flight call for the
-    same key compiled; this one awaited it), and ``seconds`` is the time
-    this caller spent obtaining the resolution -- the number the
-    ``BENCH_service-*`` artifacts report as cold-vs-warm resolve
-    latency.
+    call prepared the topology) or ``"coalesced"`` (another in-flight
+    call for the same key prepared it; this one awaited it), and
+    ``seconds`` is the time this caller spent obtaining the entry --
+    the number the ``BENCH_service-*`` artifacts report as cold-vs-warm
+    resolve latency.  ``compile`` is the preparation function and the
+    ``compiles`` counter counts its calls.
     """
 
     def __init__(

@@ -8,9 +8,9 @@ running server (``--url``) or spawns one itself on an ephemeral port
    requests plus a ``sweep`` over the smoke tag -- and polls every job
    to a terminal state;
 2. runs the cold/warm cache probe: ``service-cold`` on a fresh cache
-   (the resolver compiles), then ``service-warm`` -- a scenario with the
-   identical execution identity and topology digest -- which must hit
-   the LRU;
+   (the resolver prepares the topology), then ``service-warm`` -- a
+   scenario with the identical execution identity and topology digest
+   -- which must hit the LRU;
 3. writes ``BENCH_service-cold.json`` / ``BENCH_service-warm.json``:
    the jobs' benchmark payloads (already valid ``repro-bench/2``
    documents, since the service runs the same

@@ -131,8 +131,6 @@ def test_resolve_execution_rejects_mismatched_parameters():
     graph = topology.path_graph(8)
     wrong = CompeteParameters.from_graph(topology.path_graph(9))
     with pytest.raises(ConfigurationError, match="n=9"):
-        resolve_execution(graph, ExecutionConfig(), parameters=wrong)
-    with pytest.raises(ConfigurationError, match="n=9"):
         resolve_execution(graph, ExecutionConfig(parameters=wrong))
 
 
@@ -144,14 +142,41 @@ def test_resolve_execution_honours_explicit_parameters():
     assert resolve_execution(
         graph, ExecutionConfig(parameters=explicit)
     ).parameters == explicit
-    # The per-call override wins over the config's field.
-    override = CompeteParameters(
-        num_nodes=8, diameter=7, decay_steps=3, num_decay_rounds=9
+
+
+def test_budget_is_pinned_only_through_the_config():
+    # ExecutionConfig(parameters=...) is the one way to pin a budget: the
+    # entry points have no parameters= keyword, and the resolution path
+    # has no diameter= shortcut either.
+    from repro.core.broadcast import broadcast_batch
+    from repro.core.compete import Compete, compete
+    from repro.core.decay_broadcast import (
+        decay_broadcast,
+        decay_broadcast_batch,
     )
-    resolved = resolve_execution(
-        graph, ExecutionConfig(parameters=explicit), parameters=override
-    )
-    assert resolved.parameters == override
+    from repro.core.leader_election import elect_leader
+
+    graph = topology.path_graph(8)
+    budget = CompeteParameters.from_graph(graph)
+    calls = {
+        "Compete": lambda **kw: Compete(graph, **kw),
+        "compete": lambda **kw: compete(graph, {0: 1}, **kw),
+        "broadcast": lambda **kw: broadcast(graph, 0, **kw),
+        "broadcast_batch": lambda **kw: broadcast_batch(
+            graph, 0, seeds=[0], **kw),
+        "elect_leader": lambda **kw: elect_leader(graph, **kw),
+        "decay_broadcast": lambda **kw: decay_broadcast(graph, 0, **kw),
+        "decay_broadcast_batch": lambda **kw: decay_broadcast_batch(
+            graph, 0, seeds=[0], **kw),
+        "resolve_execution": lambda **kw: resolve_execution(graph, **kw),
+    }
+    for name, call in calls.items():
+        with pytest.raises(TypeError, match="parameters"):
+            call(parameters=budget)
+        pinned = call(config=ExecutionConfig(parameters=budget))
+        assert pinned is not None, name
+    with pytest.raises(TypeError, match="diameter"):
+        resolve_execution(graph, diameter=7)
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +282,7 @@ def test_registry_plugin_seam_end_to_end():
 
 
 def test_run_benchmark_honours_config_parameters():
-    from repro.experiments import run_benchmark
+    from repro.experiments import prepare_scenario, run_benchmark
     from repro.experiments.scenarios import Scenario
 
     scenario = Scenario(
@@ -284,6 +309,26 @@ def test_run_benchmark_honours_config_parameters():
             scenario, include_reference=False,
             config=scenario.execution_config().replace(parameters=wrong),
         )
+    # A prepared topology carries the budget it was prepared with, so an
+    # explicit budget it was not prepared for is refused, not dropped.
+    derived = prepare_scenario(scenario)
+    with pytest.raises(ConfigurationError, match="prepared resolution"):
+        run_benchmark(
+            scenario, include_reference=False, prepared=derived,
+            config=scenario.execution_config().replace(parameters=custom),
+        )
+    pinned = scenario.execution_config().replace(parameters=custom)
+    with pytest.raises(ConfigurationError, match="prepared resolution"):
+        run_benchmark(
+            scenario, include_reference=False,
+            prepared=prepare_scenario(scenario, pinned),
+        )
+    reused = run_benchmark(
+        scenario, include_reference=False, config=pinned,
+        prepared=prepare_scenario(scenario, pinned),
+    )
+    assert reused["results"] == payload["results"]
+    assert reused["schedule"] == payload["schedule"]
 
 
 def test_scenarios_algorithms_constant_is_a_live_view():

@@ -329,9 +329,10 @@ def test_custom_strategy_plugs_in():
 
 
 def test_strategy_schedule_tracks_graph_mutation():
-    # The schedule cache is keyed on an adjacency snapshot: mutating the
-    # graph between runs must rebuild the decomposition-backed schedule
-    # (same contract as the vectorized-engine cache).
+    # Compete re-resolves whenever the graph's memoized CSR changes, so
+    # mutating the graph between runs rebuilds the round budget, the
+    # decomposition-backed schedule and the engine: the same instance
+    # then runs exactly what a fresh one would.
     graph = topology.path_graph(8)
     primitive = Compete(graph, config=ExecutionConfig(
         backend="vectorized", strategy="clustered"))
@@ -340,7 +341,20 @@ def test_strategy_schedule_tracks_graph_mutation():
     after = primitive.run({0: 1}, seed=3, spontaneous=True)
     reference = Compete(graph, config=ExecutionConfig(
         strategy="clustered")).run({0: 1}, seed=3, spontaneous=True)
+    assert after.parameters == reference.parameters
+    assert after.parameters.num_decay_rounds == 56  # D fell from 7 to 4
+    assert before.parameters.num_decay_rounds == 80
     assert after.rounds == reference.rounds
     assert dict(after.reception_rounds) == dict(reference.reception_rounds)
     assert after.metrics.as_dict() == reference.metrics.as_dict()
     assert dict(before.reception_rounds) != dict(after.reception_rounds)
+    # A new node changes n as well: still no stale budget.
+    graph.add_edge(7, 8)
+    grown = primitive.run({0: 1}, seed=3, spontaneous=True)
+    fresh = Compete(graph, config=ExecutionConfig(
+        strategy="clustered")).run({0: 1}, seed=3, spontaneous=True)
+    assert grown.parameters == fresh.parameters
+    assert grown.parameters.num_nodes == 9
+    assert grown.rounds == fresh.rounds
+    assert dict(grown.reception_rounds) == dict(fresh.reception_rounds)
+    assert grown.metrics.as_dict() == fresh.metrics.as_dict()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Compete, compete, topology
+from repro.api import ExecutionConfig
 from repro.errors import ConfigurationError
 from repro.network.messages import Message
 from repro.network.radio import RadioNetwork
@@ -90,7 +91,8 @@ def test_parameter_graph_mismatch_rejected():
 
     params = CompeteParameters.derive(8, 3)
     with pytest.raises(ConfigurationError):
-        Compete(topology.path_graph(4), parameters=params)
+        Compete(topology.path_graph(4),
+                config=ExecutionConfig(parameters=params))
 
 
 def test_compete_is_deterministic_given_seed():

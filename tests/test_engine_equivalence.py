@@ -283,8 +283,7 @@ def _three_way_compete(graph, candidates, *, parameters=None,
         with context:
             results[path] = Compete(
                 graph,
-                parameters=parameters,
-                config=ExecutionConfig(backend=backend),
+                config=ExecutionConfig(backend=backend, parameters=parameters),
             ).run(candidates, seed=seed, spontaneous=spontaneous)
     return results
 

@@ -80,6 +80,27 @@ def test_scenario_validation():
         Scenario(name="x", description="", family="path",
                  topology_args={"num_nodes": 8}, algorithm="broadcast",
                  strategy="quantum")
+    # Scenarios persist names: the enum and strategy instances the
+    # config accepts would not serialise.
+    from repro.core.compete import SkeletonStrategy
+    from repro.network.radio import CollisionModel
+
+    for axis in ({"strategy": SkeletonStrategy()},
+                 {"collision_model": CollisionModel.NO_DETECTION}):
+        with pytest.raises(ConfigurationError, match="must be names"):
+            Scenario(name="x", description="", family="path",
+                     topology_args={"num_nodes": 8}, algorithm="broadcast",
+                     **axis)
+
+
+@pytest.mark.parametrize("margin", [0, -1.5, float("nan")])
+def test_scenario_rejects_a_margin_the_config_would(margin):
+    # The execution axes are validated by building the config once, so
+    # a scenario cannot carry a margin every run of it would refuse.
+    with pytest.raises(ConfigurationError, match="margin must be > 0"):
+        Scenario(name="x", description="", family="path",
+                 topology_args={"num_nodes": 8}, algorithm="broadcast",
+                 margin=margin)
 
 
 def test_strategy_round_trips_and_comparison_pairs_exist():
@@ -720,6 +741,26 @@ def test_prepare_scenario_reuse_follows_the_execution_identity():
         run_benchmark(TINY, prepared=clustered)
 
 
+def test_prepared_run_compiles_the_schedule_once(monkeypatch):
+    from repro.core.compete import SkeletonStrategy
+    from repro.experiments import prepare_scenario
+
+    # prepare_scenario prepares the topology only; the run's Compete
+    # binds the config to the graph and compiles the schedule, once.
+    compiled = []
+    build_schedule = SkeletonStrategy.build_schedule
+
+    def counting(self, graph, parameters):
+        compiled.append(graph.num_nodes)
+        return build_schedule(self, graph, parameters)
+
+    monkeypatch.setattr(SkeletonStrategy, "build_schedule", counting)
+    prepared = prepare_scenario(TINY)
+    assert compiled == []
+    run_benchmark(TINY, include_reference=False, prepared=prepared)
+    assert compiled == [8]
+
+
 def test_merge_benchmark_batches_matches_one_shot():
     from repro.experiments import merge_benchmark_batches
 
@@ -791,14 +832,3 @@ def test_experiments_guide_doctests():
     results = doctest.testfile(str(guide), module_relative=False, verbose=False)
     assert results.attempted > 0, "the guide must contain doctest examples"
     assert results.failed == 0
-
-
-def test_scenarios_module_doctests():
-    import doctest as doctest_module
-
-    import repro.experiments.scenarios as scenarios_module
-    import repro.topology as topology_module
-
-    for module in (scenarios_module, topology_module):
-        results = doctest_module.testmod(module, verbose=False)
-        assert results.failed == 0, f"doctest failure in {module.__name__}"

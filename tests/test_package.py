@@ -3,6 +3,9 @@
 import doctest
 import importlib
 import pathlib
+import pkgutil
+
+import pytest
 
 import repro
 
@@ -39,20 +42,22 @@ def test_package_docstring_quickstart():
     assert results.failed == 0
 
 
-def test_core_module_doctests():
-    # Note: attribute access like ``repro.core.compete`` resolves to the
+#: Every module of the package except the ``__main__`` entry points.
+MODULES = [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if not info.name.endswith(".__main__")
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    # Attribute access like ``repro.core.compete`` resolves to the
     # convenience *function* re-exported by the package, so fetch the
-    # actual modules via importlib.
-    for name in (
-        "repro.core.compete",
-        "repro.core.broadcast",
-        "repro.core.leader_election",
-        "repro.dynamics",
-        "repro.dynamics.spec",
-    ):
-        module = importlib.import_module(name)
-        results = doctest.testmod(module, verbose=False)
-        assert results.failed == 0, f"doctest failure in {name}"
+    # module via importlib.
+    module = importlib.import_module(name)
+    results = doctest.testmod(module, verbose=False)
+    assert results.failed == 0, f"doctest failure in {name}"
 
 
 def test_readme_quickstart():

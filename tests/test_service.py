@@ -78,6 +78,13 @@ def test_parse_request_rejects_malformed():
          "seed must be >= 0"),
         ({"op": "run", "scenario": {**TINY.to_dict(), "seed": -1}},
          "seed must be >= 0"),
+        ({"op": "run", "scenario": {**TINY.to_dict(), "margin": 0}},
+         "margin must be > 0"),
+        ({"op": "run", "scenario": {**TINY.to_dict(), "margin": -1}},
+         "margin must be > 0"),
+        ({"op": "run",
+          "scenario": {**TINY.to_dict(), "margin": float("nan")}},
+         "margin must be > 0"),
         ({"op": "run", "scenario": "broadcast-path-n32",
           "timeout_seconds": 0}, "timeout_seconds"),
         ({"op": "sweep", "limit": 0}, "limit"),
