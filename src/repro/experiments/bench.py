@@ -62,8 +62,9 @@ def prepare_scenario(
     """Prepare ``scenario``'s topology as a reusable :class:`PreparedScenario`.
 
     This is the benchmark's cold path -- topology construction, the
-    diameter summary, round-budget derivation and the CSR adjacency
-    build -- factored out so callers (most importantly the
+    summary (one memoized pass gives the connectivity verdict, the
+    diameter's inputs and the CSR adjacency) and round-budget
+    derivation -- factored out so callers (most importantly the
     ``repro.service`` cache) can pay it once and amortise it over many
     runs.
     """
@@ -78,9 +79,6 @@ def prepare_scenario(
         parameters = CompeteParameters.from_graph(
             graph, diameter=summary.diameter, margin=config.margin
         )
-    # Memoize the CSR adjacency now, while on the cold path: the exact
-    # diameter (n <= 2000) already built it; above that this builds it.
-    graph.adjacency_csr()
     return PreparedScenario(
         scenario=scenario,
         config=config,

@@ -67,14 +67,6 @@ class EventLog:
         """Number of events that were not stored because the log was full."""
         return self._dropped
 
-    def events_in_round(self, round_number: int) -> list[TraceEvent]:
-        """Return all stored events for a given round."""
-        return [event for event in self._events if event.round_number == round_number]
-
-    def events_for_node(self, node: Any) -> list[TraceEvent]:
-        """Return all stored events concerning ``node``."""
-        return [event for event in self._events if event.node == node]
-
     def count(self, kind: str) -> int:
         """Return the number of stored events of the given kind."""
         return sum(1 for event in self._events if event.kind == kind)

@@ -6,23 +6,26 @@ provides a small, dependency-free adjacency-set graph with exactly the
 queries the algorithms and the analysis need:
 
 * neighbourhood and degree queries,
-* breadth-first search (single source, layered, and truncated),
-* shortest paths and pairwise distances,
+* breadth-first search (single source, optionally truncated) and
+  canonical shortest paths,
 * the diameter: exact by a bit-parallel BFS from every node at once
   (``O(D·m·n/64)`` word operations over the CSR adjacency), or the
   iterated two-sweep lower bound above 2 000 nodes,
-* connectivity checks and connected components,
-* conversion to and from :mod:`networkx` for interoperability.
+* connectivity checks and connected components.
 
-Nodes may be arbitrary hashable objects; the topology generators in
+Connectivity, the two-sweep bound and the CSR adjacency come from one
+memoized pass per topology (see :meth:`Graph.adjacency_csr`).  Nodes
+may be arbitrary hashable objects; the topology generators in
 :mod:`repro.topology` use consecutive integers.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
+import itertools
 from collections.abc import Hashable, Iterable, Iterator
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import GraphError
 
@@ -48,6 +51,71 @@ def _level_plan(indptr, indices, rows):
     return [indices[starts[: covered[j]] + j] for j in range(degrees[0])]
 
 
+def _sweep(rows, source, dist):
+    """One FIFO breadth-first search over integer ``rows`` from ``source``.
+
+    ``dist`` holds ``-1`` at every position not yet reached.  The search
+    writes the hop distance of each position it reaches and returns them
+    in discovery order, which follows the order of the rows.
+    """
+    dist[source] = 0
+    queue = [source]
+    append = queue.append
+    for position in queue:
+        step = dist[position] + 1
+        for neighbour in rows[position]:
+            if dist[neighbour] < 0:
+                dist[neighbour] = step
+                append(neighbour)
+    return queue
+
+
+def _two_sweep(rows, sweeps=4):
+    """Connectivity and the iterated double-sweep diameter bound of the
+    non-empty integer ``rows``, as ``(connected, bound)``.
+
+    The first sweep, from position 0, proves connectivity.  Each sweep
+    then jumps to the farthest position found, the first of the last
+    level in discovery order, and the largest eccentricity seen is the
+    bound: exact on trees, a lower bound in general.
+    """
+    farthest = best = 0
+    for _ in range(sweeps):
+        dist = [-1] * len(rows)
+        queue = _sweep(rows, farthest, dist)
+        if len(queue) < len(rows):
+            return False, None
+        eccentricity = dist[queue[-1]]
+        best = max(best, eccentricity)
+        farthest = queue[bisect.bisect_left(queue, eccentricity, key=dist.__getitem__)]
+    return True, best
+
+
+def _sorted_csr(rows):
+    """``(indptr, indices)`` of integer ``rows``, each row sorted ascending."""
+    import numpy as np
+
+    n = len(rows)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n), out=indptr[1:])
+    # One sort of row-major keys (row * n + column) orders every row.
+    offsets = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
+    keys = np.fromiter(itertools.chain.from_iterable(rows), np.int64, int(indptr[-1]))
+    keys += offsets
+    keys.sort()
+    return indptr, keys - offsets
+
+
+class _Topology(NamedTuple):
+    """The memo of :meth:`Graph._topology`.  ``csr`` is what
+    :meth:`Graph.adjacency_csr` returns; ``two_sweep`` is ``None`` unless
+    the graph is connected and non-empty."""
+
+    csr: tuple
+    connected: bool
+    two_sweep: Optional[int]
+
+
 class Graph:
     """An undirected simple graph backed by adjacency sets.
 
@@ -68,13 +136,9 @@ class Graph:
         edges: Optional[Iterable[Edge]] = None,
     ) -> None:
         self._adjacency: dict[NodeId, set[NodeId]] = {}
-        # Default-order CSR memo (indptr, indices, nodes); dropped by
-        # every mutation, so a new memo object also marks a new
-        # topology (Compete re-resolves on it).  One topology is
-        # typically consumed by many engine constructions (batch runs,
-        # the service's cache of prepared topologies), and the CSR build
-        # is the only O(n + m) Python-loop step left on the warm path.
-        self._csr_cache = None
+        # The _Topology memo; dropped by every mutation, so a new CSR
+        # tuple also marks a new topology (Compete re-resolves on it).
+        self._facts: Optional[_Topology] = None
         if nodes is not None:
             for node in nodes:
                 self.add_node(node)
@@ -89,7 +153,7 @@ class Graph:
         """Add ``node`` to the graph (a no-op if it is already present)."""
         if node not in self._adjacency:
             self._adjacency[node] = set()
-            self._csr_cache = None
+            self._facts = None
 
     def add_edge(self, u: NodeId, v: NodeId) -> None:
         """Add the undirected edge ``{u, v}``, creating endpoints as needed.
@@ -105,7 +169,7 @@ class Graph:
         self.add_node(v)
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
-        self._csr_cache = None
+        self._facts = None
 
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
         """Remove the edge ``{u, v}``.
@@ -119,7 +183,7 @@ class Graph:
             raise GraphError(f"edge ({u!r}, {v!r}) not in graph")
         self._adjacency[u].discard(v)
         self._adjacency[v].discard(u)
-        self._csr_cache = None
+        self._facts = None
 
     def remove_node(self, node: NodeId) -> None:
         """Remove ``node`` and all incident edges.
@@ -134,30 +198,7 @@ class Graph:
         for neighbour in list(self._adjacency[node]):
             self._adjacency[neighbour].discard(node)
         del self._adjacency[node]
-        self._csr_cache = None
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[Edge]) -> "Graph":
-        """Build a graph from an iterable of edges."""
-        return cls(edges=edges)
-
-    @classmethod
-    def from_networkx(cls, nx_graph) -> "Graph":
-        """Build a :class:`Graph` from a ``networkx.Graph``."""
-        graph = cls(nodes=nx_graph.nodes())
-        for u, v in nx_graph.edges():
-            if u != v:
-                graph.add_edge(u, v)
-        return graph
-
-    def to_networkx(self):
-        """Return an equivalent ``networkx.Graph``."""
-        import networkx as nx
-
-        nx_graph = nx.Graph()
-        nx_graph.add_nodes_from(self.nodes())
-        nx_graph.add_edges_from(self.edges())
-        return nx_graph
+        self._facts = None
 
     def copy(self) -> "Graph":
         """Return a deep copy of the graph structure."""
@@ -277,38 +318,6 @@ class Graph:
                     frontier.append(neighbour)
         return distances
 
-    def multi_source_bfs_distances(
-        self, sources: Iterable[NodeId]
-    ) -> dict[NodeId, int]:
-        """Return, for every reachable node, its distance to the nearest source."""
-        distances: dict[NodeId, int] = {}
-        frontier: collections.deque = collections.deque()
-        for source in sources:
-            if source not in self._adjacency:
-                raise GraphError(f"node {source!r} not in graph")
-            if source not in distances:
-                distances[source] = 0
-                frontier.append(source)
-        while frontier:
-            node = frontier.popleft()
-            for neighbour in self._adjacency[node]:
-                if neighbour not in distances:
-                    distances[neighbour] = distances[node] + 1
-                    frontier.append(neighbour)
-        return distances
-
-    def bfs_layers(self, source: NodeId) -> list[list[NodeId]]:
-        """Return BFS layers ``[L_0, L_1, ...]`` where ``L_i`` is the set of
-        nodes at distance exactly ``i`` from ``source``."""
-        distances = self.bfs_distances(source)
-        if not distances:
-            return []
-        max_dist = max(distances.values())
-        layers: list[list[NodeId]] = [[] for _ in range(max_dist + 1)]
-        for node, dist in distances.items():
-            layers[dist].append(node)
-        return layers
-
     def bfs_tree_parents(self, source: NodeId) -> dict[NodeId, Optional[NodeId]]:
         """Return a BFS-tree parent map rooted at ``source``.
 
@@ -352,39 +361,24 @@ class Graph:
         path.reverse()
         return path
 
-    def distance(self, source: NodeId, target: NodeId) -> int:
-        """Return the hop distance between two nodes.
-
-        Raises
-        ------
-        GraphError
-            If no path exists.
-        """
-        distances = self.bfs_distances(source)
-        if target not in distances:
-            raise GraphError(f"no path from {source!r} to {target!r}")
-        return distances[target]
-
     # ------------------------------------------------------------------
     # Global structure
     # ------------------------------------------------------------------
     def is_connected(self) -> bool:
         """Return True for the empty graph and for connected graphs."""
-        if self.num_nodes == 0:
-            return True
-        start = next(iter(self._adjacency))
-        return len(self.bfs_distances(start)) == self.num_nodes
+        return self._topology().connected
 
     def connected_components(self) -> list[set]:
-        """Return the connected components as a list of node sets."""
-        remaining = set(self._adjacency)
-        components: list[set] = []
-        while remaining:
-            start = next(iter(remaining))
-            component = set(self.bfs_distances(start))
-            components.append(component)
-            remaining -= component
-        return components
+        """Return the connected components as a list of node sets, in
+        insertion order of each component's first node."""
+        nodes = self.nodes()
+        rows = self._rows(nodes)
+        dist = [-1] * len(nodes)
+        return [
+            {nodes[position] for position in _sweep(rows, start, dist)}
+            for start in range(len(nodes))
+            if dist[start] < 0
+        ]
 
     def diameter(self, exact: Optional[bool] = None) -> int:
         """Return the diameter ``D`` of the graph.
@@ -418,13 +412,14 @@ class Graph:
         """
         if self.num_nodes == 0:
             raise GraphError("diameter undefined on the empty graph")
-        if not self.is_connected():
+        facts = self._topology()
+        if not facts.connected:
             raise GraphError("diameter undefined on a disconnected graph")
         if exact is None:
             exact = self.num_nodes <= 2000
         if exact:
             return self._bit_parallel_diameter()
-        return self._two_sweep_diameter()
+        return facts.two_sweep
 
     def _bit_parallel_diameter(self) -> int:
         """Exact diameter of a connected, non-empty graph (see
@@ -461,21 +456,32 @@ class Graph:
                 diagonals = _level_plan(indptr, indices, rows)
         raise AssertionError(f"rows still unfilled after {n - 1} levels")
 
-    def _two_sweep_diameter(self, sweeps: int = 4) -> int:
-        """Iterated double-sweep diameter lower bound.
+    def _rows(self, nodes: list) -> list[list[int]]:
+        """Each node's neighbours as positions in ``nodes``, in
+        adjacency-set iteration order."""
+        adjacency = self._adjacency
+        if nodes == list(range(len(nodes))) and set(map(type, nodes)) <= {int}:
+            # Integer nodes at their own positions (every generated
+            # graph): the sets already hold the positions.
+            return [list(adjacency[node]) for node in nodes]
+        index = dict(zip(nodes, range(len(nodes))))
+        return [[index[neighbour] for neighbour in adjacency[node]] for node in nodes]
 
-        Starting from an arbitrary node, repeatedly jump to the farthest
-        node found and record the largest eccentricity seen.  Exact on
-        trees; a lower bound in general.
+    def _topology(self) -> _Topology:
+        """The facts of the current topology, computed once per topology.
+
+        One pass lays out every node's neighbours as integer rows in
+        adjacency-set iteration order.  The iterated two-sweep over them
+        proves connectivity with its first sweep, from the first node,
+        and follows the sets' order in its tie-breaks.  The same rows,
+        sorted, are the CSR.  Every mutation drops the memo.
         """
-        current = next(iter(self._adjacency))
-        best = 0
-        for _ in range(sweeps):
-            distances = self.bfs_distances(current)
-            farthest = max(distances, key=lambda node: distances[node])
-            best = max(best, distances[farthest])
-            current = farthest
-        return best
+        if self._facts is None:
+            nodes = self.nodes()
+            rows = self._rows(nodes)
+            connected, two_sweep = _two_sweep(rows) if rows else (True, None)
+            self._facts = _Topology((*_sorted_csr(rows), nodes), connected, two_sweep)
+        return self._facts
 
     def _resolve_order(self, order: Optional[list]) -> tuple[list, dict]:
         """Resolve an explicit node order (or the insertion order) plus
@@ -528,36 +534,23 @@ class Graph:
         :mod:`repro.simulation.vectorized` (see
         :class:`repro.simulation.sparse.CSRAdjacency`).
 
-        The default-order result is memoized on the graph, so repeated
-        engine constructions over one topology -- batch runs, the
-        ``repro.service`` cache of prepared topologies -- pay the
-        Python-loop build once.  Every mutation drops the memo, so calls
-        return the same tuple object until the next mutation;
-        :class:`~repro.core.compete.Compete` re-resolves when the object
-        changes.  Callers must treat the returned arrays as read-only.
+        The default-order result is memoized on the graph beside the
+        connectivity verdict and the two-sweep bound (one pass computes
+        all three), so repeated engine constructions over one topology
+        -- batch runs, the ``repro.service`` cache of prepared
+        topologies -- pay the build once.  Every mutation drops the
+        memo, so calls return the same tuple object until the next
+        mutation; :class:`~repro.core.compete.Compete` re-resolves when
+        the object changes.  Callers must treat the returned arrays as
+        read-only.
 
         ``numpy`` is imported lazily so the graph module itself stays
         dependency-free.
         """
-        import numpy as np
-
-        if order is None and self._csr_cache is not None:
-            return self._csr_cache
-        nodes, index = self._resolve_order(order)
-        rows = [
-            sorted(index[neighbour] for neighbour in self._adjacency[node])
-            for node in nodes
-        ]
-        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(row) for row in rows], dtype=np.int64)
-        indices = np.fromiter(
-            (column for row in rows for column in row),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
         if order is None:
-            self._csr_cache = (indptr, indices, nodes)
-        return indptr, indices, nodes
+            return self._topology().csr
+        nodes, _ = self._resolve_order(order)
+        return (*_sorted_csr(self._rows(nodes)), nodes)
 
     # ------------------------------------------------------------------
     # Misc

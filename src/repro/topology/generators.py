@@ -9,6 +9,8 @@ example ``n = Θ(D)`` for the optimal-``O(D)`` regime of Theorem 5.1, or
 
 from __future__ import annotations
 
+import itertools
+
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 
@@ -18,6 +20,24 @@ def _require_positive(name: str, value: int, minimum: int = 1) -> None:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _bulk_graph(num_nodes: int, edges) -> Graph:
+    """The graph on nodes ``0 .. num_nodes - 1`` with ``edges`` added in order.
+
+    ``edges`` is an iterable of ``(u, v)`` pairs of distinct nodes.  The
+    result equals ``Graph(nodes=range(num_nodes))`` plus one
+    :meth:`Graph.add_edge` per pair: every adjacency set receives the
+    same insertions in the same order, so it iterates in the same order.
+    It skips the per-edge method call, endpoint checks and memo reset.
+    """
+    adjacency: dict[int, set[int]] = {node: set() for node in range(num_nodes)}
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    graph = Graph()
+    graph._adjacency = adjacency
+    return graph
+
+
 def path_graph(num_nodes: int) -> Graph:
     """Return the path ``0 - 1 - ... - (n-1)``.
 
@@ -25,10 +45,7 @@ def path_graph(num_nodes: int) -> Graph:
     bound is ``O(D)`` and prior bounds are ``O(D log D)``-ish.
     """
     _require_positive("num_nodes", num_nodes)
-    graph = Graph(nodes=range(num_nodes))
-    for node in range(num_nodes - 1):
-        graph.add_edge(node, node + 1)
-    return graph
+    return _bulk_graph(num_nodes, zip(range(num_nodes - 1), range(1, num_nodes)))
 
 
 def cycle_graph(num_nodes: int) -> Graph:
@@ -46,20 +63,13 @@ def star_graph(num_leaves: int) -> Graph:
     number of simultaneously contending neighbours is the key parameter.
     """
     _require_positive("num_leaves", num_leaves)
-    graph = Graph(nodes=range(num_leaves + 1))
-    for leaf in range(1, num_leaves + 1):
-        graph.add_edge(0, leaf)
-    return graph
+    return _bulk_graph(num_leaves + 1, ((0, leaf) for leaf in range(1, num_leaves + 1)))
 
 
 def complete_graph(num_nodes: int) -> Graph:
     """Return the complete graph on ``num_nodes`` nodes (diameter 1)."""
     _require_positive("num_nodes", num_nodes, minimum=2)
-    graph = Graph(nodes=range(num_nodes))
-    for u in range(num_nodes):
-        for v in range(u + 1, num_nodes):
-            graph.add_edge(u, v)
-    return graph
+    return _bulk_graph(num_nodes, itertools.combinations(range(num_nodes), 2))
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
@@ -70,15 +80,15 @@ def grid_graph(rows: int, cols: int) -> Graph:
     """
     _require_positive("rows", rows)
     _require_positive("cols", cols)
-    graph = Graph(nodes=range(rows * cols))
+    edges = []
     for r in range(rows):
         for c in range(cols):
             node = r * cols + c
             if c + 1 < cols:
-                graph.add_edge(node, node + 1)
+                edges.append((node, node + 1))
             if r + 1 < rows:
-                graph.add_edge(node, node + cols)
-    return graph
+                edges.append((node, node + cols))
+    return _bulk_graph(rows * cols, edges)
 
 
 def binary_tree_graph(depth: int) -> Graph:
@@ -89,10 +99,8 @@ def binary_tree_graph(depth: int) -> Graph:
     """
     _require_positive("depth", depth, minimum=0)
     num_nodes = 2 ** (depth + 1) - 1
-    graph = Graph(nodes=range(num_nodes))
-    for node in range(1, num_nodes):
-        graph.add_edge(node, (node - 1) // 2)
-    return graph
+    parents = ((node, (node - 1) // 2) for node in range(1, num_nodes))
+    return _bulk_graph(num_nodes, parents)
 
 
 def caterpillar_graph(spine_length: int, legs_per_node: int) -> Graph:
@@ -104,13 +112,13 @@ def caterpillar_graph(spine_length: int, legs_per_node: int) -> Graph:
     """
     _require_positive("spine_length", spine_length, minimum=2)
     _require_positive("legs_per_node", legs_per_node, minimum=0)
-    graph = path_graph(spine_length)
-    next_id = spine_length
-    for spine_node in range(spine_length):
-        for _ in range(legs_per_node):
-            graph.add_edge(spine_node, next_id)
-            next_id += 1
-    return graph
+    spine = zip(range(spine_length - 1), range(1, spine_length))
+    legs = (
+        (node, spine_length + node * legs_per_node + leg)
+        for node in range(spine_length)
+        for leg in range(legs_per_node)
+    )
+    return _bulk_graph(spine_length * (1 + legs_per_node), itertools.chain(spine, legs))
 
 
 def dumbbell_graph(clique_size: int, bridge_length: int) -> Graph:
@@ -121,18 +129,11 @@ def dumbbell_graph(clique_size: int, bridge_length: int) -> Graph:
     """
     _require_positive("clique_size", clique_size, minimum=2)
     _require_positive("bridge_length", bridge_length, minimum=1)
-    graph = Graph()
-    left = list(range(clique_size))
-    right = list(range(clique_size, 2 * clique_size))
-    for group in (left, right):
-        for i, u in enumerate(group):
-            for v in group[i + 1 :]:
-                graph.add_edge(u, v)
-    bridge = list(range(2 * clique_size, 2 * clique_size + bridge_length - 1))
-    chain = [left[0]] + bridge + [right[0]]
-    for u, v in zip(chain, chain[1:]):
-        graph.add_edge(u, v)
-    return graph
+    num_nodes = 2 * clique_size + bridge_length - 1
+    left = itertools.combinations(range(clique_size), 2)
+    right = itertools.combinations(range(clique_size, 2 * clique_size), 2)
+    chain = [0, *range(2 * clique_size, num_nodes), clique_size]
+    return _bulk_graph(num_nodes, itertools.chain(left, right, zip(chain, chain[1:])))
 
 
 def lollipop_graph(clique_size: int, path_length: int) -> Graph:
@@ -143,17 +144,10 @@ def lollipop_graph(clique_size: int, path_length: int) -> Graph:
     """
     _require_positive("clique_size", clique_size, minimum=2)
     _require_positive("path_length", path_length, minimum=1)
-    graph = Graph()
-    clique = list(range(clique_size))
-    for i, u in enumerate(clique):
-        for v in clique[i + 1 :]:
-            graph.add_edge(u, v)
-    previous = clique[0]
-    for offset in range(path_length):
-        node = clique_size + offset
-        graph.add_edge(previous, node)
-        previous = node
-    return graph
+    num_nodes = clique_size + path_length
+    stick = [0, *range(clique_size, num_nodes)]
+    clique = itertools.combinations(range(clique_size), 2)
+    return _bulk_graph(num_nodes, itertools.chain(clique, zip(stick, stick[1:])))
 
 
 def path_of_cliques_graph(num_cliques: int, clique_size: int) -> Graph:
@@ -165,14 +159,11 @@ def path_of_cliques_graph(num_cliques: int, clique_size: int) -> Graph:
     """
     _require_positive("num_cliques", num_cliques, minimum=1)
     _require_positive("clique_size", clique_size, minimum=2)
-    graph = Graph()
+    edges = []
     for index in range(num_cliques):
         base = index * clique_size
-        members = list(range(base, base + clique_size))
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                graph.add_edge(u, v)
+        edges.extend(itertools.combinations(range(base, base + clique_size), 2))
         if index > 0:
             # Join the previous clique's last node to this clique's first.
-            graph.add_edge(base - 1, base)
-    return graph
+            edges.append((base - 1, base))
+    return _bulk_graph(num_cliques * clique_size, edges)

@@ -9,13 +9,14 @@ is possible.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import Optional, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
-from repro.topology.generators import path_graph
+from repro.topology.generators import _bulk_graph
 
 SeedLike = Union[int, np.random.Generator, None]
 
@@ -27,15 +28,31 @@ def _as_rng(seed: SeedLike) -> np.random.Generator:
 
 
 def _connect_components(graph: Graph, rng: np.random.Generator) -> None:
-    """Add a minimal set of random edges to make ``graph`` connected."""
+    """Add a minimal set of random edges to make ``graph`` connected.
+
+    One labelling pass finds the components.  The first node's component
+    absorbs the others one at a time, each through one edge between
+    uniformly drawn members of the two (both sorted).  The next one
+    absorbed holds the first node of a fresh ``set`` of the graph's nodes
+    minus those absorbed: CPython's set order, which this join has always
+    followed, so every seed keeps its graph.
+    """
     components = graph.connected_components()
-    while len(components) > 1:
-        first = sorted(components[0])
-        second = sorted(components[1])
-        u = first[int(rng.integers(len(first)))]
-        v = second[int(rng.integers(len(second)))]
+    joined = components.pop(0)
+    # A dict, so that set() lays the nodes out as it lays out the
+    # graph's own adjacency dict.
+    nodes = dict.fromkeys(graph)
+    while components:
+        remaining = set(nodes)
+        remaining -= joined
+        first = next(iter(remaining))
+        component = next(c for c in components if first in c)
+        components.remove(component)
+        old, new = sorted(joined), sorted(component)
+        u = old[int(rng.integers(len(old)))]
+        v = new[int(rng.integers(len(new)))]
         graph.add_edge(u, v)
-        components = graph.connected_components()
+        joined |= component
 
 
 #: Above this node count :func:`connected_gnp_graph` samples the edge
@@ -70,27 +87,26 @@ def connected_gnp_graph(
             f"edge_probability must be in [0, 1], got {edge_probability}"
         )
     rng = _as_rng(seed)
-    graph = Graph(nodes=range(num_nodes))
     if num_nodes > _GNP_FAST_PATH_MIN_NODES:
-        _sample_gnp_edges_fast(graph, num_nodes, edge_probability, rng)
+        edges = _sample_gnp_edges_fast(num_nodes, edge_probability, rng)
     else:
         # Sample the upper triangle in vectorised blocks for speed.
+        edges = []
         for u in range(num_nodes - 1):
             count = num_nodes - u - 1
             mask = rng.random(count) < edge_probability
-            for offset in np.nonzero(mask)[0]:
-                graph.add_edge(u, int(u + 1 + offset))
+            edges.extend((u, v) for v in (u + 1 + mask.nonzero()[0]).tolist())
+    graph = _bulk_graph(num_nodes, edges)
     _connect_components(graph, rng)
     return graph
 
 
 def _sample_gnp_edges_fast(
-    graph: Graph,
     num_nodes: int,
     edge_probability: float,
     rng: np.random.Generator,
-) -> None:
-    """Add ``G(n, p)`` edges by sampling the edge set directly.
+) -> Iterable[tuple[int, int]]:
+    """``G(n, p)`` edges, in draw order, by sampling the edge set directly.
 
     ``m ~ Binomial(n(n-1)/2, p)`` distinct unordered pairs, drawn by
     rejection: oversample uniform pairs, keep the first occurrence of
@@ -119,8 +135,8 @@ def _sample_gnp_edges_fast(
                 chosen[code] = None
                 if len(chosen) == target:
                     break
-    for code in chosen:
-        graph.add_edge(int(code // num_nodes), int(code % num_nodes))
+    codes = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
+    return zip((codes // num_nodes).tolist(), (codes % num_nodes).tolist())
 
 
 def random_geometric_graph(
@@ -146,7 +162,7 @@ def random_geometric_graph(
             2.0 * math.log(num_nodes) / (math.pi * num_nodes)
         )
     positions = rng.random((num_nodes, 2)) * side_length
-    graph = Graph(nodes=range(num_nodes))
+    edges: list[tuple[int, int]] = []
     # Grid-bucket the points so neighbour search is near-linear.
     cell = max(radius, 1e-9)
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -165,7 +181,8 @@ def random_geometric_graph(
                     continue
                 delta = positions[u] - positions[v]
                 if float(delta @ delta) <= radius_sq:
-                    graph.add_edge(u, v)
+                    edges.append((u, v))
+    graph = _bulk_graph(num_nodes, edges)
     _connect_components(graph, rng)
     return graph
 
@@ -180,11 +197,9 @@ def random_tree_graph(num_nodes: int, seed: SeedLike = None) -> Graph:
     if num_nodes < 1:
         raise ConfigurationError(f"num_nodes must be >= 1, got {num_nodes}")
     rng = _as_rng(seed)
-    graph = Graph(nodes=range(num_nodes))
-    for node in range(1, num_nodes):
-        parent = int(rng.integers(node))
-        graph.add_edge(node, parent)
-    return graph
+    return _bulk_graph(
+        num_nodes, [(node, int(rng.integers(node))) for node in range(1, num_nodes)]
+    )
 
 
 def clustered_graph(
@@ -205,20 +220,21 @@ def clustered_graph(
     if num_clusters < 1 or cluster_size < 1:
         raise ConfigurationError("num_clusters and cluster_size must be >= 1")
     rng = _as_rng(seed)
-    graph = Graph(nodes=range(num_clusters * cluster_size))
+    edges: list[tuple[int, int]] = []
     for cluster_index in range(num_clusters):
         base = cluster_index * cluster_size
         members = list(range(base, base + cluster_size))
+        drawn = set()
         for i, u in enumerate(members):
             for v in members[i + 1 :]:
                 if rng.random() < intra_probability:
-                    graph.add_edge(u, v)
+                    drawn.add((u, v))
+                    edges.append((u, v))
         # Make the cluster internally connected with a spanning path.
-        for u, v in zip(members, members[1:]):
-            if not graph.has_edge(u, v):
-                graph.add_edge(u, v)
+        edges.extend(pair for pair in zip(members, members[1:]) if pair not in drawn)
         if cluster_index > 0:
-            graph.add_edge(base - cluster_size, base)
+            edges.append((base - cluster_size, base))
+    graph = _bulk_graph(num_clusters * cluster_size, edges)
     for _ in range(extra_inter_edges):
         u = int(rng.integers(graph.num_nodes))
         v = int(rng.integers(graph.num_nodes))
@@ -251,15 +267,15 @@ def diameter_controlled_graph(
         )
     rng = _as_rng(seed)
     backbone_size = target_diameter + 1
-    graph = path_graph(backbone_size)
+    edges = [(node, node + 1) for node in range(backbone_size - 1)]
     for node in range(backbone_size, num_nodes):
         anchor = int(rng.integers(backbone_size))
-        graph.add_node(node)
-        graph.add_edge(node, anchor)
+        edges.append((node, anchor))
         # Occasionally add a second edge to a nearby anchor so the graph
         # is not a pure caterpillar.
         if rng.random() < 0.3:
             nearby = min(backbone_size - 1, max(0, anchor + int(rng.integers(-1, 2))))
-            if nearby != node and not graph.has_edge(node, nearby):
-                graph.add_edge(node, nearby)
-    return graph
+            # So far ``node``'s one neighbour is its anchor.
+            if nearby != anchor:
+                edges.append((node, nearby))
+    return _bulk_graph(num_nodes, edges)

@@ -18,6 +18,9 @@ from repro.network.graph import Graph
 def validate_radio_topology(graph: Graph) -> None:
     """Check that ``graph`` is a legal radio-network topology.
 
+    The connectivity verdict is memoized on the graph with its CSR
+    adjacency, so validating one topology again costs no search.
+
     Raises
     ------
     GraphError
@@ -60,12 +63,6 @@ class TopologySummary:
     max_degree: int
     log_n: float
     log_d: float
-
-    @property
-    def is_poly_d(self) -> bool:
-        """True when ``n <= D^3``, the regime where the paper's bound is
-        ``O(D)`` (using exponent 3 as a proxy for "n polynomial in D")."""
-        return self.num_nodes <= max(self.diameter, 2) ** 3
 
 
 def summarize_topology(graph: Graph, exact_diameter: bool | None = None) -> TopologySummary:

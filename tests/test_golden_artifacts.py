@@ -44,9 +44,10 @@ BENCHMARKS = REPO_ROOT / "benchmarks"
 ARTIFACT_PATHS = sorted(BENCHMARKS.glob("BENCH_*.json"))
 
 #: Above this node count the topology rebuild moves to the slow tier
-#: (building the n ~ 10^5 graphs plus the two-sweep summary's six BFS
-#: passes takes seconds per artifact; CI runs it once per push).
-_FAST_REBUILD_NODES = 2000
+#: (building an n ~ 10^5 graph and its summary, one row pass plus four
+#: BFS sweeps, takes seconds per artifact; CI runs it once per push).
+#: Every committed topology up to n = 16384 rebuilds in tier-1.
+_FAST_REBUILD_NODES = 16384
 
 #: The scenario-block fields that define what an artifact *measures*;
 #: they must agree with the current registry definition.  Presentation

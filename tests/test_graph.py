@@ -1,4 +1,7 @@
-"""Exact diameter of :class:`repro.network.graph.Graph` against per-node BFS."""
+"""Topology facts of :class:`repro.network.graph.Graph` against the
+dict-walk oracle (``tests/graph_oracle.py``): the exact diameter, the
+two-sweep bound, connectivity, components and the CSR, plus the
+generators' bulk build against per-edge insertion."""
 
 import random
 import tracemalloc
@@ -6,18 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import graph_oracle
 from repro import topology
 from repro.errors import GraphError
 from repro.network import graph as graph_module
 from repro.network.graph import Graph
+from repro.topology import generators, random_graphs
 
 #: Node counts on both sides of the 64-bit word boundary.
 SIZES = (1, 2, 63, 64, 65, 127, 128, 129)
-
-
-def bfs_diameter(graph):
-    """The per-node BFS diameter, kept as the reference implementation."""
-    return max(max(graph.bfs_distances(v).values()) for v in graph)
 
 
 def broom(leaves, handle):
@@ -98,18 +98,21 @@ def _family_id(case):
 def test_exact_diameter_matches_bfs_on_every_family(case):
     family, args = case
     graph = topology.make_topology(family, **args)
-    assert graph.diameter(exact=True) == bfs_diameter(graph)
+    assert graph.diameter(exact=True) == graph_oracle.exact_diameter(graph)
 
 
 @pytest.mark.parametrize("seed", range(50))
 def test_exact_diameter_matches_bfs_on_random_connected_graphs(seed):
     graph = random_connected_graph(seed)
-    assert graph.diameter(exact=True) == bfs_diameter(graph)
+    assert graph.diameter(exact=True) == graph_oracle.exact_diameter(graph)
+    # Trees plus chords often tie at the farthest distance, so this also
+    # pins the two-sweep's tie-break: the first node of the last level.
+    assert graph.diameter(exact=False) == graph_oracle.two_sweep_diameter(graph)
 
 
 def test_exact_diameter_on_arbitrary_node_ids():
     graph = Graph(edges=[("a", "b"), ("b", (1, 2)), ((1, 2), 3.5), ("a", "z")])
-    assert graph.diameter(exact=True) == bfs_diameter(graph) == 4
+    assert graph.diameter(exact=True) == graph_oracle.exact_diameter(graph) == 4
 
 
 def test_exact_diameter_follows_mutation():
@@ -148,7 +151,7 @@ def test_exact_diameter_rejects_disconnected_and_empty_graphs(graph):
 def test_exact_diameter_on_mixed_and_dense_degrees(graph):
     # Rows of very different degree make jagged diagonals of very
     # different lengths, down to the hub's run of one-row diagonals.
-    assert graph.diameter(exact=True) == bfs_diameter(graph)
+    assert graph.diameter(exact=True) == graph_oracle.exact_diameter(graph)
 
 
 def test_level_plan_is_the_jagged_diagonals():
@@ -178,3 +181,162 @@ def test_exact_diameter_memory_stays_near_the_reach_matrix():
         tracemalloc.stop()
     bound = indices.nbytes + 8 * matrix_bytes
     assert peak < bound < indices.size * 10 * 8
+
+
+# ----------------------------------------------------------------------
+# The memoized facts against the oracle, on generated graphs
+# ----------------------------------------------------------------------
+def family_args(family, rng):
+    """Seeded arguments for ``family``, at most a few hundred nodes."""
+    n = rng.randint(3, 120)
+    seed = rng.randrange(10**6)
+    return {
+        "path": lambda: dict(num_nodes=n),
+        "cycle": lambda: dict(num_nodes=n),
+        "star": lambda: dict(num_leaves=n),
+        "complete": lambda: dict(num_nodes=rng.randint(2, 40)),
+        "grid": lambda: dict(rows=rng.randint(1, 12), cols=rng.randint(1, 12)),
+        "binary-tree": lambda: dict(depth=rng.randint(0, 6)),
+        "caterpillar": lambda: dict(
+            spine_length=rng.randint(2, 30), legs_per_node=rng.randint(0, 3)
+        ),
+        "dumbbell": lambda: dict(
+            clique_size=rng.randint(2, 12), bridge_length=rng.randint(1, 20)
+        ),
+        "lollipop": lambda: dict(
+            clique_size=rng.randint(2, 12), path_length=rng.randint(1, 30)
+        ),
+        "path-of-cliques": lambda: dict(
+            num_cliques=rng.randint(1, 10), clique_size=rng.randint(2, 6)
+        ),
+        "gnp": lambda: dict(
+            num_nodes=n, edge_probability=rng.uniform(0.005, 0.2), seed=seed
+        ),
+        "geometric": lambda: dict(
+            num_nodes=n, radius=rng.uniform(0.05, 0.3), seed=seed
+        ),
+        "clustered": lambda: dict(
+            num_clusters=rng.randint(1, 8), cluster_size=rng.randint(1, 10),
+            intra_probability=rng.uniform(0.1, 0.9),
+            extra_inter_edges=rng.randint(0, 5), seed=seed,
+        ),
+        "random-tree": lambda: dict(num_nodes=n, seed=seed),
+        "diameter-controlled": lambda: dict(
+            num_nodes=n, target_diameter=rng.randint(1, n - 1), seed=seed
+        ),
+    }[family]()
+
+
+def generated_graph(family, seed):
+    """A seeded ``family`` graph.  Odd seeds relabel it with strings in
+    shuffled insertion order; seeds 2 and 3 (mod 4) drop a third of its
+    edges, and seed 3 adds an isolated node."""
+    rng = random.Random(f"{family}-{seed}")
+    graph = topology.make_topology(family, **family_args(family, rng))
+    if seed % 2:
+        names = {node: f"v{node}" for node in graph}
+        order = list(names.values())
+        rng.shuffle(order)
+        graph = Graph(
+            nodes=order, edges=[(names[u], names[v]) for u, v in graph.edges()]
+        )
+    if seed % 4 >= 2:
+        edges = graph.edges()
+        for u, v in rng.sample(edges, len(edges) // 3):
+            graph.remove_edge(u, v)
+    if seed % 4 == 3:
+        graph.add_node("isolated")
+    return graph
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("family", sorted(topology.FAMILIES))
+def test_topology_facts_match_the_oracle(family, seed):
+    graph = generated_graph(family, seed)
+    connected = graph_oracle.is_connected(graph)
+    assert graph.is_connected() == connected
+    components = graph.connected_components()
+    assert set(map(frozenset, components)) == set(
+        map(frozenset, graph_oracle.connected_components(graph))
+    )
+    # Listed by first node: the first component holds the first node.
+    assert graph.nodes()[0] in components[0]
+    if connected:
+        assert graph.diameter(exact=False) == graph_oracle.two_sweep_diameter(graph)
+        assert graph.diameter(exact=True) == graph_oracle.exact_diameter(graph)
+    else:
+        for exact in (False, True):
+            with pytest.raises(GraphError, match="disconnected"):
+                graph.diameter(exact=exact)
+    indptr, indices, nodes = graph.adjacency_csr()
+    expected = graph_oracle.adjacency_csr(graph)
+    assert nodes == expected[2]
+    assert np.array_equal(indptr, expected[0])
+    assert np.array_equal(indices, expected[1])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [Graph(nodes=["only"]), Graph(), Graph(edges=[("a", "b"), ("c", "d")])],
+    ids=["one-node", "empty", "two-components"],
+)
+def test_topology_facts_of_degenerate_graphs(graph):
+    assert graph.is_connected() == graph_oracle.is_connected(graph)
+    assert len(graph.connected_components()) == len(
+        graph_oracle.connected_components(graph)
+    )
+    if graph.num_nodes == 1:
+        assert graph.diameter(exact=False) == graph.diameter(exact=True) == 0
+    else:
+        with pytest.raises(GraphError):
+            graph.diameter()
+    indptr, indices, nodes = graph.adjacency_csr()
+    expected = graph_oracle.adjacency_csr(graph)
+    assert nodes == expected[2]
+    assert np.array_equal(indptr, expected[0])
+    assert np.array_equal(indices, expected[1])
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("family", sorted(topology.FAMILIES))
+def test_bulk_build_matches_per_edge_insertion(family, seed, monkeypatch):
+    # Every generator builds through one bulk path; replaying the edge
+    # sequence it received through add_edge must give the same node
+    # order and the same iteration order of every adjacency set, which
+    # is what the two-sweep's tie-breaks and the seeded joins follow.
+    bulk_graph = generators._bulk_graph
+    builds = []
+
+    def replayed(num_nodes, edges):
+        edges = list(edges)
+        bulk = bulk_graph(num_nodes, edges)
+        replay = Graph(nodes=range(num_nodes))
+        for u, v in edges:
+            replay.add_edge(u, v)
+        builds.append((
+            [(node, list(nbrs)) for node, nbrs in bulk._adjacency.items()],
+            [(node, list(nbrs)) for node, nbrs in replay._adjacency.items()],
+        ))
+        return bulk
+
+    monkeypatch.setattr(generators, "_bulk_graph", replayed)
+    monkeypatch.setattr(random_graphs, "_bulk_graph", replayed)
+    rng = random.Random(f"{family}-{seed}")
+    topology.make_topology(family, **family_args(family, rng))
+    assert builds
+    for bulk, replay in builds:
+        assert bulk == replay
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_join_matches_the_oracle(seed):
+    # About 150 random edges on 300 nodes leave well over a hundred
+    # components, so the order they are joined in decides the edges.
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u, v in rng.integers(0, 300, size=(150, 2)).tolist() if u != v]
+    joined = generators._bulk_graph(300, pairs)
+    reference = generators._bulk_graph(300, pairs)
+    random_graphs._connect_components(joined, np.random.default_rng(seed))
+    graph_oracle.connect_components(reference, np.random.default_rng(seed))
+    assert joined.is_connected()
+    assert set(map(frozenset, joined.edges())) == set(map(frozenset, reference.edges()))

@@ -14,6 +14,7 @@ from repro import topology
 from repro.errors import ConfigurationError, GraphError
 from repro.network.graph import Graph
 from repro.simulation.sparse import CSRAdjacency
+from repro.topology.validation import summarize_topology
 
 
 # ----------------------------------------------------------------------
@@ -77,6 +78,18 @@ def test_adjacency_csr_respects_node_order_permutations():
         graph.adjacency_csr(order=[0, 0, 1, 2, 3, 4])
 
 
+def assert_facts_of_a_fresh_graph(graph):
+    """Connectivity and both diameters equal a freshly built copy's."""
+    fresh = Graph(nodes=graph.nodes(), edges=graph.edges())
+    assert graph.is_connected() == fresh.is_connected()
+    for exact in (True, False):
+        if fresh.is_connected():
+            assert graph.diameter(exact=exact) == fresh.diameter(exact=exact)
+        else:
+            with pytest.raises(GraphError, match="disconnected"):
+                graph.diameter(exact=exact)
+
+
 def test_adjacency_csr_cache_invalidated_by_mutation():
     # The default-order CSR form is memoized; every mutator must drop
     # the cache so later callers never compute over a stale topology.
@@ -85,13 +98,16 @@ def test_adjacency_csr_cache_invalidated_by_mutation():
     # Memoized while unchanged: the same arrays come back, not copies.
     assert graph.adjacency_csr()[0] is first[0]
     assert graph.adjacency_csr()[1] is first[1]
+    assert graph.diameter(exact=False) == 4
     graph.add_edge(0, 4)
+    assert_facts_of_a_fresh_graph(graph)
     second = graph.adjacency_csr()
     assert second[1] is not first[1]
     dense, _ = graph.adjacency_matrix()
     assert np.array_equal(csr_to_dense(second[0], second[1], 5), dense)
     # Undoing the mutation rebuilds an equal -- but fresh -- layout.
     graph.remove_edge(0, 4)
+    assert_facts_of_a_fresh_graph(graph)
     third = graph.adjacency_csr()
     assert third[1] is not second[1]
     assert np.array_equal(
@@ -99,14 +115,23 @@ def test_adjacency_csr_cache_invalidated_by_mutation():
         csr_to_dense(first[0], first[1], 5),
     )
     graph.remove_node(4)
+    assert_facts_of_a_fresh_graph(graph)
     indptr, indices, nodes = graph.adjacency_csr()
     assert 4 not in nodes and len(nodes) == 4
     dense, _ = graph.adjacency_matrix()
     assert np.array_equal(csr_to_dense(indptr, indices, 4), dense)
     graph.add_node("isolated")
+    assert_facts_of_a_fresh_graph(graph)
     indptr, indices, nodes = graph.adjacency_csr()
     assert "isolated" in nodes
     assert indptr[-1] == 2 * graph.num_edges
+    # The connectivity verdict is memoized with the CSR: splitting a
+    # summarized path must not be read from the stale memo.
+    path = topology.path_graph(6)
+    assert summarize_topology(path).diameter == 5
+    path.remove_edge(2, 3)
+    with pytest.raises(GraphError, match="found 2 components"):
+        summarize_topology(path)
 
 
 def test_engine_over_mutated_graph_sees_fresh_csr():
