@@ -14,7 +14,8 @@ queries the algorithms and the analysis need:
 * connectivity checks and connected components.
 
 Connectivity, the two-sweep bound and the CSR adjacency come from one
-memoized pass per topology (see :meth:`Graph.adjacency_csr`).  Nodes
+memoized pass per topology (see :meth:`Graph.adjacency_csr`), and the
+exact diameter is memoized beside them once computed.  Nodes
 may be arbitrary hashable objects; the topology generators in
 :mod:`repro.topology` use consecutive integers.
 """
@@ -109,11 +110,13 @@ def _sorted_csr(rows):
 class _Topology(NamedTuple):
     """The memo of :meth:`Graph._topology`.  ``csr`` is what
     :meth:`Graph.adjacency_csr` returns; ``two_sweep`` is ``None`` unless
-    the graph is connected and non-empty."""
+    the graph is connected and non-empty; ``exact`` is ``None`` until
+    :meth:`Graph.diameter` first computes the exact diameter."""
 
     csr: tuple
     connected: bool
     two_sweep: Optional[int]
+    exact: Optional[int] = None
 
 
 class Graph:
@@ -403,7 +406,7 @@ class Graph:
             bound that is exact on trees and typically exact on the
             benchmark topologies.  The default picks exact for graphs
             with at most 2 000 nodes and the two-sweep lower bound above
-            that.
+            that.  Both are memoized until the next mutation.
 
         Raises
         ------
@@ -417,9 +420,12 @@ class Graph:
             raise GraphError("diameter undefined on a disconnected graph")
         if exact is None:
             exact = self.num_nodes <= 2000
-        if exact:
-            return self._bit_parallel_diameter()
-        return facts.two_sweep
+        if not exact:
+            return facts.two_sweep
+        if facts.exact is None:
+            exact_diameter = self._bit_parallel_diameter()
+            facts = self._facts = facts._replace(exact=exact_diameter)
+        return facts.exact
 
     def _bit_parallel_diameter(self) -> int:
         """Exact diameter of a connected, non-empty graph (see

@@ -2,21 +2,22 @@
 
 One round of the Compete dynamics needs, for every listener, the
 *number* of transmitting neighbours (the collision rule: receive iff
-exactly one) and, where that number is one, the unique transmitter's
-rank.  This module computes both from a minimal pure-NumPy CSR
-representation (``indptr``/``indices``, no SciPy dependency) in
-``O(n + m)`` memory.
+exactly one) and, where that number is one, *which* neighbour it is.
+This module computes both from a minimal pure-NumPy CSR representation
+(``indptr``/``indices``, no SciPy dependency) in ``O(n + m)`` memory.
 
 The kernel, :meth:`CSRAdjacency.transmitter_counts_and_rank_sums`, is
-driven by the transmitters.  It lays the batch out block-diagonally --
-trial ``t``'s copy of node ``v`` is flat index ``t * n + v`` -- so one
-code path serves one trial or many.  It expands only the transmitters'
-CSR rows, counts the hits per listener with ``np.bincount`` and writes
-each transmitter's rank onto its listeners with an ``int64`` scatter.
-A listener with count one received exactly one write, so its value is
-the unique transmitter's rank, exact for every ``int64`` rank; the
-kernel zeroes every other position.  ``tests/test_sparse.py`` checks the
-kernel against a dense matmul, churn masks included.
+driven by the transmitters.  It takes a stack of copies of the graph --
+copy ``c``'s node ``v`` is flat index ``c * n + v`` -- so one call
+serves one trial, many trials, or many rounds of many trials.  It
+expands only the transmitters' CSR rows, shifts each row's listeners
+into its copy, counts the hits per listener with ``np.bincount`` and
+writes each transmitter's flat index onto its listeners with an
+``int64`` scatter.  A listener with count one received exactly one
+write, so its value is its unique transmitter (a silent listener keeps
+-1).  The caller reads that transmitter's rank itself, as of the round
+it needs.  ``tests/test_sparse.py`` checks the kernel against a dense
+matmul, per-copy churn masks included.
 """
 
 from __future__ import annotations
@@ -70,10 +71,7 @@ class CSRAdjacency:
             )
         self._indptr = indptr
         self._indices = indices
-        # The block-diagonal layout of the last batch size the kernel
-        # saw: ``(trials, row ends, row lengths, column indices)`` over
-        # ``trials * num_nodes`` rows.  One trial is the matrix.
-        self._layout = (1, indptr[1:], np.diff(indptr), indices)
+        self._degrees = np.diff(indptr)
 
     @classmethod
     def from_graph(
@@ -108,94 +106,89 @@ class CSRAdjacency:
         matrix[rows, self._indices] = True
         return matrix
 
-    def _block_layout(
-        self, trials: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row ends, row lengths and columns of ``trials`` diagonal copies.
-
-        Row ``t * n + v`` is trial ``t``'s copy of row ``v``: its
-        entries sit ``t * num_entries`` further along and its columns
-        ``t * n`` further up.  Built once per batch size; the tuple is
-        swapped in whole, so concurrent callers each read a consistent
-        layout.
-        """
-        layout = self._layout
-        if layout[0] != trials:
-            copies = np.arange(trials, dtype=np.int64)[:, None]
-            layout = (
-                trials,
-                (self._indptr[1:] + copies * self.num_entries).ravel(),
-                np.tile(np.diff(self._indptr), trials),
-                (self._indices + copies * self.num_nodes).ravel(),
-            )
-            self._layout = layout
-        return layout[1:]
-
     def transmitter_counts_and_rank_sums(
         self,
         transmit: np.ndarray,
-        ranks: np.ndarray,
         entry_mask: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-listener transmitter counts and unique transmitters' ranks.
+        """Per-listener transmitter counts and unique transmitters.
 
         Parameters
         ----------
         transmit:
-            Boolean array of shape ``(trials, n)``: who transmits this
-            round.
-        ranks:
-            Integer array of the same shape: each node's current rank.
+            Boolean array of shape ``(copies, n)``: who transmits in
+            each copy of the graph.  The engine stacks one copy per
+            trial and round of a block, round-major.
         entry_mask:
-            Optional boolean array of shape ``(num_entries,)``: which
-            directed CSR entries currently carry signal.  ``False``
-            entries (links held down by ``repro.dynamics`` edge churn
-            this round) contribute nothing.
+            Optional boolean array of shape ``(groups, num_entries)``:
+            which directed CSR entries carry signal.  The copies split
+            into ``groups`` equal runs of consecutive copies, and run
+            ``g`` reads row ``g`` (the engine passes one row per round).
+            ``False`` entries (links held down by ``repro.dynamics``
+            edge churn) contribute nothing.
 
-        Returns ``(counts, unique_rank)``, both ``int64`` of shape
-        ``(trials, n)``: ``counts[t, j]`` is how many neighbours of
-        ``j`` transmit in trial ``t``; ``unique_rank[t, j]`` is the
-        rank of that one transmitter where ``counts[t, j] == 1`` and 0
-        everywhere else.
+        Returns ``(counts, source)``, both ``int64`` of shape
+        ``(copies, n)``: ``counts[c, j]`` is how many neighbours of
+        ``j`` transmit in copy ``c``; ``source[c, j]`` is the flat index
+        ``c * n + u`` of one of them, ``u`` -- the only one where
+        ``counts[c, j] == 1`` -- and -1 where none does.
 
-        Per round the work is ``O(trials * n)`` for the two outputs plus
+        Per call the work is ``O(copies * n)`` for the two outputs plus
         ``O(T + sum of the T transmitters' degrees)`` for the
-        expansion, instead of ``O(trials * 2m)`` for walking every edge.
+        expansion, instead of ``O(copies * 2m)`` for walking every edge.
+        (The name predates the index output; it is kept because
+        ``perfbench`` traces the kernel by it.)
         """
-        trials, n = transmit.shape
-        row_ends, lengths, columns = self._block_layout(trials)
+        copies, n = transmit.shape
         # Array methods and ufunc methods below, not the ``np.*``
         # wrappers: at small ``n`` the wrappers' dispatch costs as much
-        # as the work, and the kernel runs once per round.
+        # as the work, and the kernel runs once per block of rounds.
         transmitters = transmit.ravel().nonzero()[0]
-        row_lengths = lengths[transmitters]
+        nodes = transmitters
+        if copies > 1:
+            # Each transmitter's copy offset (``//`` by a scalar is
+            # several times faster than ``%`` on int64).
+            offsets = transmitters // n * n
+            nodes = transmitters - offsets
+        row_lengths = self._degrees[nodes]
         ends = np.add.accumulate(row_lengths)
         total = int(ends[-1]) if ends.size else 0
         if total == 0:
-            zeros = np.zeros((trials, n), dtype=np.int64)
-            return zeros, zeros.copy()
+            return (
+                np.zeros((copies, n), dtype=np.int64),
+                np.full((copies, n), -1, dtype=np.int64),
+            )
         # Transmitter i's row fills slots [ends[i] - row_lengths[i],
-        # ends[i]) of the expansion and ends at row_ends[i] in the
-        # layout, so slot k reads layout entry k + row_ends[i] - ends[i].
-        shift = row_ends[transmitters]
+        # ends[i]) of the expansion and starts at indptr[node] in the
+        # CSR, so slot k reads entry k + indptr[node] + row_lengths[i]
+        # - ends[i]; its listeners sit at its own copy's offset.
+        shift = self._indptr[nodes]
+        shift += row_lengths
         shift -= ends
-        positions = shift.repeat(row_lengths)
-        positions += np.arange(total)
-        listeners = columns[positions]
-        edge_ranks = ranks.ravel()[transmitters].repeat(row_lengths)
+        entries = shift.repeat(row_lengths)
+        entries += np.arange(total)
+        listeners = self._indices.take(entries)
+        if copies > 1:
+            listeners += offsets.repeat(row_lengths)
+        senders = transmitters.repeat(row_lengths)
         if entry_mask is not None:
-            up = entry_mask[positions % self.num_entries]
-            listeners = listeners[up]
-            edge_ranks = edge_ranks[up]
-        counts = np.bincount(listeners, minlength=trials * n).astype(
+            groups = entry_mask.shape[0]
+            if groups > 1:
+                group_copies = copies // groups
+                entries += (
+                    transmitters // (group_copies * n) * self.num_entries
+                ).repeat(row_lengths)
+            up = entry_mask.ravel().take(entries)
+            listeners = listeners.compress(up)
+            senders = senders.compress(up)
+        counts = np.bincount(listeners, minlength=copies * n).astype(
             np.int64, copy=False
         )
         # Where several transmitters write the same listener, one write
-        # survives; the mask below clears every such position.
-        unique_rank = np.zeros(trials * n, dtype=np.int64)
-        unique_rank[listeners] = edge_ranks
-        unique_rank *= counts == 1
-        return counts.reshape(trials, n), unique_rank.reshape(trials, n)
+        # survives: a listener with count one holds its transmitter.
+        source = np.full(copies * n, -1, dtype=np.int64)
+        source[listeners] = senders
+        return counts.reshape(copies, n), source.reshape(copies, n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

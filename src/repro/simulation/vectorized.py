@@ -13,23 +13,29 @@ initial candidate/dummy messages, and nodes compare them through the
 total order of :meth:`repro.network.messages.Message.sort_key`.  Ranking
 the messages once up front therefore reduces every node's state to a
 single integer -- the *rank* of the best message it knows (0 = knows
-nothing) -- and one round becomes:
+nothing) -- and a block of ``K`` rounds becomes:
 
-* ``transmit = informed & (uniform_draw < p[round])``  (the per-node
-  transmission schedule; the classical uniform Decay rule
-  ``p = 2^-step`` is one instance),
-* ``counts, unique_rank`` from the CSR kernel of
-  :mod:`repro.simulation.sparse`: per listener, how many neighbours
-  transmit and, where exactly one does, that neighbour's rank,
-* ``rank = max(rank, unique_rank)`` for listeners that are not
-  transmitting themselves (adopt-if-higher), written only at the
-  indices that improve.
+* ``transmit[k] = informed & (uniform_draw[k] < p[round + k])`` for
+  each round of the block (the per-node transmission schedule; the
+  classical uniform Decay rule ``p = 2^-step`` is one instance),
+* ``counts, source`` from one call of the CSR kernel of
+  :mod:`repro.simulation.sparse` over ``K * trials`` copies of the
+  graph: per listener and round, how many neighbours transmit and,
+  where exactly one does, which one,
+* then, round by round, ``rank = max(rank, rank[source])`` for
+  listeners that hear exactly one transmitter and are not transmitting
+  themselves (adopt-if-higher, reading the transmitter's rank as of
+  that round), written only at the indices that improve.
 
-The kernel lays the trials out block-diagonally, so many seeded trials
-run through the same calls.  Metric counters accumulate per node and
-are reduced once after the loop, at each trial's own finishing round;
-under :mod:`repro.dynamics` the per-round fault totals are scalars shared
-by every trial.
+``K > 1`` only where the transmit masks cannot depend on adoptions:
+when every node of every running trial holds a message at round 0
+(every spontaneous run), every node draws in every round.  ``K`` is
+then the largest power of two up to 128 with ``K * trials * n`` inside
+a lane budget; otherwise, and past the budget, ``K = 1``.  Metric
+counters accumulate per node, each block's masks cut at each trial's
+last round, and are reduced once after the loop; under
+:mod:`repro.dynamics` the per-round fault totals are scalars shared by
+every trial.
 
 Round-exact equivalence with the reference runner
 -------------------------------------------------
@@ -46,7 +52,10 @@ children, whose PCG64 seed words :func:`spawned_seed_words` computes for
 all ``n`` nodes of a trial in one NumPy pass instead of through ``n``
 ``SeedSequence`` objects.  It pre-draws blocks per node and consumes
 them one element per informed round, so the k-th decision of every node
-matches the reference's k-th decision exactly.  The reference runner
+matches the reference's k-th decision exactly.  In a spontaneous run
+every stream draws every round, so the streams advance in lockstep and
+:meth:`DrawStreams.take_block` hands out a block's draws of all of them
+at once, with no per-stream cursor.  The reference runner
 keeps NumPy's own ``SeedSequence``, so
 ``tests/test_engine_equivalence.py`` cross-checks the seeding as well as
 the rounds, across topology families, strategies and fault models.
@@ -75,6 +84,13 @@ NO_MESSAGE = 0
 #: rounds at the cost of ``trials * n * block * 8`` bytes of buffer;
 #: 512 and 2048 measured no faster.
 DEFAULT_DRAW_BLOCK = 128
+
+#: The lanes (rounds x trials x nodes) one channel block may span.  A
+#: block of ``K`` rounds is the largest power of two up to
+#: :data:`DEFAULT_DRAW_BLOCK` with ``K * trials * n`` inside it; past
+#: it ``K = 1``.  Of budgets from 4096 to 32768, 16384 ran batches of
+#: ``n = 64`` to 4096 fastest on a 2-vCPU VM.
+_BLOCK_LANES = 16384
 
 #: NumPy's ``SeedSequence`` constants (``numpy/random/bit_generator.pyx``):
 #: the entropy pool size, the two hash-constant sequences (``A`` mixes
@@ -182,7 +198,11 @@ class DrawStreams:
     raises, because each trial's entropy is read from
     ``SeedSequence(seeds[t])``.  :meth:`take` hands out the next element
     of each requested stream; streams that are not requested in a round
-    advance by nothing, mirroring a listening (uninformed) node.
+    advance by nothing, mirroring a listening (uninformed) node.  When
+    every stream draws every round, the streams advance in lockstep and
+    :meth:`take_block` hands out the next draws of all of them at once,
+    with no per-stream cursor.  One instance is driven by one of the
+    two methods, never both.
     """
 
     def __init__(
@@ -212,6 +232,8 @@ class DrawStreams:
         self._flat = self._buffer.reshape(-1)
         self._cursor = np.arange(count, dtype=np.int64) * block
         self._row_end = self._cursor + block
+        # :meth:`take_block`'s column, shared by every stream.
+        self._column = 0
 
     def take(self, wanted: np.ndarray) -> np.ndarray:
         """Return the next draw of every stream where ``wanted`` is True.
@@ -227,11 +249,36 @@ class DrawStreams:
         # A row is refilled as soon as its last draw is handed out, which
         # keeps every cursor inside its row.  Each generator feeds only
         # its own row, so refilling early changes no draw.
-        exhausted = np.flatnonzero(cursor == self._row_end)
-        for row in exhausted.tolist():
-            self._generators[row].random(out=self._buffer[row])
-        cursor[exhausted] -= self._block
+        exhausted = (cursor == self._row_end).nonzero()[0]
+        if exhausted.size:
+            for row in exhausted.tolist():
+                self._generators[row].random(out=self._buffer[row])
+            cursor[exhausted] -= self._block
         return draws
+
+    def take_block(self, rounds: int) -> np.ndarray:
+        """Return the next ``rounds`` draws of every stream.
+
+        For batches where every stream draws in every round: the result
+        has shape ``(trials * num_nodes, rounds)``, and column ``k`` is
+        each stream's draw of the ``k``-th round.  It is a view of the
+        buffer, valid until the next call, or a copy where the rounds
+        cross a refill.  Rows are refilled together, when a call finds
+        them used up.
+        """
+        parts = []
+        while rounds:
+            if self._column == self._block:
+                for generator, row in zip(self._generators, self._buffer):
+                    generator.random(out=row)
+                self._column = 0
+            width = min(rounds, self._block - self._column)
+            part = self._buffer[:, self._column:self._column + width]
+            rounds -= width
+            self._column += width
+            # A later refill in this call would overwrite the view.
+            parts.append(part.copy() if rounds else part)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -459,7 +506,7 @@ class VectorizedCompeteEngine:
         # into the int64 totals every 255 rounds, before they can wrap.
         totals = np.zeros((4,) + ranks.shape, dtype=np.int64)
         counters = np.zeros((4,) + ranks.shape, dtype=np.uint8)
-        sent, heard, clashed, jammed_sent = counters
+        jammed_sent = counters[3]
         # Per-round fault totals, the same for every trial: crashed
         # nodes, down links, alive jammed nodes.
         fault_totals: list[tuple[int, int, int]] = []
@@ -471,70 +518,138 @@ class VectorizedCompeteEngine:
             streams = DrawStreams(seeds, num_nodes)
         elif loop_rounds:
             streams = DecoupledStreams(seeds, num_nodes)
-
-        cycle_length = self._probabilities.shape[0]
-        for round_number in range(loop_rounds):
-            if round_number % 255 == 0:
+        # When every node of every running trial holds a message at
+        # round 0 (every spontaneous run), every node draws every round,
+        # so the replay streams advance in lockstep, and who transmits
+        # and who hears exactly one transmitter do not depend on ranks.
+        # The rounds then run in blocks: one draw comparison and one
+        # kernel call over ``block * trials`` copies of the graph per
+        # block; only adoption runs round by round.
+        lanes = num_trials * num_nodes
+        lockstep = bool(informed[running].all())
+        block = 1
+        while (
+            lockstep and block < DEFAULT_DRAW_BLOCK
+            and 2 * block * lanes <= _BLOCK_LANES
+        ):
+            block *= 2
+        # Each block's transmit, receive and collide masks, one row per
+        # round: they add into the first three counters together.
+        masks = np.empty((3, block) + ranks.shape, dtype=bool)
+        thresholds = self._probabilities if replay else self._limits
+        cycle_length = thresholds.shape[0]
+        if block > 1:
+            # Rows ``round % cycle_length`` of a block's rounds, as one
+            # slice wherever the block starts in the cycle.
+            thresholds = thresholds.take(
+                range(cycle_length + block - 1), axis=0, mode="wrap"
+            )
+        if self._dynamics is not None:
+            # Each block's jammed nodes and link states, one row per round.
+            jammed = np.empty((block, 1, num_nodes), dtype=bool)
+            edge_up = np.empty((block, self._dynamics.num_edges), dtype=bool)
+        flushed = 0
+        finished = False
+        for start in range(0, loop_rounds, block):
+            size = min(block, loop_rounds - start)
+            if start + size - flushed > 255:
                 totals += counters
                 counters.fill(0)
-            row = round_number % cycle_length
-            if replay:
+                flushed = start
+            first = start % cycle_length
+            window = thresholds[first:first + size]
+            block_masks = masks[:, :size]
+            transmit = block_masks[0]
+            if not replay:
+                for k in range(size):
+                    np.less_equal(
+                        streams.bits(start + k), window[k], out=transmit[k]
+                    )
+                transmit &= wanted
+            elif lockstep:
+                draws = streams.take_block(size)
+                draws = draws.reshape(ranks.shape + (size,))
+                np.less(
+                    draws.transpose(2, 0, 1), window[:, None], out=transmit
+                )
+                # Stopped trials draw on in lockstep but send nothing.
+                transmit &= wanted
+            else:
                 # Requested draws compare against the probability row;
                 # the rest are nan, which compares False.
-                transmit = (
-                    streams.take(flat_wanted).reshape(ranks.shape)
-                    < self._probabilities[row]
-                )
-            else:
-                transmit = streams.bits(round_number) <= self._limits[row]
-                transmit &= wanted
+                draws = streams.take(flat_wanted).reshape(ranks.shape)
+                np.less(draws, window, out=transmit[0])
 
             entry_mask = None
-            if self._dynamics is None:
-                listening = ~transmit
-            else:
+            listening = ~transmit
+            if self._dynamics is not None:
                 # Crash suppression happens *after* the draws above were
                 # taken: a crashed node's stream still advances exactly
                 # as in the reference runner, where the protocol draws
                 # and the network drops the transmission.
-                faults = self._dynamics.round_faults(round_number)
-                transmit &= faults.alive
-                listening = ~transmit & (faults.alive & ~faults.jammed)
-                jammed_sent += (transmit & faults.jammed).view(np.uint8)
-                fault_totals.append(_fault_totals(faults))
+                for k in range(size):
+                    faults = self._dynamics.round_faults(start + k)
+                    fault_totals.append(_fault_totals(faults))
+                    transmit[k] &= faults.alive
+                    np.invert(transmit[k], out=listening[k])
+                    listening[k] &= faults.alive & ~faults.jammed
+                    jammed[k] = faults.jammed
+                    if faults.edge_up is not None:
+                        edge_up[k] = faults.edge_up
                 if faults.edge_up is not None:
-                    entry_mask = faults.edge_up[self._dynamics.entry_edge_ids]
+                    entry_mask = edge_up[:size, self._dynamics.entry_edge_ids]
 
-            counts, unique_rank = kernel(transmit, ranks, entry_mask)
+            counts, source = kernel(
+                transmit.reshape(-1, num_nodes), entry_mask
+            )
+            counts = counts.reshape(transmit.shape)
+            source = source.reshape(size, lanes)
+            received, collided = block_masks[1], block_masks[2]
             # Half-duplex: a transmitter hears nothing this round, and
             # crashed or jammed nodes hear nothing either.
-            sent += transmit.view(np.uint8)
-            received = counts == 1
+            np.equal(counts, 1, out=received)
             received &= listening
-            heard += received.view(np.uint8)
-            collided = counts > 1
+            np.greater(counts, 1, out=collided)
             collided &= listening
-            clashed += collided.view(np.uint8)
-            received &= unique_rank > ranks
-            improved = received.ravel().nonzero()[0]
-            if improved.size == 0:
-                continue
-            gained = unique_rank.ravel()[improved]
-            flat_ranks[improved] = gained
-            flat_adopted[improved] = round_number
-            flat_wanted[improved] = True
-            # A trial saturates only in a round where its last node
-            # adopts the winner rank, so only then is it rechecked
-            # (callers pass the top rank, so ``>=`` means adopted).
-            if winner_rank is not None and gained.max() >= winner_rank:
-                done = running & (ranks == winner_rank).all(axis=1)
-                if done.any():
-                    saturated |= done
-                    rounds[done] = round_number + 1
-                    running &= ~done
-                    wanted[done] = False
-                    if not running.any():
-                        break
+            for k in range(size):
+                heard_now = received[k].ravel().nonzero()[0]
+                if heard_now.size == 0:
+                    continue
+                # Adopt-if-higher, reading each transmitter's rank as of
+                # this round: copy ``k * trials + t`` is trial ``t``.
+                senders = source[k].take(heard_now)
+                if k:
+                    senders -= k * lanes
+                gained = flat_ranks.take(senders)
+                better = gained > flat_ranks.take(heard_now)
+                improved = heard_now.compress(better)
+                if improved.size == 0:
+                    continue
+                gained = gained.compress(better)
+                flat_ranks[improved] = gained
+                flat_adopted[improved] = start + k
+                flat_wanted[improved] = True
+                # A trial saturates only in a round where its last node
+                # adopts the winner rank, so only then is it rechecked
+                # (callers pass the top rank, so ``>=`` means adopted).
+                if winner_rank is not None and gained.max() >= winner_rank:
+                    done = running & (ranks == winner_rank).all(axis=1)
+                    if done.any():
+                        saturated |= done
+                        rounds[done] = start + k + 1
+                        running &= ~done
+                        wanted[done] = False
+                        # The block's later rounds are past these
+                        # trials' last one: they count for nothing.
+                        block_masks[:, k + 1:, done] = False
+                        finished = not running.any()
+                        if finished:
+                            break
+            _add_rounds(counters[:3], block_masks)
+            if self._dynamics is not None:
+                _add_rounds(jammed_sent, transmit & jammed[:size])
+            if finished:
+                break
 
         # Fault counters: the per-round totals summed up to each trial's
         # last round.  Silent and budget-exhausted trials are charged
@@ -577,6 +692,15 @@ class VectorizedCompeteEngine:
             crashed_nodes=crashed_nodes,
             jammed_listens=jammed_listens,
         )
+
+
+def _add_rounds(counter: np.ndarray, masks: np.ndarray) -> None:
+    """Add a block's per-round bool masks (rounds on axis -3) into a
+    ``uint8`` counter."""
+    if masks.shape[-3] == 1:
+        counter += masks[..., 0, :, :].view(np.uint8)
+    else:
+        counter += masks.sum(axis=-3, dtype=np.uint8)
 
 
 def _fault_totals(faults) -> tuple[int, int, int]:

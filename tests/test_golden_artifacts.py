@@ -17,6 +17,8 @@ module treats each one as a golden file:
 * its topology block must reproduce from the persisted generator
   arguments (the scenario block is documented as rebuilding the
   topology *exactly*; large-``n`` rebuilds carry the ``slow`` marker);
+* under replay, its per-trial rows must re-derive exactly from the
+  registered scenario, the committed seeds and trial counts;
 * the paper's claims the data can check -- the skeleton's round bound
   on grids, the clustered schedule's constant cost per hop on paths,
   and the decay baseline's lead -- hold within bands fixed here.
@@ -34,6 +36,7 @@ from repro.experiments import (
     bench_filename,
     get_scenario,
     load_bench,
+    run_benchmark,
     validate_bench,
 )
 from repro.experiments.scenarios import Scenario
@@ -66,6 +69,29 @@ def _artifact_params():
     assert ARTIFACT_PATHS, "no committed benchmark artifacts found"
     for path in ARTIFACT_PATHS:
         yield pytest.param(path, id=_param_id(path))
+
+
+#: Above this node count a replay re-run moves to the slow tier.
+_FAST_RERUN_NODES = 1024
+
+#: Replay artifacts too slow to re-run in any tier: broadcast-path-n16384
+#: runs two trials of about 123 000 rounds each over 2 x 16384 lanes,
+#: minutes of engine time.
+_NO_RERUN = ("broadcast-path-n16384",)
+
+
+def _replay_params():
+    for path in ARTIFACT_PATHS:
+        payload = json.loads(path.read_text())
+        scenario = payload["scenario"]
+        if scenario["rng"] != "replay" or scenario["name"] in _NO_RERUN:
+            continue
+        marks = (
+            (pytest.mark.slow,)
+            if payload["topology"]["num_nodes"] > _FAST_RERUN_NODES
+            else ()
+        )
+        yield pytest.param(path, id=_param_id(path), marks=marks)
 
 
 def _rebuild_params():
@@ -181,6 +207,23 @@ def test_topology_block_reproduces_from_scenario(path, payloads):
     assert graph.max_degree() == recorded["max_degree"]
     summary = summarize_topology(graph)
     assert summary.diameter == recorded["diameter"]
+
+
+@pytest.mark.parametrize("path", _replay_params())
+def test_committed_replay_rows_reproduce(path, payloads):
+    # Replay rounds are machine-independent: the registered scenario,
+    # run on the committed seeds and trial counts, must give every
+    # committed per-trial row exactly.
+    payload = payloads[path]
+    trials = payload["trials"]
+    rerun = run_benchmark(
+        get_scenario(payload["scenario"]["name"]),
+        trials=trials["per_batch"],
+        seed=trials["base_seed"],
+        seed_batches=trials["seed_batches"],
+        include_reference=False,
+    )
+    assert rerun["results"]["per_trial"] == payload["results"]["per_trial"]
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,8 @@ import pytest
 
 import graph_oracle
 from repro import topology
+from repro.api import ExecutionConfig
+from repro.core.broadcast import broadcast
 from repro.errors import GraphError
 from repro.network import graph as graph_module
 from repro.network.graph import Graph
@@ -122,6 +124,28 @@ def test_exact_diameter_follows_mutation():
     assert graph.diameter(exact=True) == 50
     graph.remove_edge(49, 50)
     assert graph.diameter(exact=True) == 99
+
+
+def test_exact_diameter_is_computed_once_per_topology(monkeypatch):
+    # Every run on one graph derives its round budget from one
+    # bit-parallel pass; a mutation drops it with the rest of the memo.
+    calls = []
+    original = Graph._bit_parallel_diameter
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Graph, "_bit_parallel_diameter", counted)
+    graph = topology.path_graph(256)
+    config = ExecutionConfig(backend="vectorized")
+    for seed in range(3):
+        assert broadcast(graph, source=0, seed=seed, config=config).success
+    assert calls == [graph]
+    graph.add_edge(0, 255)
+    fresh = Graph(nodes=graph.nodes(), edges=graph.edges())
+    assert graph.diameter(exact=True) == fresh.diameter(exact=True) == 128
+    assert calls == [graph, graph, fresh]
 
 
 @pytest.mark.parametrize(

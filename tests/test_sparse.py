@@ -188,6 +188,21 @@ def dense_counts_and_rank_sums(dense, transmit, ranks):
     return counts, sums
 
 
+def assert_kernel_matches_dense(counts, source, expected_counts, expected_sums,
+                                ranks):
+    """Counts equal the matmul's; a unique transmitter's rank is its sum."""
+    copies, n = counts.shape
+    assert counts.dtype == np.int64 and source.dtype == np.int64
+    assert np.array_equal(counts, expected_counts)
+    assert ((source == -1) == (counts == 0)).all()
+    # Every transmitter lies in its listener's own copy, and a unique
+    # one's rank is the one rank the matmul summed.
+    heard = counts > 0
+    assert (source[heard] // n == np.nonzero(heard)[0]).all()
+    unique = counts == 1
+    assert np.array_equal(ranks.ravel()[source[unique]], expected_sums[unique])
+
+
 @pytest.mark.parametrize("down_rate", [None, 0.0, 0.3, 1.0])
 @pytest.mark.parametrize("seed", range(6))
 def test_transmitter_kernel_matches_dense_matmul(seed, down_rate):
@@ -196,8 +211,8 @@ def test_transmitter_kernel_matches_dense_matmul(seed, down_rate):
     # and transmit patterns from empty to full.  ``down_rate`` is the
     # share of links an edge-churn entry mask holds down (None: no
     # mask); a down link is masked in both directions, as a dense
-    # matrix zeroes both of its cells.  The batch size changes between
-    # calls, so the kernel's block-diagonal layout is rebuilt too.
+    # matrix zeroes both of its cells.  The number of copies changes
+    # between calls.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 40))
     graph = Graph(nodes=range(n))
@@ -213,23 +228,47 @@ def test_transmitter_kernel_matches_dense_matmul(seed, down_rate):
         down = np.triu(rng.random((n, n)) < down_rate, 1)
         down |= down.T
         rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-        entry_mask, up = ~down[rows, csr.indices], dense & ~down
-    for trials, density in ((3, 0.0), (3, 0.05), (1, 0.5), (2, 1.0),
+        entry_mask, up = ~down[rows, csr.indices][None], dense & ~down
+    for copies, density in ((3, 0.0), (3, 0.05), (1, 0.5), (2, 1.0),
                             (3, 0.3)):
-        ranks = rng.integers(1, 10 * n, size=(trials, n)).astype(np.int64)
-        transmit = rng.random((trials, n)) < density
-        counts, unique_rank = csr.transmitter_counts_and_rank_sums(
-            transmit, ranks, entry_mask
+        ranks = rng.integers(1, 10 * n, size=(copies, n)).astype(np.int64)
+        transmit = rng.random((copies, n)) < density
+        counts, source = csr.transmitter_counts_and_rank_sums(
+            transmit, entry_mask
         )
-        expected_counts, expected_sums = dense_counts_and_rank_sums(
-            up, transmit, ranks
+        assert_kernel_matches_dense(
+            counts, source, *dense_counts_and_rank_sums(up, transmit, ranks),
+            ranks,
         )
-        assert counts.dtype == np.int64 and unique_rank.dtype == np.int64
-        assert np.array_equal(counts, expected_counts)
-        # Every position: the one transmitter's rank where a single
-        # neighbour transmits, 0 everywhere else.
-        assert np.array_equal(
-            unique_rank, np.where(expected_counts == 1, expected_sums, 0)
+
+
+@pytest.mark.parametrize("groups", [2, 4])
+def test_transmitter_kernel_reads_one_entry_mask_row_per_group(groups):
+    # A block of rounds stacks round-major copies (round k, trial t is
+    # copy k * trials + t), and round k's links are row k of the mask:
+    # every copy must see exactly its own round's down links.
+    rng = np.random.default_rng(groups)
+    graph = topology.connected_gnp_graph(30, 0.2, seed=groups)
+    csr, _ = CSRAdjacency.from_graph(graph)
+    dense = csr.to_dense()
+    n, trials = graph.num_nodes, 3
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    downs = []
+    for _ in range(groups):
+        down = np.triu(rng.random((n, n)) < 0.4, 1)
+        downs.append(down | down.T)
+    entry_mask = np.stack([~down[rows, csr.indices] for down in downs])
+    transmit = rng.random((groups * trials, n)) < 0.3
+    ranks = rng.integers(1, 1000, size=transmit.shape).astype(np.int64)
+    counts, source = csr.transmitter_counts_and_rank_sums(transmit, entry_mask)
+    for copy in range(groups * trials):
+        up = dense & ~downs[copy // trials]
+        expected = dense_counts_and_rank_sums(
+            up, transmit[copy:copy + 1], ranks[copy:copy + 1]
+        )
+        local = np.where(source[copy] >= 0, source[copy] - copy * n, -1)
+        assert_kernel_matches_dense(
+            counts[copy:copy + 1], local[None], *expected, ranks[copy:copy + 1]
         )
 
 
@@ -237,12 +276,11 @@ def test_transmitter_kernel_empty_and_edgeless_cases():
     # No transmitters at all: the early-out path.
     csr, _ = CSRAdjacency.from_graph(topology.path_graph(5))
     silent = np.zeros((2, 5), dtype=bool)
-    ranks = np.arange(10, dtype=np.int64).reshape(2, 5)
-    counts, sums = csr.transmitter_counts_and_rank_sums(silent, ranks)
-    assert not counts.any() and not sums.any()
-    assert counts.shape == (2, 5)
+    counts, source = csr.transmitter_counts_and_rank_sums(silent)
+    assert not counts.any() and (source == -1).all()
+    assert counts.shape == source.shape == (2, 5)
     # Transmitters whose CSR rows are all empty: the total==0 path.
     edgeless, _ = CSRAdjacency.from_graph(Graph(nodes=range(5)))
     loud = np.ones((2, 5), dtype=bool)
-    counts, sums = edgeless.transmitter_counts_and_rank_sums(loud, ranks)
-    assert not counts.any() and not sums.any()
+    counts, source = edgeless.transmitter_counts_and_rank_sums(loud)
+    assert not counts.any() and (source == -1).all()

@@ -4,9 +4,10 @@ The *equivalence* guarantee -- reference runner vs engine vs dense
 oracle, round for round, across the family x strategy x collision x
 algorithm table -- is pinned by ``tests/test_engine_equivalence.py``.
 This file covers what is not visible from the outside: batch/single
-consistency, draw-stream seeding and buffering, the decoupled ``p = 1``
-limit, input validation, rank exactness, cache invalidation on graph
-mutation, and the message-ranking reduction.
+consistency, block-size invisibility, draw-stream seeding, buffering
+and lockstep draws, the decoupled ``p = 1`` limit, input validation,
+rank exactness, cache invalidation on graph mutation, and the
+message-ranking reduction.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from repro.schedules.transmission import (
     uniform_decay_schedule,
 )
 from repro.simulation.rng import DecoupledStreams
+from repro.simulation.sparse import CSRAdjacency
 from repro.simulation.vectorized import (
     DEFAULT_DRAW_BLOCK,
     NO_MESSAGE,
@@ -102,6 +104,69 @@ def test_run_batch_matches_individual_runs(faults):
     for seed, result in zip(seeds, batched):
         single_ref = reference.run(candidates, seed=seed, spontaneous=True)
         assert_same_compete_result(single_ref, result, f"seed={seed}")
+
+
+@pytest.mark.parametrize("faults", sorted(BATCH_FAULTS))
+def test_channel_block_size_is_invisible(faults, monkeypatch):
+    # A spontaneous batch runs its rounds in blocks of K, whatever K
+    # is: the same batch at K = 1, 2, 8 and 128 gives the same outcome
+    # arrays, fault counters included, and the reference runner's
+    # results.  The trials finish at different rounds of a block, and
+    # some run out the budget of 11 * 5 rounds, no multiple of any K,
+    # so the last block is partial; every counter must stop at its
+    # trial's own last round.
+    dynamics, _ = BATCH_FAULTS[faults]
+    graph = topology.grid_graph(4, 5)
+    parameters = CompeteParameters(
+        num_nodes=20, diameter=7, decay_steps=5, num_decay_rounds=11
+    )
+    config = ExecutionConfig(
+        backend="vectorized", dynamics=dynamics, parameters=parameters
+    )
+    engine = resolve_execution(graph, config).build_engine()
+    row = np.arange(1, graph.num_nodes + 1, dtype=np.int64)
+    seeds = [0, 1, 2, 3, 4]
+    kernel = CSRAdjacency.transmitter_counts_and_rank_sums
+    copies = []
+
+    def spied_kernel(csr, transmit, entry_mask=None):
+        copies.append(transmit.shape[0])
+        return kernel(csr, transmit, entry_mask)
+
+    monkeypatch.setattr(
+        CSRAdjacency, "transmitter_counts_and_rank_sums", spied_kernel
+    )
+    candidates = {0: 5, 19: 9}
+    reference = Compete(graph, config=config.replace(backend="reference"))
+    expected = [
+        reference.run(candidates, seed=seed, spontaneous=True)
+        for seed in seeds
+    ]
+    outcomes = {}
+    for block in (1, 2, 8, 128):
+        monkeypatch.setattr(
+            "repro.simulation.vectorized._BLOCK_LANES",
+            block * len(seeds) * graph.num_nodes,
+        )
+        copies.clear()
+        outcomes[block] = engine.run_batch(
+            np.tile(row, (len(seeds), 1)), row[-1], seeds
+        )
+        budget = parameters.total_rounds
+        assert max(copies) == min(block, budget) * len(seeds), "K rounds"
+        batched = Compete(graph, config=config).run_batch(
+            candidates, seeds=seeds, spontaneous=True
+        )
+        for seed, want, got in zip(seeds, expected, batched):
+            assert_same_compete_result(want, got, f"K={block} seed={seed}")
+    saturated = outcomes[1].saturated
+    assert len(set(outcomes[1].rounds.tolist())) > 1, "trials finish apart"
+    assert saturated.any() and not saturated.all()
+    for block, outcome in outcomes.items():
+        for field in dataclasses.fields(outcome):
+            assert np.array_equal(
+                getattr(outcome, field.name), getattr(outcomes[1], field.name)
+            ), f"{faults} K={block}: {field.name}"
 
 
 @pytest.mark.parametrize("block", [2, 4096])
@@ -180,6 +245,25 @@ def test_draw_streams_replay_independent_node_streams(seeds, block):
         assert draws[wanted].tolist() == expected
 
 
+@pytest.mark.parametrize("block", [1, 3, 128])
+def test_draw_streams_take_block_advances_every_stream(block):
+    # Lockstep draws: column k of take_block is every stream's next
+    # draw, exactly the per-stream generator's, across refills and for
+    # blocks of rounds shorter and longer than the buffer.
+    seeds, num_nodes = [5, 2**64 + 7], 4
+    streams = DrawStreams(seeds, num_nodes, block)
+    oracles = [
+        np.random.default_rng(child)
+        for seed in seeds
+        for child in np.random.SeedSequence(seed).spawn(num_nodes)
+    ]
+    for rounds in (1, 2, 5, 128, 3, 300, 1):
+        draws = streams.take_block(rounds)
+        assert draws.shape == (len(oracles), rounds)
+        expected = [oracle.random(rounds).tolist() for oracle in oracles]
+        assert draws.tolist() == expected
+
+
 def test_draw_streams_seed_none_is_fresh_and_negative_raises():
     # Each trial's entropy comes from SeedSequence(seed): None draws
     # fresh OS entropy per trial, and a negative seed is NumPy's error.
@@ -215,8 +299,8 @@ def test_decoupled_probability_one_transmits_the_all_ones_word(monkeypatch):
 
 @pytest.mark.parametrize("rank", [2**53 + 1, 2**62])
 def test_ranks_beyond_float_range_stay_exact(rank):
-    # The kernel passes ranks through an int64 scatter, never a float:
-    # a rank that float64 would round (2**53 + 1 reads as 2**53) still
+    # Ranks stay int64 from the input to adoption, never a float: a
+    # rank that float64 would round (2**53 + 1 reads as 2**53) still
     # floods the path and comes back exact.
     graph = topology.path_graph(8)
     fast = VectorizedCompeteEngine(
