@@ -10,9 +10,10 @@ The subsystem splits into a declarative half and a compiled half:
   keyed on ``(fault_seed, round, kind, entity)``, the reason every
   backend sees bit-identical fault decisions;
 * :mod:`repro.dynamics.schedule` -- :class:`FaultSchedule`, the
-  per-graph compilation that evolves the Markov chains and hands each
-  round's :class:`RoundFaults` masks to the reference runner and both
-  vectorized kernels.
+  per-graph compilation that evolves the Markov chains a chunk of
+  rounds at a time and hands the masks to the reference runner (one
+  :class:`RoundFaults` per round) and to the vectorized engine (one
+  block of rows per block of rounds).
 
 Quick start::
 

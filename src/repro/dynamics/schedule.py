@@ -1,12 +1,13 @@
-"""The compiled per-round fault schedule every backend consumes.
+"""The compiled fault trajectory every backend consumes.
 
 A :class:`FaultSchedule` binds a
 :class:`~repro.dynamics.spec.DynamicsSpec` to one concrete graph.  It
 owns the *canonical entity enumeration* -- nodes in the graph's memoized
 CSR order (:meth:`repro.network.graph.Graph.adjacency_csr`), undirected
 edges as ``(lo, hi)`` index pairs sorted by ``lo * n + hi`` -- and
-evolves the Markov link/node chains round by round from the pure hash
-words of :class:`~repro.dynamics.streams.FaultStreams`.
+evolves the Markov link/node chains a chunk of rounds at a time from the
+pure hash words of :class:`~repro.dynamics.streams.FaultStreams`: one
+hash call per lane and chunk, then one ``np.where`` per round.
 
 Determinism contract
 --------------------
@@ -16,20 +17,24 @@ The fault trajectory is a function of ``(fault_seed, graph)`` only:
   an environment property, like the topology itself);
 * every run starts at round 0 with all links up and all nodes alive, so
   the reference runner (fresh :class:`RadioNetwork` per run), the
-  vectorized engines (rounds ``0..max`` per batch) and any re-run replay
+  vectorized engine (rounds ``0..max`` per batch) and any re-run replay
   the identical trajectory;
-* asking for an earlier round than the cursor resets to the initial
-  state and replays forward (O(rounds) hashing, no stored history) --
-  which is also how the engines' silent-trial prepass rewinds.
+* the schedule keeps two things: the masks of one chunk of consecutive
+  rounds (at most 128, fewer on large graphs, so memory does not grow
+  with the round budget; never fewer than a request asks for) and the
+  per-round totals of every round computed so far.  Asking for an
+  earlier round than the chunk holds recomputes the chains from round 0
+  chunk by chunk; totals already computed are never recomputed.
 
-:meth:`round_faults` returns fresh arrays each call; callers may mutate
-them freely.
+:meth:`block` and :meth:`totals` return read-only views;
+:meth:`round_faults` returns fresh copies of one round's row, which
+callers may mutate.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Hashable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,6 +42,15 @@ from repro.errors import ConfigurationError
 from repro.dynamics.models import CHURN, CRASH, JAM
 from repro.dynamics.spec import DynamicsSpec
 from repro.dynamics.streams import FaultStreams
+from repro.simulation.rng import bits_to_unit
+
+#: Mask entries (rounds x (nodes + edges)) one chunk may hold.  A chunk
+#: is the largest power of two up to 128 rounds inside it, or as many
+#: rounds as a request asks for where that is more.  Budgets from 2**16
+#: to 2**20 ran the fault scenarios equally fast on a 2-vCPU VM; hashing
+#: a chunk peaks at about 27 bytes per entry, so 2**16 keeps that near
+#: 1 MB.
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,7 +94,6 @@ class FaultSchedule:
         self._nodes = tuple(nodes)
         n = len(self._nodes)
         self._num_nodes = n
-        self._node_index = {node: i for i, node in enumerate(self._nodes)}
         # Canonical undirected edge enumeration from the CSR default
         # order (the same arrays the sparse engine gathers over): each
         # directed entry maps to its undirected edge id via the sorted
@@ -96,10 +109,6 @@ class FaultSchedule:
         self._entry_edge_ids = np.searchsorted(edge_keys, keys)
         self._edge_lo = (edge_keys // n).astype(np.int64)
         self._edge_hi = (edge_keys % n).astype(np.int64)
-        self._pair_to_edge = {
-            (int(key) // n, int(key) % n): eid
-            for eid, key in enumerate(edge_keys)
-        }
         self._churn = spec.churn
         self._crash = spec.crash
         self._jam = spec.jamming
@@ -112,7 +121,18 @@ class FaultSchedule:
             self._jam_victims = victims
         else:
             self._jam_victims = np.zeros(n, dtype=bool)
-        self._reset()
+        chunk = 1
+        while (
+            chunk < 128
+            and 2 * chunk * (n + self._num_edges) <= _CHUNK_ENTRIES
+        ):
+            chunk *= 2
+        self._chunk_rounds = chunk
+        # Every computed round's crashed nodes, down links and alive
+        # jammed nodes; rows ``[0, frontier)`` are filled, never rewritten.
+        self._totals = np.empty((chunk, 3), dtype=np.int64)
+        self._frontier = 0
+        self._rewind()
 
     # -- identity ------------------------------------------------------
 
@@ -146,61 +166,142 @@ class FaultSchedule:
 
     # -- evolution -----------------------------------------------------
 
-    def _reset(self) -> None:
-        self._rounds_done = 0
-        self._edge_up = (
-            np.ones(self._num_edges, dtype=bool)
-            if self._churn is not None
-            else None
-        )
-        self._alive = np.ones(self._num_nodes, dtype=bool)
+    def _rewind(self) -> None:
+        """Empty the chunk: the chains stand before round 0, all up."""
+        self._first = self._stop = 0
+        self._alive = np.ones((0, self._num_nodes), dtype=bool)
+        self._edge_up = np.ones((0, self._num_edges), dtype=bool)
 
-    def _step(self, round_number: int) -> None:
-        # State *during* round r is the chain after transition r, so
-        # faults can already strike in round 0.
-        if self._churn is not None:
-            u = self._streams.uniforms(round_number, CHURN, self._num_edges)
-            self._edge_up = np.where(
-                self._edge_up,
-                u >= self._churn.p_down,
-                u < self._churn.p_up,
-            )
+    def _chain(self, rows, kept, fresh, lane, leave, back) -> np.ndarray:
+        """One Markov lane's rows: ``rows[kept:]``, then ``fresh`` rounds.
+
+        The fresh rounds continue the chain from the last row of
+        ``rows`` (all up when there is none).  An up entity goes down
+        when its uniform is below ``leave`` and a down one comes back
+        when it is below ``back``.  The state *during* round ``r`` is the
+        chain after transition ``r``, so faults can strike in round 0.
+        """
+        count = rows.shape[1]
+        held = rows.shape[0] - kept
+        out = np.empty((held + len(fresh), count), dtype=bool)
+        out[:held] = rows[kept:]
+        state = rows[-1] if rows.shape[0] else np.ones(count, dtype=bool)
+        uniforms = bits_to_unit(
+            self._streams.bits_block(fresh.start, len(fresh), lane, count)
+        )
+        stays, returns = uniforms >= leave, uniforms < back
+        for k in range(len(fresh)):
+            out[held + k] = state = np.where(state, stays[k], returns[k])
+        return out
+
+    def _extend(self, begin: int, stop: int) -> None:
+        """Make the chunk rounds ``[begin, stop)``.
+
+        ``begin`` lies in the current chunk or right after it: rows the
+        chunk holds are kept, the rest continue the chains from its last
+        row, and the totals of rounds past the frontier join the memo.
+        """
+        kept = begin - self._first
+        fresh = range(self._stop, stop)
         if self._crash is not None:
-            u = self._streams.uniforms(round_number, CRASH, self._num_nodes)
-            self._alive = np.where(
-                self._alive,
-                u >= self._crash.p_crash,
-                u < self._crash.p_recover,
+            self._alive = self._chain(
+                self._alive, kept, fresh, CRASH,
+                self._crash.p_crash, self._crash.p_recover,
             )
+        else:
+            self._alive = np.ones((stop - begin, self._num_nodes), dtype=bool)
+        if self._churn is not None:
+            self._edge_up = self._chain(
+                self._edge_up, kept, fresh, CHURN,
+                self._churn.p_down, self._churn.p_up,
+            )
+        active = np.zeros(stop - begin, dtype=bool)
+        if self._jam is not None:
+            active[:] = [self._jam.active(r) for r in range(begin, stop)]
+        self._jammed = active[:, None] & self._jam_victims
+        self._first, self._stop = begin, stop
+        for rows in (self._alive, self._jammed, self._edge_up):
+            rows.flags.writeable = False
+        if stop > self._frontier:
+            if stop > self._totals.shape[0]:
+                # A new array: views handed out earlier stay valid.
+                self._totals = np.resize(self._totals, (2 * stop, 3))
+            totals = self._totals[self._frontier:stop]
+            new = slice(self._frontier - begin, None)
+            alive = self._alive[new]
+            totals[:, 0] = self._num_nodes - alive.sum(axis=1)
+            totals[:, 1] = (
+                self._num_edges - self._edge_up[new].sum(axis=1)
+                if self._churn is not None
+                else 0
+            )
+            totals[:, 2] = (self._jammed[new] & alive).sum(axis=1)
+            self._frontier = stop
+
+    def _load(self, start: int, rounds: int) -> None:
+        """Make the chunk hold rounds ``[start, start + rounds)``."""
+        if start < 0:
+            raise ConfigurationError(
+                f"round_number must be >= 0, got {start}"
+            )
+        if rounds < 1:
+            raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
+        stop = start + rounds
+        if start < self._first:
+            self._rewind()
+        while self._stop < stop:
+            if start <= self._stop:
+                self._extend(
+                    start, start + max(self._chunk_rounds, rounds)
+                )
+            else:
+                # Whole chunks up to the request: the chains and the
+                # totals must pass through every round.
+                self._extend(
+                    self._stop, min(self._stop + self._chunk_rounds, start)
+                )
+
+    def block(
+        self, start: int, rounds: int
+    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Rounds ``[start, start + rounds)`` as read-only row views.
+
+        Returns ``(alive, jammed, edge_up)`` with one row per round, in
+        the layout of :class:`RoundFaults`' fields: ``(rounds, n)``,
+        ``(rounds, n)`` and ``(rounds, m)``, or ``None`` for ``edge_up``
+        when no churn model is configured.  The views stay valid after
+        later calls.
+        """
+        self._load(start, rounds)
+        rows = slice(start - self._first, start - self._first + rounds)
+        edge_up = self._edge_up[rows] if self._churn is not None else None
+        return self._alive[rows], self._jammed[rows], edge_up
+
+    def totals(self, rounds: int) -> np.ndarray:
+        """Per-round fault totals of rounds ``[0, rounds)``.
+
+        A read-only ``int64`` array of shape ``(rounds, 3)``: crashed
+        nodes, down links and alive jammed nodes of each round.  Rounds
+        computed before, by any call, are read from the memo.
+        """
+        if rounds < 0:
+            raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
+        if rounds > self._frontier:
+            self._load(rounds - 1, 1)
+        view = self._totals[:rounds]
+        view.flags.writeable = False
+        return view
 
     def round_faults(self, round_number: int) -> RoundFaults:
         """The resolved fault state during ``round_number``."""
-        if round_number < 0:
-            raise ConfigurationError(
-                f"round_number must be >= 0, got {round_number}"
-            )
-        if round_number < self._rounds_done - 1:
-            self._reset()
-        while self._rounds_done <= round_number:
-            self._step(self._rounds_done)
-            self._rounds_done += 1
-        alive = self._alive.copy()
-        if self._jam is not None and self._jam.active(round_number):
-            jammed = self._jam_victims.copy()
-        else:
-            jammed = np.zeros(self._num_nodes, dtype=bool)
-        edge_up = self._edge_up.copy() if self._edge_up is not None else None
-        suppressed = (
-            self._num_edges - int(edge_up.sum())
-            if edge_up is not None
-            else 0
-        )
+        alive, jammed, edge_up = self.block(round_number, 1)
+        crashed, suppressed, _ = self._totals[round_number].tolist()
         return RoundFaults(
-            alive=alive,
-            jammed=jammed,
-            edge_up=edge_up,
+            alive=alive[0].copy(),
+            jammed=jammed[0].copy(),
+            edge_up=edge_up[0].copy() if edge_up is not None else None,
             suppressed=suppressed,
-            crashed_count=self._num_nodes - int(alive.sum()),
+            crashed_count=crashed,
         )
 
     # -- reference-path helpers (node identifiers, not indices) --------
@@ -226,16 +327,6 @@ class FaultSchedule:
         lo = [self._nodes[i] for i in self._edge_lo[down].tolist()]
         hi = [self._nodes[i] for i in self._edge_hi[down].tolist()]
         return {*zip(lo, hi), *zip(hi, lo)}
-
-    def edge_is_up(
-        self, faults: RoundFaults, u: Hashable, v: Hashable
-    ) -> bool:
-        """Whether the undirected link ``{u, v}`` is up in ``faults``."""
-        if faults.edge_up is None:
-            return True
-        i, j = self._node_index[u], self._node_index[v]
-        lo, hi = (i, j) if i <= j else (j, i)
-        return bool(faults.edge_up[self._pair_to_edge[(lo, hi)]])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -14,12 +14,14 @@ splitmix64 counter-hash idiom as ``rng="decoupled"``
 where ``base(kind)`` folds the fault seed (salted so it never collides
 with a trial-seed lane) with the model's stream-lane index, and entity
 ``i`` -- an edge id for churn, a node index for crash and jamming -- uses
-the same golden-ratio Weyl keys as the draw streams.  Every value is a
-pure hash of its coordinates: the reference runner and both vectorized
-kernels evaluate the identical words, so their fault decisions are
-bit-identical by construction, and any round can be recomputed
-independently (which is how :class:`~repro.dynamics.schedule.FaultSchedule`
-replays Markov trajectories deterministically).
+the same golden-ratio Weyl keys as the draw streams, and
+``round_key(r) = mix64((r + 1) * golden)``.  Every value is a pure hash
+of its coordinates: every backend reads the identical words, so their
+fault decisions are bit-identical by construction, and any block of
+rounds can be recomputed independently (which is how
+:class:`~repro.dynamics.schedule.FaultSchedule` replays Markov
+trajectories deterministically, a chunk of rounds per
+:meth:`FaultStreams.bits_block` call).
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ FAULT_SALT = 0xD1B54A32D192ED03
 class FaultStreams:
     """Per-``(round, kind, entity)`` uniforms for one fault seed.
 
-    Stateless: :meth:`uniforms` is a pure function of its arguments, so
-    calling it for any round, any number of times, in any order, always
-    returns the same values.
+    Stateless: :meth:`bits_block` is a pure function of its arguments,
+    so calling it for any rounds, any number of times, in any order,
+    always returns the same values; :meth:`bits` and :meth:`uniforms`
+    are its one-round case.
     """
 
     def __init__(self, fault_seed: int) -> None:
@@ -70,14 +73,22 @@ class FaultStreams:
     def fault_seed(self) -> int:
         return self._fault_seed
 
-    def bits(
-        self, round_number: int, kind: int, num_entities: int
+    def bits_block(
+        self, first_round: int, rounds: int, kind: int, num_entities: int
     ) -> np.ndarray:
-        """The raw ``uint64`` hash words: shape ``(num_entities,)``."""
-        if round_number < 0:
+        """The raw ``uint64`` hash words of ``rounds`` consecutive rounds.
+
+        Shape ``(rounds, num_entities)``: row ``k`` holds round
+        ``first_round + k``.  One vectorized pass hashes the round keys,
+        the per-round lane states and every entity word, so the words do
+        not depend on how a trajectory is cut into blocks.
+        """
+        if first_round < 0:
             raise ConfigurationError(
-                f"round_number must be >= 0, got {round_number}"
+                f"round_number must be >= 0, got {first_round}"
             )
+        if rounds < 0:
+            raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
         if not 0 <= kind < len(self._bases):
             raise ConfigurationError(
                 f"kind must be in [0, {len(self._bases)}), got {kind}"
@@ -86,13 +97,24 @@ class FaultStreams:
             raise ConfigurationError(
                 f"num_entities must be >= 0, got {num_entities}"
             )
-        round_key = _mix64_int((round_number + 1) * GOLDEN_GAMMA)
-        state = _mix64_int((self._bases[kind] + round_key) & _MASK64)
+        gamma = np.uint64(GOLDEN_GAMMA)
+        round_numbers = np.arange(
+            first_round + 1, first_round + rounds + 1, dtype=np.uint64
+        )
         entity_keys = np.arange(
             1, num_entities + 1, dtype=np.uint64
-        ) * np.uint64(GOLDEN_GAMMA)
+        ) * gamma
         with np.errstate(over="ignore"):
-            return mix64(np.uint64(state) + entity_keys)
+            states = mix64(
+                np.uint64(self._bases[kind]) + mix64(round_numbers * gamma)
+            )
+            return mix64(states[:, None] + entity_keys)
+
+    def bits(
+        self, round_number: int, kind: int, num_entities: int
+    ) -> np.ndarray:
+        """The raw ``uint64`` hash words: shape ``(num_entities,)``."""
+        return self.bits_block(round_number, 1, kind, num_entities)[0]
 
     def uniforms(
         self, round_number: int, kind: int, num_entities: int

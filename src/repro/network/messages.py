@@ -17,6 +17,7 @@ Two sentinel objects describe what a listening node hears in a round:
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Any, Optional
 
 
@@ -67,6 +68,16 @@ class Message:
     source: Any = dataclasses.field(default=None, compare=True)
     payload: Any = dataclasses.field(default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        # The order key, built once: the reference runner compares
+        # messages on every reception.  Not a field, so equality,
+        # hashing, ordering and the repr are unchanged.  Messages of one
+        # source type share the interned type name.
+        source_type = sys.intern(str(type(self.source)))
+        object.__setattr__(
+            self, "_key", (self.value, (source_type, str(self.source)))
+        )
+
     def beats(self, other: Optional["Message"]) -> bool:
         """Return True if this message is strictly higher than ``other``.
 
@@ -75,21 +86,19 @@ class Message:
         """
         if other is None:
             return True
-        return self.sort_key() > other.sort_key()
+        return self._key > other._key
 
     def sort_key(self) -> tuple:
         """The total-order key ``(value, source tie-break)`` behind :meth:`beats`.
 
-        The vectorized engine ranks every message in play by this key once
-        up front and then compares dense integer ranks instead of message
-        objects, so the key must induce exactly the same order as
-        :meth:`beats` -- both share this implementation.
+        The source tie-break is ``(str(type(source)), str(source))``, a
+        total order over any node identifiers.  The vectorized engine
+        ranks every message in play by this key once up front and then
+        compares dense integer ranks instead of message objects, so the
+        key must induce exactly the same order as :meth:`beats` -- both
+        read this one key.
         """
-        return (self.value, self._source_key())
-
-    def _source_key(self):
-        """A total-orderable key for the source tie-breaker."""
-        return (str(type(self.source)), str(self.source))
+        return self._key
 
 
 def highest_message(*messages: Optional[Message]) -> Optional[Message]:

@@ -33,9 +33,10 @@ when every node of every running trial holds a message at round 0
 then the largest power of two up to 128 with ``K * trials * n`` inside
 a lane budget; otherwise, and past the budget, ``K = 1``.  Metric
 counters accumulate per node, each block's masks cut at each trial's
-last round, and are reduced once after the loop; under
-:mod:`repro.dynamics` the per-round fault totals are scalars shared by
-every trial.
+last round, and are reduced once after the loop.  Under
+:mod:`repro.dynamics` each block reads its rounds' fault rows in one
+call, shared by every trial, and the fault counters are one cumulative
+sum of the schedule's memoized per-round totals.
 
 Round-exact equivalence with the reference runner
 -------------------------------------------------
@@ -372,8 +373,8 @@ class VectorizedCompeteEngine:
         statistically).
     dynamics:
         Optional :class:`repro.dynamics.FaultSchedule` bound to this
-        graph.  Each round the engine resolves the schedule's fault
-        state and applies it to the channel: crashed nodes neither
+        graph.  Each block of rounds the engine reads the schedule's
+        fault rows and applies them to the channel: crashed nodes neither
         transmit nor receive, down links are masked out of the kernel's
         CSR entries, and jammed alive listeners receive nothing.  Fault
         decisions are pure counter hashes shared with the reference
@@ -507,9 +508,6 @@ class VectorizedCompeteEngine:
         totals = np.zeros((4,) + ranks.shape, dtype=np.int64)
         counters = np.zeros((4,) + ranks.shape, dtype=np.uint8)
         jammed_sent = counters[3]
-        # Per-round fault totals, the same for every trial: crashed
-        # nodes, down links, alive jammed nodes.
-        fault_totals: list[tuple[int, int, int]] = []
 
         kernel = self._csr.transmitter_counts_and_rank_sums
         replay = self._rng == "replay"
@@ -544,10 +542,6 @@ class VectorizedCompeteEngine:
             thresholds = thresholds.take(
                 range(cycle_length + block - 1), axis=0, mode="wrap"
             )
-        if self._dynamics is not None:
-            # Each block's jammed nodes and link states, one row per round.
-            jammed = np.empty((block, 1, num_nodes), dtype=bool)
-            edge_up = np.empty((block, self._dynamics.num_edges), dtype=bool)
         flushed = 0
         finished = False
         for start in range(0, loop_rounds, block):
@@ -581,23 +575,20 @@ class VectorizedCompeteEngine:
                 np.less(draws, window, out=transmit[0])
 
             entry_mask = None
-            listening = ~transmit
             if self._dynamics is not None:
-                # Crash suppression happens *after* the draws above were
-                # taken: a crashed node's stream still advances exactly
-                # as in the reference runner, where the protocol draws
-                # and the network drops the transmission.
-                for k in range(size):
-                    faults = self._dynamics.round_faults(start + k)
-                    fault_totals.append(_fault_totals(faults))
-                    transmit[k] &= faults.alive
-                    np.invert(transmit[k], out=listening[k])
-                    listening[k] &= faults.alive & ~faults.jammed
-                    jammed[k] = faults.jammed
-                    if faults.edge_up is not None:
-                        edge_up[k] = faults.edge_up
-                if faults.edge_up is not None:
-                    entry_mask = edge_up[:size, self._dynamics.entry_edge_ids]
+                # The block's fault rows, one per round, broadcast over
+                # the trials.  Crash suppression happens *after* the
+                # draws above were taken: a crashed node's stream still
+                # advances exactly as in the reference runner, where the
+                # protocol draws and the network drops the transmission.
+                alive, jammed, edge_up = self._dynamics.block(start, size)
+                transmit &= alive[:, None]
+                listening = ~transmit
+                listening &= (alive & ~jammed)[:, None]
+                if edge_up is not None:
+                    entry_mask = edge_up[:, self._dynamics.entry_edge_ids]
+            else:
+                listening = ~transmit
 
             counts, source = kernel(
                 transmit.reshape(-1, num_nodes), entry_mask
@@ -647,25 +638,20 @@ class VectorizedCompeteEngine:
                             break
             _add_rounds(counters[:3], block_masks)
             if self._dynamics is not None:
-                _add_rounds(jammed_sent, transmit & jammed[:size])
+                _add_rounds(jammed_sent, transmit & jammed[:, None])
             if finished:
                 break
 
-        # Fault counters: the per-round totals summed up to each trial's
-        # last round.  Silent and budget-exhausted trials are charged
-        # every round of the budget, also those after the loop stopped.
+        # Fault counters: the schedule's per-round totals summed up to
+        # each trial's last round.  Silent and budget-exhausted trials
+        # are charged every round of the budget, also those after the
+        # loop stopped.
         fault_counts = np.zeros((3, num_trials), dtype=np.int64)
         if self._dynamics is not None:
-            while len(fault_totals) < int(rounds.max(initial=0)):
-                fault_totals.append(_fault_totals(
-                    self._dynamics.round_faults(len(fault_totals))
-                ))
-            cumulative = np.zeros((3, len(fault_totals) + 1), dtype=np.int64)
-            np.cumsum(
-                np.array(fault_totals, dtype=np.int64).reshape(-1, 3).T,
-                axis=1, out=cumulative[:, 1:],
-            )
-            fault_counts = cumulative[:, rounds]
+            per_round = self._dynamics.totals(int(rounds.max(initial=0)))
+            cumulative = np.zeros((per_round.shape[0] + 1, 3), dtype=np.int64)
+            np.cumsum(per_round, axis=0, out=cumulative[1:])
+            fault_counts = cumulative[rounds].T
         crashed_nodes, suppressed_links, jam_listeners = fault_counts
         totals += counters
         transmissions, receptions, collisions, jammed_transmissions = (
@@ -701,15 +687,6 @@ def _add_rounds(counter: np.ndarray, masks: np.ndarray) -> None:
         counter += masks[..., 0, :, :].view(np.uint8)
     else:
         counter += masks.sum(axis=-3, dtype=np.uint8)
-
-
-def _fault_totals(faults) -> tuple[int, int, int]:
-    """One round's crashed nodes, down links and alive jammed nodes."""
-    return (
-        faults.crashed_count,
-        faults.suppressed,
-        int(np.count_nonzero(faults.jammed & faults.alive)),
-    )
 
 
 def rank_messages(messages) -> dict:

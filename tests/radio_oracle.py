@@ -6,8 +6,8 @@ sender's up links and counts hits per listener.  This module keeps the
 plain per-listener form of the same rule.  Every listener scans its own
 neighbours for audible transmitters, once to decide what it hears and
 once more, if it heard nothing, to split a collision from an idle
-listen.  Churn is asked per (listener, neighbour) pair through
-``FaultSchedule.edge_is_up``.
+listen.  Churn is asked per (listener, neighbour) pair through the
+canonical edge ids of :func:`edge_ids`, built once per network.
 
 It is a reference implementation that tests compare against, not a
 second round: the package has one.  It has the network's interface
@@ -21,6 +21,16 @@ from repro.network.metrics import NetworkMetrics
 from repro.network.radio import CollisionModel, RoundOutcome
 
 
+def edge_ids(dynamics):
+    """The canonical edge id of every link, keyed by both orientations."""
+    lo, hi = dynamics.edge_endpoints
+    nodes = dynamics.nodes
+    ids = {}
+    for edge, (i, j) in enumerate(zip(lo.tolist(), hi.tolist())):
+        ids[nodes[i], nodes[j]] = ids[nodes[j], nodes[i]] = edge
+    return ids
+
+
 class ListenerDrivenNetwork:
     """``RadioNetwork``'s round, with the collision rule per listener."""
 
@@ -30,6 +40,7 @@ class ListenerDrivenNetwork:
         self._collision_model = collision_model
         self._event_log = event_log
         self._dynamics = dynamics
+        self._edge_ids = edge_ids(dynamics) if dynamics is not None else {}
         self.metrics = NetworkMetrics()
         self.current_round = 0
 
@@ -75,8 +86,8 @@ class ListenerDrivenNetwork:
             neighbour
             for neighbour in self._graph.neighbors(node)
             if neighbour in transmitters
-            and (faults is None
-                 or self._dynamics.edge_is_up(faults, node, neighbour))
+            and (faults is None or faults.edge_up is None
+                 or faults.edge_up[self._edge_ids[node, neighbour]])
         ]
 
     def _count(self, transmitters, received, faults, crashed, jammed):

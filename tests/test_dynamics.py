@@ -29,8 +29,13 @@ from repro.dynamics import (
     NodeCrash,
     coerce_dynamics,
 )
+from repro.core.compete import Compete
+from repro.dynamics import schedule as schedule_module
 from repro.errors import ConfigurationError
 from repro.network.metrics import NetworkMetrics
+
+from fault_oracle import PerRoundFaults, round_bits
+from radio_oracle import edge_ids
 
 
 CHURN_SPEC = DynamicsSpec(
@@ -229,13 +234,19 @@ def test_schedule_returns_fresh_arrays_and_set_helpers():
     assert all(node in graph for node in crashed | jammed)
     # jammed_nodes intersects the victim set with the living.
     assert not (jammed & crashed)
-    # edge_is_up answers for both orientations of an undirected edge.
+    # The radio oracle's edge ids answer for both orientations of an
+    # undirected edge, and agree with down_links.
+    ids = edge_ids(schedule)
+    assert len(ids) == 2 * schedule.num_edges
     lo, hi = schedule.edge_endpoints
     nodes = schedule.nodes
-    u, v = nodes[int(lo[0])], nodes[int(hi[0])]
-    assert schedule.edge_is_up(clean, u, v) == schedule.edge_is_up(
-        clean, v, u
-    )
+    down = schedule.down_links(clean)
+    for edge, (i, j) in enumerate(zip(lo.tolist(), hi.tolist())):
+        u, v = nodes[i], nodes[j]
+        assert ids[u, v] == ids[v, u] == edge
+        assert ((u, v) in down) == ((v, u) in down) == (
+            not clean.edge_up[edge]
+        )
 
 
 def test_schedule_without_churn_keeps_links_up():
@@ -249,6 +260,198 @@ def test_schedule_without_churn_keeps_links_up():
         assert faults.edge_up is None
         assert faults.suppressed == 0
         assert not faults.jammed.any()
+
+
+# ----------------------------------------------------------------------
+# FaultSchedule against the per-round oracle of tests/fault_oracle.py
+# ----------------------------------------------------------------------
+ORACLE_SPECS = {
+    "churn": CHURN_SPEC,
+    "crash": DynamicsSpec(
+        fault_seed=5, models=(NodeCrash(p_crash=0.05, p_recover=0.3),)
+    ),
+    "jam": DynamicsSpec(
+        fault_seed=3,
+        models=(JammingWindows(period=6, duration=2, offset=2,
+                               fraction=0.3),),
+    ),
+    "stacked": DynamicsSpec(
+        fault_seed=2017,
+        models=(
+            EdgeChurn(p_down=0.05, p_up=0.35),
+            NodeCrash(p_crash=0.05, p_recover=0.25),
+            JammingWindows(period=8, duration=3, offset=4, fraction=0.5),
+        ),
+    ),
+}
+
+#: Graphs whose ``n + m`` give chunks of 128, 16 and 4 rounds.
+ORACLE_GRAPHS = {
+    "grid-5x5": lambda: topology.grid_graph(5, 5),
+    "grid-32x32": lambda: topology.grid_graph(32, 32),
+    "grid-64x64": lambda: topology.grid_graph(64, 64),
+}
+
+
+def test_bits_block_rows_are_the_per_round_words():
+    for seed in (0, 7, 2**40 + 3):
+        streams = FaultStreams(seed)
+        for kind in (CHURN, CRASH, JAM):
+            block = streams.bits_block(5, 40, kind, 33)
+            assert block.shape == (40, 33)
+            for k, row in enumerate(block):
+                expected = round_bits(seed, 5 + k, kind, 33)
+                np.testing.assert_array_equal(row, expected)
+                np.testing.assert_array_equal(
+                    streams.bits(5 + k, kind, 33), expected
+                )
+    streams = FaultStreams(1)
+    assert streams.bits_block(3, 0, CHURN, 4).shape == (0, 4)
+    assert streams.bits_block(3, 2, CHURN, 0).shape == (2, 0)
+    with pytest.raises(ConfigurationError):
+        streams.bits_block(0, -1, CHURN, 4)
+
+
+@pytest.mark.parametrize("graph_name", list(ORACLE_GRAPHS))
+@pytest.mark.parametrize("spec_name", list(ORACLE_SPECS))
+def test_schedule_matches_the_per_round_oracle(spec_name, graph_name):
+    graph = ORACLE_GRAPHS[graph_name]()
+    spec = ORACLE_SPECS[spec_name]
+    schedule = FaultSchedule(spec, graph)
+    chunk = schedule._chunk_rounds
+    assert chunk == {"grid-5x5": 128, "grid-32x32": 16, "grid-64x64": 4}[
+        graph_name
+    ]
+    horizon = 3 * chunk + 9
+    oracle = PerRoundFaults(spec, graph)
+    expected = [oracle.round_faults(r) for r in range(horizon)]
+    expected_totals = oracle.totals(horizon)
+    if spec_name == "stacked":
+        # The jammed total counts only alive victims: some rounds must
+        # have a crashed victim inside a window for that to be checked.
+        assert any(
+            (faults.jammed & ~faults.alive).any() for faults in expected
+        )
+
+    def check_block(start, rounds):
+        alive, jammed, edge_up = schedule.block(start, rounds)
+        assert alive.shape == jammed.shape == (rounds, schedule.num_nodes)
+        assert not (alive.flags.writeable or jammed.flags.writeable)
+        for k in range(rounds):
+            faults = expected[start + k]
+            np.testing.assert_array_equal(alive[k], faults.alive)
+            np.testing.assert_array_equal(jammed[k], faults.jammed)
+            if faults.edge_up is None:
+                assert edge_up is None
+            else:
+                np.testing.assert_array_equal(edge_up[k], faults.edge_up)
+        held = schedule._stop - schedule._first
+        assert held <= max(chunk, rounds)
+
+    def check_round(round_number):
+        faults = schedule.round_faults(round_number)
+        want = expected[round_number]
+        np.testing.assert_array_equal(faults.alive, want.alive)
+        np.testing.assert_array_equal(faults.jammed, want.jammed)
+        if want.edge_up is None:
+            assert faults.edge_up is None
+        else:
+            np.testing.assert_array_equal(faults.edge_up, want.edge_up)
+        assert faults.suppressed == want.suppressed
+        assert faults.crashed_count == want.crashed_count
+
+    check_block(0, 3)
+    check_block(3, chunk - 3)
+    check_block(chunk - 2, 5)  # straddles the first chunk's end
+    check_round(chunk + 4)
+    check_block(2 * chunk - 1, 2)  # straddles the second chunk's end
+    # Totals past the frontier hash forward; the memo then answers.
+    totals = schedule.totals(horizon)
+    np.testing.assert_array_equal(totals, expected_totals)
+    assert not totals.flags.writeable
+    check_round(chunk // 2 + 1)  # rewind into the middle of chunk 0
+    check_block(chunk + 1, 3)
+    check_round(0)  # rewind to round 0
+    check_block(0, 2 * chunk + 1)  # a request longer than a chunk
+    for round_number in range(2 * chunk - 2, horizon):
+        check_round(round_number)
+    np.testing.assert_array_equal(schedule.totals(horizon), expected_totals)
+    np.testing.assert_array_equal(
+        schedule.totals(5), expected_totals[:5]
+    )
+    # A fresh schedule asked for totals first agrees as well.
+    fresh = FaultSchedule(spec, graph)
+    np.testing.assert_array_equal(fresh.totals(horizon), expected_totals)
+    check = fresh.round_faults(horizon - 1)
+    np.testing.assert_array_equal(check.alive, expected[-1].alive)
+
+
+def test_schedule_validates_requests():
+    schedule = FaultSchedule(FULL_SPEC, topology.grid_graph(3, 3))
+    with pytest.raises(ConfigurationError, match="round_number"):
+        schedule.round_faults(-1)
+    with pytest.raises(ConfigurationError, match="rounds"):
+        schedule.block(0, 0)
+    with pytest.raises(ConfigurationError, match="rounds"):
+        schedule.totals(-1)
+    assert schedule.totals(0).shape == (0, 3)
+
+
+def test_chunk_stays_within_its_entry_budget_on_a_large_grid():
+    graph = topology.grid_graph(128, 128)
+    schedule = FaultSchedule(CHURN_SPEC, graph)
+    per_round = graph.num_nodes + graph.num_edges
+    budget = schedule_module._CHUNK_ENTRIES
+    chunk = schedule._chunk_rounds
+    assert chunk * per_round <= budget < 2 * chunk * per_round
+    # A chunk holds more rounds only where one request asks for more.
+    for start, rounds in [(0, 1), (1, 1), (5, 3), (9, 1), (40, 2), (45, 1)]:
+        schedule.block(start, rounds)
+        assert schedule._edge_up.shape[0] <= max(chunk, rounds)
+    schedule.round_faults(2)
+    assert schedule.totals(60).shape == (60, 3)
+    assert schedule._edge_up.shape[0] <= chunk
+    assert schedule._alive.shape[0] <= chunk
+
+
+def test_attempts_hash_each_chunk_once_and_reuse_charged_totals(
+    monkeypatch,
+):
+    calls = []
+    original = FaultStreams.bits_block
+
+    def counted(self, first_round, rounds, kind, num_entities):
+        calls.append(first_round)
+        return original(self, first_round, rounds, kind, num_entities)
+
+    monkeypatch.setattr(FaultStreams, "bits_block", counted)
+    graph = topology.grid_graph(6, 6)
+    # Chunks of 16 rounds, so one attempt spans several of them.
+    per_round = graph.num_nodes + graph.num_edges
+    monkeypatch.setattr(schedule_module, "_CHUNK_ENTRIES", 16 * per_round)
+    primitive = Compete(
+        graph,
+        config=ExecutionConfig(backend="vectorized", dynamics=CHURN_SPEC),
+    )
+    budget = primitive.parameters.total_rounds
+    assert primitive._resolved().fault_schedule._chunk_rounds == 16
+    # A silent attempt is charged the whole budget: its totals are
+    # hashed once, chunk by chunk ...
+    assert not primitive.run({}, seed=0).success
+    assert len(calls) == len(set(calls)) >= budget // 16
+    calls.clear()
+    # ... and never again.
+    primitive.run({}, seed=1)
+    assert calls == []
+    for seed in (2, 3, 4):
+        result = primitive.run({0: 1}, seed=seed)
+        assert result.success and result.rounds > 16
+        # Each simulated attempt rewinds to round 0 and computes every
+        # chunk its rounds touch exactly once.
+        assert sorted(calls) == list(range(0, result.rounds, 16))
+        calls.clear()
+        primitive.run({}, seed=seed)
+        assert calls == []
 
 
 # ----------------------------------------------------------------------

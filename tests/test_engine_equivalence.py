@@ -157,6 +157,15 @@ CASES = [
          dynamics=DynamicsSpec(
              fault_seed=8,
              models=(EdgeChurn(p_down=0.04, p_up=0.5),))),
+    # Every attempt after the first rewinds chains that carry state (see
+    # test_fault_election_retries_on_chains_with_state).
+    Case("election-gnp-churn-crash",
+         lambda: topology.connected_gnp_graph(14, 0.25, seed=2),
+         algorithm="election", spontaneous=False, seeds=(0, 4),
+         dynamics=DynamicsSpec(
+             fault_seed=13,
+             models=(EdgeChurn(p_down=0.06, p_up=0.4),
+                     NodeCrash(p_crash=0.03, p_recover=0.3)))),
     # --- the large-n regime (excluded in CI via -m "not slow") ---------
     Case("compete-grid-n1024", lambda: topology.grid_graph(32, 32),
          seeds=(0,), slow=True),
@@ -255,6 +264,16 @@ def test_three_way_round_exact_agreement(case):
                            results["vectorized"], "reference vs vectorized")
         assert_round_exact(case, seed, results["oracle"],
                            results["vectorized"], "oracle vs vectorized")
+
+
+def test_fault_election_retries_on_chains_with_state():
+    # The three-way check of election-gnp-churn-crash covers a rewind of
+    # the churn and crash chains only if some seed needs a second attempt.
+    case = next(c for c in CASES if c.name == "election-gnp-churn-crash")
+    attempts = [
+        run_case(case, seed, "vectorized").attempts for seed in case.seeds
+    ]
+    assert max(attempts) > 1
 
 
 @pytest.mark.parametrize("case", case_params())

@@ -12,6 +12,7 @@ message-ranking reduction.
 
 import dataclasses
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -360,6 +361,24 @@ def test_rank_messages_matches_beats_order():
         for b, rank_b in items:
             assert (rank_a > rank_b) == a.beats(b)
     assert NO_MESSAGE not in ranks.values()
+
+
+def test_message_order_key_survives_pickle_and_replace():
+    # Sharded workers return pickled messages; each copy must keep the
+    # order key built at construction, and a replaced one must rebuild it.
+    low, mid, high = (
+        Message(value=3, source=2),
+        Message(value=3, source="b"),
+        Message(value=4, source=(1, 2), payload=[0]),
+    )
+    assert high.beats(mid) and mid.beats(low) and not low.beats(low)
+    for message in (low, mid, high):
+        copy = pickle.loads(pickle.dumps(message))
+        assert copy == message and hash(copy) == hash(message)
+        assert copy.sort_key() == message.sort_key()
+        raised = dataclasses.replace(message, value=9)
+        assert raised.sort_key() == (9, message.sort_key()[1])
+        assert raised.beats(high)
 
 
 def test_adjacency_matrix():
