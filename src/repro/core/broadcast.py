@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.network.messages import Message
 from repro.network.metrics import NetworkMetrics
-from repro.core.compete import Compete, CompeteResult
+from repro.core.compete import Compete, CompeteResult, count_informed
 from repro.core.parameters import CompeteParameters
 
 
@@ -131,19 +131,18 @@ def broadcast_batch(
 
 def _wrap(source: Any, message: Message, compete_result: CompeteResult
           ) -> BroadcastResult:
-    """Interpret one Compete outcome as a broadcast outcome."""
-    num_informed = sum(
-        1
-        for best in compete_result.final_messages.values()
-        if best == message
-    )
+    """Interpret one Compete outcome as a broadcast outcome.
+
+    The source's message is the only candidate, so the nodes it reached
+    are exactly those with a reception round.
+    """
     return BroadcastResult(
         success=compete_result.success,
         source=source,
         message=message,
         rounds=compete_result.rounds,
         reception_rounds=compete_result.reception_rounds,
-        num_informed=num_informed,
+        num_informed=count_informed(compete_result.reception_rounds),
         metrics=compete_result.metrics,
         parameters=compete_result.parameters,
         compete_result=compete_result,

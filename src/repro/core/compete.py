@@ -49,6 +49,17 @@ every (strategy, backend) cell of the matrix;
 the vectorized backend, on the CSR kernel of
 :mod:`repro.simulation.sparse`.
 
+The vectorized backend keeps node state in arrays from start to finish.
+It ranks the candidates by :meth:`Message.sort_key
+<repro.network.messages.Message.sort_key>` and the spontaneous dummies,
+which share one value below every candidate's, by
+:func:`~repro.network.messages.source_key` of their node, in one sort,
+without building a dummy :class:`Message`.  Each trial's
+``reception_rounds`` and ``final_messages`` are then read-only views
+(:class:`ReceptionRoundsView`, :class:`FinalMessagesView`) over its
+final-rank and adoption-round rows, decoded on first read; they equal
+the plain dicts of the reference backend.
+
 Both axes, together with the collision model and the round-budget
 margin, are carried by one :class:`~repro.api.config.ExecutionConfig`
 passed as ``Compete(graph, config=...)``.
@@ -58,13 +69,15 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import (
+    Any, Iterable, Iterator, Mapping, Optional, Sequence, Union,
+)
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
-from repro.network.messages import Message, highest_message
+from repro.network.messages import Message, highest_message, source_key
 from repro.network.metrics import NetworkMetrics
 from repro.network.protocol import Action, NodeProtocol
 from repro.network.radio import RadioNetwork
@@ -263,6 +276,181 @@ class CompeteProtocol(NodeProtocol):
         return CompeteNodeState(best=self.best, adopted_round=self.adopted_round)
 
 
+class _RankTable:
+    """The messages behind one batch's integer ranks, and its node order.
+
+    Rank :data:`~repro.simulation.vectorized.NO_MESSAGE` means "knows
+    nothing".  Ranks ``1 .. d`` are the ``d`` spontaneous dummies: they
+    share one value, below every candidate's, so they rank by
+    :func:`~repro.network.messages.source_key` of their source alone.
+    The distinct candidate messages follow in
+    :func:`~repro.simulation.vectorized.rank_messages` order.  That is
+    the order of :meth:`Message.beats` over every message in play.  A
+    dummy :class:`Message` is built only when its rank is decoded.
+    """
+
+    def __init__(
+        self,
+        nodes: tuple,
+        dummies: np.ndarray,
+        dummy_value: int,
+        candidates: tuple,
+    ) -> None:
+        self.nodes = nodes
+        # Graph positions of the dummies' sources, by rank.
+        self._dummies = dummies
+        self._dummy_value = dummy_value
+        self._candidates = candidates
+        self._positions: Optional[dict] = None
+
+    @classmethod
+    def for_race(
+        cls, nodes: tuple, messages: Mapping[Any, Message], spontaneous: bool
+    ) -> tuple["_RankTable", np.ndarray]:
+        """The table of one race, and each node's rank before round 0."""
+        initial = np.zeros(len(nodes), dtype=np.int64)
+        candidate = np.fromiter(
+            map(messages.__contains__, nodes), dtype=bool, count=len(nodes)
+        )
+        dummies = np.empty(0, dtype=np.int64)
+        if spontaneous:
+            # One sort of every node's tie-break key; the candidates'
+            # nodes drop out of it.
+            keys = list(map(source_key, nodes))
+            order = np.array(
+                sorted(range(len(nodes)), key=keys.__getitem__),
+                dtype=np.int64,
+            )
+            dummies = order[~candidate[order]]
+            initial[dummies] = np.arange(1, dummies.size + 1)
+        rank_of = rank_messages(messages.values())
+        for position in np.flatnonzero(candidate).tolist():
+            message = messages[nodes[position]]
+            initial[position] = dummies.size + rank_of[message]
+        candidates = tuple(sorted(rank_of, key=rank_of.__getitem__))
+        return cls(nodes, dummies, _dummy_value(messages), candidates), initial
+
+    def position(self, node: Any) -> int:
+        """The graph-order index of ``node`` (``KeyError`` if absent)."""
+        if self._positions is None:
+            self._positions = dict(zip(self.nodes, range(len(self.nodes))))
+        return self._positions[node]
+
+    def message(self, rank: int) -> Optional[Message]:
+        """The message of ``rank``."""
+        if rank == NO_MESSAGE:
+            return None
+        if rank <= self._dummies.size:
+            source = self.nodes[self._dummies[rank - 1]]
+            return Message(value=self._dummy_value, source=source)
+        return self._candidates[rank - self._dummies.size - 1]
+
+
+class _TrialView(Mapping):
+    """A read-only node -> value view of one trial's per-node arrays.
+
+    Keys are the graph's nodes in graph order.  The arrays are turned
+    into Python values on the first read; item assignment raises
+    ``TypeError`` like any :class:`~collections.abc.Mapping` without
+    ``__setitem__``.  Equality is a mapping's, so a view equals the
+    plain dict the reference backend returns for the same run.
+    """
+
+    __slots__ = ("_table", "_ranks", "_decoded")
+
+    def __init__(self, table: _RankTable, ranks: np.ndarray) -> None:
+        self._table = table
+        self._ranks = ranks
+        self._decoded: Optional[list] = None
+
+    def _decode(self) -> list:
+        raise NotImplementedError
+
+    def _entry(self, node: Any):
+        """The decoded array entry of ``node``."""
+        if self._decoded is None:
+            self._decoded = self._decode()
+        return self._decoded[self._table.position(node)]
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._table.nodes)
+
+    def __len__(self) -> int:
+        return len(self._table.nodes)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+class FinalMessagesView(_TrialView):
+    """:attr:`CompeteResult.final_messages` of a vectorized trial.
+
+    Decodes the trial's final-rank row through the batch's rank table;
+    a spontaneous dummy's :class:`Message` is built only when its node
+    is read.
+    """
+
+    __slots__ = ()
+
+    def _decode(self) -> list:
+        return self._ranks.tolist()
+
+    def __getitem__(self, node: Any) -> Optional[Message]:
+        return self._table.message(self._entry(node))
+
+
+class ReceptionRoundsView(_TrialView):
+    """:attr:`CompeteResult.reception_rounds` of a vectorized trial.
+
+    A node's adoption round where its final rank is the winner's, else
+    ``None``.
+    """
+
+    __slots__ = ("_adopted", "_winner_rank")
+
+    def __init__(
+        self,
+        table: _RankTable,
+        ranks: np.ndarray,
+        adopted: np.ndarray,
+        winner_rank: Optional[int],
+    ) -> None:
+        super().__init__(table, ranks)
+        self._adopted = adopted
+        self._winner_rank = winner_rank
+
+    def _decode(self) -> list:
+        if self._winner_rank is None:
+            return [None] * len(self)
+        held = (self._ranks == self._winner_rank).tolist()
+        return [
+            adopted if informed else None
+            for adopted, informed in zip(self._adopted.tolist(), held)
+        ]
+
+    def __getitem__(self, node: Any) -> Optional[int]:
+        return self._entry(node)
+
+
+def count_informed(reception_rounds: Mapping[Any, Optional[int]]) -> int:
+    """How many nodes adopted the winner: the non-``None`` reception rounds.
+
+    A :class:`ReceptionRoundsView` counts its rank row in one NumPy
+    pass; any other mapping is counted entry by entry.
+    """
+    if isinstance(reception_rounds, ReceptionRoundsView):
+        if reception_rounds._winner_rank is None:
+            return 0
+        return int(
+            np.count_nonzero(
+                reception_rounds._ranks == reception_rounds._winner_rank
+            )
+        )
+    return sum(
+        1 for adopted in reception_rounds.values() if adopted is not None
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class CompeteResult:
     """Outcome of one Compete run.
@@ -293,6 +481,13 @@ class CompeteResult:
         The schedule the run used.
     strategy:
         Name of the inner-loop strategy that scheduled transmissions.
+
+    Both per-node mappings iterate in graph order and are read-only.
+    The reference backend returns plain dicts; the vectorized backend
+    returns :class:`ReceptionRoundsView` and :class:`FinalMessagesView`
+    over the trial's final-rank and adoption-round arrays, decoded on
+    first read.  Either kind compares equal to the other for the same
+    run, and both pickle.
     """
 
     success: bool
@@ -311,10 +506,7 @@ class CompeteResult:
         total = len(self.final_messages)
         if total == 0 or self.winner is None:
             return 0.0
-        informed = sum(
-            1 for best in self.final_messages.values() if best == self.winner
-        )
-        return informed / total
+        return count_informed(self.reception_rounds) / total
 
 
 class Compete:
@@ -484,9 +676,10 @@ class Compete:
 
         All trials share the candidate set and race simultaneously through
         the vectorized engine (one extra array axis, not one Python loop
-        per trial).  Each returned :class:`CompeteResult` is identical to
-        what :meth:`run` on the reference backend would have produced for
-        the corresponding seed.
+        per trial).  Each returned :class:`CompeteResult` equals what
+        :meth:`run` on the reference backend would have produced for the
+        corresponding seed; its per-node mappings are read-only views
+        over the trial's rank arrays.
         """
         seed_list = list(seeds)
         if not seed_list:
@@ -494,48 +687,31 @@ class Compete:
         messages = self._normalise_candidates(candidates)
         winner = highest_message(*messages.values())
         resolved = self._resolved()
-        initial = self._initial_messages(messages, spontaneous)
-
-        rank_of = rank_messages(
-            message for message in initial.values() if message is not None
-        )
-        message_of = {rank: message for message, rank in rank_of.items()}
-        winner_rank = rank_of[winner] if winner is not None else None
-
         if self._engine is None:
             self._engine = resolved.build_engine()
         engine = self._engine
-        initial_row = np.array(
-            [
-                NO_MESSAGE if initial[node] is None else rank_of[initial[node]]
-                for node in engine.nodes
-            ],
-            dtype=np.int64,
+        table, initial_row = _RankTable.for_race(
+            engine.nodes, messages, spontaneous
         )
+        # The winner is the highest candidate: the top rank in play.
+        winner_rank = None if winner is None else int(initial_row.max())
         initial_ranks = np.tile(initial_row, (len(seed_list), 1))
         outcome = engine.run_batch(initial_ranks, winner_rank, seed_list)
 
         results = []
         for trial in range(outcome.num_trials):
-            reception_rounds: dict[Any, Optional[int]] = {}
-            final_messages: dict[Any, Optional[Message]] = {}
-            for index, node in enumerate(engine.nodes):
-                rank = int(outcome.final_ranks[trial, index])
-                final_messages[node] = message_of.get(rank)
-                if winner_rank is not None and rank == winner_rank:
-                    reception_rounds[node] = int(
-                        outcome.adopted_rounds[trial, index]
-                    )
-                else:
-                    reception_rounds[node] = None
+            ranks = outcome.final_ranks[trial]
             results.append(
                 CompeteResult(
                     success=bool(outcome.saturated[trial]),
                     winner=winner,
                     rounds=int(outcome.rounds[trial]),
                     num_candidates=len(messages),
-                    reception_rounds=reception_rounds,
-                    final_messages=final_messages,
+                    reception_rounds=ReceptionRoundsView(
+                        table, ranks, outcome.adopted_rounds[trial],
+                        winner_rank,
+                    ),
+                    final_messages=FinalMessagesView(table, ranks),
                     metrics=outcome.metrics(trial),
                     parameters=resolved.parameters,
                     strategy=resolved.strategy.name,
@@ -551,9 +727,7 @@ class Compete:
             node: messages.get(node) for node in self._graph.nodes()
         }
         if spontaneous:
-            dummy_value = min(
-                (message.value for message in messages.values()), default=0
-            ) - 1
+            dummy_value = _dummy_value(messages)
             for node in self._graph.nodes():
                 if initial[node] is None:
                     initial[node] = Message(value=dummy_value, source=node)
@@ -599,6 +773,11 @@ class Compete:
                     f"or int, got {type(value).__name__}"
                 )
         return messages
+
+
+def _dummy_value(messages: Mapping[Any, Message]) -> int:
+    """The value every spontaneous dummy carries: below every candidate's."""
+    return min((message.value for message in messages.values()), default=0) - 1
 
 
 def compete(

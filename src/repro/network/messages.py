@@ -17,7 +17,6 @@ Two sentinel objects describe what a listening node hears in a round:
 from __future__ import annotations
 
 import dataclasses
-import sys
 from typing import Any, Optional
 
 
@@ -39,6 +38,26 @@ SILENCE = _Sentinel("SILENCE")
 #: Heard a collision (two or more transmitting neighbours); only delivered
 #: by the collision-detection variant of the model.
 COLLISION = _Sentinel("COLLISION")
+
+#: ``str(type)`` of every source type seen so far, a memo that never
+#: changes a key.  Node identifiers come in a handful of types, so every
+#: key of one type shares one string and the type's repr is built once.
+_TYPE_NAMES: dict[type, str] = {}
+
+
+def source_key(source: Any) -> tuple[str, str]:
+    """A message source's tie-break key: ``(str(type(source)), str(source))``.
+
+    A total order over any node identifiers, whatever their types.
+    :class:`Message` orders by ``(value, source_key(source))``, and the
+    vectorized path ranks the spontaneous dummies -- which share one
+    value -- by this key alone, so both orders come from this function.
+    """
+    kind = type(source)
+    name = _TYPE_NAMES.get(kind)
+    if name is None:
+        name = _TYPE_NAMES.setdefault(kind, str(kind))
+    return name, str(source)
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -71,11 +90,9 @@ class Message:
     def __post_init__(self) -> None:
         # The order key, built once: the reference runner compares
         # messages on every reception.  Not a field, so equality,
-        # hashing, ordering and the repr are unchanged.  Messages of one
-        # source type share the interned type name.
-        source_type = sys.intern(str(type(self.source)))
+        # hashing, ordering and the repr are unchanged.
         object.__setattr__(
-            self, "_key", (self.value, (source_type, str(self.source)))
+            self, "_key", (self.value, source_key(self.source))
         )
 
     def beats(self, other: Optional["Message"]) -> bool:
@@ -89,11 +106,10 @@ class Message:
         return self._key > other._key
 
     def sort_key(self) -> tuple:
-        """The total-order key ``(value, source tie-break)`` behind :meth:`beats`.
+        """The order key ``(value, source_key(source))`` behind :meth:`beats`.
 
-        The source tie-break is ``(str(type(source)), str(source))``, a
-        total order over any node identifiers.  The vectorized engine
-        ranks every message in play by this key once up front and then
+        The vectorized backend ranks the candidate messages by this key
+        (and the dummies by :func:`source_key`) once up front and then
         compares dense integer ranks instead of message objects, so the
         key must induce exactly the same order as :meth:`beats` -- both
         read this one key.

@@ -20,9 +20,16 @@ coordinates::
 
 where :func:`mix64` is the splitmix64 finalizer (a bijection on 64-bit
 words with full avalanche) and the keys are Weyl-sequence increments of
-the golden-ratio constant.  No state advances between rounds: any round
-of any trial can be evaluated independently, in any process, in one
-vectorized pass over the node axis.  The price is the *contract*: a
+the golden-ratio constant (``round_key(r) = mix64((r + 1) * golden)``).
+No state advances between rounds: any round of any trial can be
+evaluated independently, in any process, in one vectorized pass over
+the node axis.  :class:`DecoupledStreams` hashes the per-trial round
+states ``mix64(base + round_key)`` of 128 consecutive rounds in one
+vectorized pass and keeps them while rounds of that chunk are asked
+for, so a round pays only the node-axis finalizer; the chunk holds pure
+values, so the call order never changes a draw.  All of it is ``uint64``
+*array* arithmetic, which wraps modulo 2**64 silently (NumPy scalars
+would warn on overflow).  The price is the *contract*: a
 decoupled run is seed-reproducible against itself (same seed, same
 draws, forever -- pinned by golden values in ``tests/test_rng.py``) but
 does **not** reproduce the reference runner's draws, so replay-vs-
@@ -63,6 +70,17 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 #: the plain integers (seed 0 must not hash the raw zero word).
 _SEED_SALT = 0x5851F42D4C957F2D
 
+#: The splitmix64 finalizer's shifts and multipliers as NumPy scalars,
+#: built once rather than on every round.
+_SHIFT_A, _SHIFT_B, _SHIFT_C = np.uint64(30), np.uint64(27), np.uint64(31)
+_MULT_A = np.uint64(0xBF58476D1CE4E5B9)
+_MULT_B = np.uint64(0x94D049BB133111EB)
+
+#: Rounds whose per-trial round states :meth:`DecoupledStreams.bits`
+#: hashes in one pass: 1 KiB per trial, and the fixed cost of hashing
+#: them is paid once per chunk instead of once per round.
+_STATE_CHUNK = 128
+
 
 def _mix64_int(value: int) -> int:
     """The splitmix64 finalizer on one Python integer (exact, masked)."""
@@ -82,13 +100,9 @@ def mix64(words: np.ndarray) -> np.ndarray:
     """
     words = np.asarray(words, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        words = (words ^ (words >> np.uint64(30))) * np.uint64(
-            0xBF58476D1CE4E5B9
-        )
-        words = (words ^ (words >> np.uint64(27))) * np.uint64(
-            0x94D049BB133111EB
-        )
-        return words ^ (words >> np.uint64(31))
+        words = (words ^ (words >> _SHIFT_A)) * _MULT_A
+        words = (words ^ (words >> _SHIFT_B)) * _MULT_B
+        return words ^ (words >> _SHIFT_C)
 
 
 def bits_to_unit(bits: np.ndarray) -> np.ndarray:
@@ -149,6 +163,10 @@ class DecoupledStreams:
         # arrays keeps the hot loop allocation-free.
         self._buffer: Optional[np.ndarray] = None
         self._scratch: Optional[np.ndarray] = None
+        # The round states of chunk ``_chunk`` of :data:`_STATE_CHUNK`
+        # rounds: row ``k`` holds round ``_chunk * _STATE_CHUNK + k``.
+        self._chunk = -1
+        self._states: Optional[np.ndarray] = None
 
     @property
     def num_trials(self) -> int:
@@ -163,32 +181,45 @@ class DecoupledStreams:
 
         Stateless: calling this for any round, any number of times, in
         any order, always returns the same values for the same seeds.
-        The returned array is an internal buffer reused by the next
-        call -- copy it if you need it to survive.
+        The per-trial round states ``mix64(base + round_key)`` are
+        hashed :data:`_STATE_CHUNK` rounds at a time, in one vectorized
+        pass, and kept until a round outside that chunk is asked for, so
+        a round costs only the node-axis finalizer.  The returned array
+        is an internal buffer reused by the next call -- copy it if you
+        need it to survive.
         """
         if round_number < 0:
             raise ConfigurationError(
                 f"round_number must be >= 0, got {round_number}"
             )
-        round_key = _mix64_int((round_number + 1) * GOLDEN_GAMMA)
+        chunk, offset = divmod(round_number, _STATE_CHUNK)
+        if chunk != self._chunk:
+            first = chunk * _STATE_CHUNK + 1
+            round_keys = mix64(
+                np.arange(first, first + _STATE_CHUNK, dtype=np.uint64)
+                * np.uint64(GOLDEN_GAMMA)
+            )
+            # Shape (_STATE_CHUNK, trials, 1): row ``k`` broadcasts
+            # over the node axis.
+            self._states = mix64(round_keys[:, None, None] + self._bases)
+            self._chunk = chunk
         if self._buffer is None:
             shape = (self.num_trials, self._num_nodes)
             self._buffer = np.empty(shape, dtype=np.uint64)
             self._scratch = np.empty(shape, dtype=np.uint64)
         out, tmp = self._buffer, self._scratch
-        with np.errstate(over="ignore"):
-            round_states = mix64(self._bases + np.uint64(round_key))
-            # The splitmix64 finalizer of :func:`mix64`, unrolled onto
-            # the reusable buffers (same values, zero allocations).
-            np.add(round_states, self._node_keys, out=out)
-            np.right_shift(out, np.uint64(30), out=tmp)
-            out ^= tmp
-            out *= np.uint64(0xBF58476D1CE4E5B9)
-            np.right_shift(out, np.uint64(27), out=tmp)
-            out ^= tmp
-            out *= np.uint64(0x94D049BB133111EB)
-            np.right_shift(out, np.uint64(31), out=tmp)
-            out ^= tmp
+        # The splitmix64 finalizer of :func:`mix64`, unrolled onto the
+        # reusable buffers (same values, zero allocations).  Array
+        # arithmetic wraps modulo 2**64 without a warning.
+        np.add(self._states[offset], self._node_keys, out=out)
+        np.right_shift(out, _SHIFT_A, out=tmp)
+        out ^= tmp
+        out *= _MULT_A
+        np.right_shift(out, _SHIFT_B, out=tmp)
+        out ^= tmp
+        out *= _MULT_B
+        np.right_shift(out, _SHIFT_C, out=tmp)
+        out ^= tmp
         return out
 
     def mantissas(self, round_number: int) -> np.ndarray:

@@ -11,9 +11,10 @@ The engine exploits a structural fact about the Compete dynamics
 (:mod:`repro.core.compete`): the only messages ever on the air are the
 initial candidate/dummy messages, and nodes compare them through the
 total order of :meth:`repro.network.messages.Message.sort_key`.  Ranking
-the messages once up front therefore reduces every node's state to a
-single integer -- the *rank* of the best message it knows (0 = knows
-nothing) -- and a block of ``K`` rounds becomes:
+the messages once up front (Compete ranks the dummies, which share one
+value, by their source's key alone) therefore reduces every node's
+state to a single integer -- the *rank* of the best message it knows
+(0 = knows nothing) -- and a block of ``K`` rounds becomes:
 
 * ``transmit[k] = informed & (uniform_draw[k] < p[round + k])`` for
   each round of the block (the per-node transmission schedule; the

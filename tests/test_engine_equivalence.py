@@ -339,6 +339,51 @@ def test_budget_exhaustion_agreement():
         assert reference.rounds == parameters.total_rounds
 
 
+def _mixed_id_path():
+    """A 12-node path whose ids mix ints, strs and tuples, plus a chord.
+
+    Under the tie-break, int ids sort before str ids before tuples, and
+    by ``str`` within a type: ``10 < 11 < 2`` and ``"10" < "a"``.
+    """
+    nodes = [0, "b", 10, (1, 2), "a", 2, 11, "10", (0, "z"), 3, "c", 1]
+    graph = Graph(nodes=nodes)
+    for u, v in zip(nodes, nodes[1:]):
+        graph.add_edge(u, v)
+    graph.add_edge(10, "a")
+    return graph
+
+
+@pytest.mark.parametrize(
+    "factory", [lambda: topology.path_graph(12), _mixed_id_path],
+    ids=["path", "mixed-ids"],
+)
+@pytest.mark.parametrize("candidates", [{0: 1}, {}], ids=["source", "none"])
+def test_spontaneous_dummy_order_agreement(factory, candidates):
+    # A budget too short to saturate leaves dummies in final_messages,
+    # where their order shows: a node keeps the highest dummy it heard.
+    # In path_graph(12) ids 10 and 11 sort before 2 (the tie-break
+    # compares str(source)), so ranking dummies by node order differs.
+    graph = factory()
+    parameters = CompeteParameters(
+        num_nodes=graph.num_nodes, diameter=graph.diameter(),
+        decay_steps=4, num_decay_rounds=2,
+    )
+    adopted_dummies = 0
+    for seed in range(6):
+        results = _three_way_compete(
+            graph, candidates, parameters=parameters, spontaneous=True,
+            seed=seed,
+        )
+        reference = _assert_all_equal(results)
+        assert not reference.success
+        assert reference.rounds == parameters.total_rounds
+        adopted_dummies += sum(
+            1 for node, best in reference.final_messages.items()
+            if best != reference.winner and best.source != node
+        )
+    assert adopted_dummies > 0
+
+
 def test_no_candidates_agreement():
     # The empty race charges the full (silent or dummy-only) schedule and
     # fails -- identically everywhere.

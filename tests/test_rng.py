@@ -21,6 +21,7 @@ import pytest
 from stats import chi_squared_uniform, ks_2samp
 from repro.errors import ConfigurationError
 from repro.simulation.rng import (
+    _SEED_SALT,
     GOLDEN_GAMMA,
     RNG_MODES,
     DecoupledStreams,
@@ -73,25 +74,64 @@ class TestBitsToUnit:
         assert units[2] == 2.0**-53
 
 
+#: The full (trials=2, n=4) draw matrices of seeds [0, 1] in two
+#: rounds, pinned to the last ulp.  These values define the decoupled
+#: mode.
+GOLDEN_UNIFORMS = {
+    0: np.array([
+        [0.15815688545757012, 0.6191525895482561,
+         0.564147401538553, 0.5232343667711707],
+        [0.8312489656618005, 0.3348275514550224,
+         0.19883222234584297, 0.14804321792011044],
+    ]),
+    5: np.array([
+        [0.0049330649056927856, 0.7357380814785017,
+         0.36763275053956457, 0.7962038423965269],
+        [0.54646272661866, 0.717181904998084,
+         0.9367422019502148, 0.814740466913291],
+    ]),
+}
+
+
+def words_by_formula(seeds, round_number, num_nodes):
+    """One round's words from the module docstring's formula, in
+    Python integers, one (trial, node) at a time."""
+    round_key = _mix64_int((round_number + 1) * GOLDEN_GAMMA)
+    rows = []
+    for seed in seeds:
+        state = _mix64_int(_mix64_int(seed ^ _SEED_SALT) + round_key)
+        rows.append([
+            _mix64_int(state + (node + 1) * GOLDEN_GAMMA)
+            for node in range(num_nodes)
+        ])
+    return np.array(rows, dtype=np.uint64)
+
+
 class TestDecoupledStreams:
     def test_golden_uniforms(self):
-        # The full (trials=2, n=4) draw matrices of three rounds, pinned
-        # to the last ulp.  These values define the decoupled mode.
         streams = DecoupledStreams([0, 1], num_nodes=4)
-        expected_round0 = np.array([
-            [0.15815688545757012, 0.6191525895482561,
-             0.564147401538553, 0.5232343667711707],
-            [0.8312489656618005, 0.3348275514550224,
-             0.19883222234584297, 0.14804321792011044],
-        ])
-        expected_round5 = np.array([
-            [0.0049330649056927856, 0.7357380814785017,
-             0.36763275053956457, 0.7962038423965269],
-            [0.54646272661866, 0.717181904998084,
-             0.9367422019502148, 0.814740466913291],
-        ])
-        np.testing.assert_array_equal(streams.uniforms(0), expected_round0)
-        np.testing.assert_array_equal(streams.uniforms(5), expected_round5)
+        for round_number, expected in GOLDEN_UNIFORMS.items():
+            np.testing.assert_array_equal(
+                streams.uniforms(round_number), expected
+            )
+
+    def test_chunked_round_states_in_any_order(self):
+        # Round states are hashed a chunk of 128 rounds at a time; reads
+        # that jump between chunks, backwards and within one must each
+        # equal a fresh instance, the per-round formula and the goldens.
+        seeds = [0, 1]
+        streams = DecoupledStreams(seeds, num_nodes=4)
+        for round_number in (0, 127, 128, 255, 3, 1000, 129, 5, 0):
+            words = streams.bits(round_number).copy()
+            fresh = DecoupledStreams(seeds, num_nodes=4)
+            np.testing.assert_array_equal(words, fresh.bits(round_number))
+            np.testing.assert_array_equal(
+                words, words_by_formula(seeds, round_number, 4)
+            )
+            if round_number in GOLDEN_UNIFORMS:
+                np.testing.assert_array_equal(
+                    bits_to_unit(words), GOLDEN_UNIFORMS[round_number]
+                )
 
     def test_stateless_any_order(self):
         streams = DecoupledStreams([7, 8, 9], num_nodes=32)

@@ -6,8 +6,8 @@ algorithm table -- is pinned by ``tests/test_engine_equivalence.py``.
 This file covers what is not visible from the outside: batch/single
 consistency, block-size invisibility, draw-stream seeding, buffering
 and lockstep draws, the decoupled ``p = 1`` limit, input validation,
-rank exactness, cache invalidation on graph mutation, and the
-message-ranking reduction.
+rank exactness, cache invalidation on graph mutation, the
+message-ranking reduction and the read-only result views.
 """
 
 import dataclasses
@@ -19,10 +19,12 @@ import pytest
 
 from repro import topology
 from repro.api import ExecutionConfig, resolve_execution
+from repro.core.broadcast import broadcast
 from repro.core.compete import Compete
 from repro.core.parameters import CompeteParameters
 from repro.dynamics import DynamicsSpec, EdgeChurn, JammingWindows, NodeCrash
 from repro.errors import ConfigurationError
+from repro.network.graph import Graph
 from repro.network.messages import Message
 from repro.schedules.transmission import (
     TransmissionSchedule,
@@ -379,6 +381,68 @@ def test_message_order_key_survives_pickle_and_replace():
         raised = dataclasses.replace(message, value=9)
         assert raised.sort_key() == (9, message.sort_key()[1])
         assert raised.beats(high)
+
+
+def _shuffled_path():
+    """A 10-node path whose insertion order is not the sorted order."""
+    nodes = [7, 2, 9, 0, 4, 1, 8, 3, 6, 5]
+    graph = Graph(nodes=nodes)
+    for u, v in zip(nodes, nodes[1:]):
+        graph.add_edge(u, v)
+    return graph
+
+
+def test_vectorized_result_mappings_are_read_only_views():
+    # The per-node mappings of a vectorized result are views over the
+    # trial's arrays: they pickle (the workers > 1 path), equal the
+    # reference run's plain dicts, iterate in graph order and refuse
+    # assignment.
+    graph = _shuffled_path()
+    candidates = {0: 1, 5: 3}
+    reference = Compete(graph).run(candidates, seed=3, spontaneous=True)
+    vectorized = Compete(
+        graph, config=ExecutionConfig(backend="vectorized")
+    ).run(candidates, seed=3, spontaneous=True)
+    copy = pickle.loads(pickle.dumps(vectorized))
+    assert copy == vectorized
+    for name in ("reception_rounds", "final_messages"):
+        expected, view = getattr(reference, name), getattr(copy, name)
+        assert type(expected) is dict and type(view) is not dict
+        assert view == expected and expected == view
+        assert list(view.items()) == list(expected.items())
+        assert list(view) == graph.nodes() and len(view) == graph.num_nodes
+        assert 11 not in view and view.get(11) is None
+        with pytest.raises(TypeError):
+            view[0] = None
+        with pytest.raises(KeyError):
+            view[11]
+    assert copy.informed_fraction == reference.informed_fraction
+
+
+@pytest.mark.parametrize("decay_rounds", [None, 1], ids=["saturated", "short"])
+def test_num_informed_counts_the_reception_rounds(decay_rounds):
+    graph = _shuffled_path()
+    parameters = None
+    if decay_rounds is not None:
+        parameters = CompeteParameters(
+            num_nodes=10, diameter=9, decay_steps=4,
+            num_decay_rounds=decay_rounds,
+        )
+    results = [
+        broadcast(graph, source=7, seed=seed, config=ExecutionConfig(
+            backend=backend, parameters=parameters,
+        ))
+        for seed in range(3)
+        for backend in ("reference", "vectorized")
+    ]
+    for result in results:
+        rounds = result.reception_rounds.values()
+        informed = [r for r in rounds if r is not None]
+        assert result.num_informed == len(informed)
+        assert result.success == (decay_rounds is None)
+        assert result.success == (result.num_informed == graph.num_nodes)
+    for reference, vectorized in zip(results[::2], results[1::2]):
+        assert reference.num_informed == vectorized.num_informed
 
 
 def test_adjacency_matrix():
