@@ -106,6 +106,14 @@ BACKENDS = ("reference", "vectorized")
 #: The built-in inner-loop strategies of :class:`Compete`.
 STRATEGIES = ("skeleton", "clustered")
 
+#: How many draws a :class:`CompeteProtocol` reads from its generator at
+#: once.  Any size gives the same decisions; this one spreads the cost
+#: of a ``Generator.random`` call over a short read-ahead.
+_DRAW_BLOCK = 16
+
+#: The one listen action every listening node returns.
+_LISTEN = Action.listen()
+
 
 class CompeteStrategy(abc.ABC):
     """How Compete's inner loop schedules transmissions.
@@ -237,6 +245,18 @@ class CompeteProtocol(NodeProtocol):
     participants stay aligned within each Decay round -- the alignment
     Lemma 3.1's analysis assumes (power-of-two cycle lengths preserve it
     across the clustered strategy's heterogeneous cycles).
+
+    The node takes one uniform draw per round while it holds a message
+    and none while it listens uninformed.  It reads them from ``rng`` a
+    block of :data:`_DRAW_BLOCK` at a time; NumPy fills a block from the
+    same ``next_double`` calls that as many scalar ``random()`` calls
+    make, so the node's ``k``-th decision reads the ``k``-th value of its
+    stream whatever the block size.  The read-ahead leaves ``rng``
+    ahead of the draws used, so ``rng`` must be the node's own, as
+    :func:`~repro.simulation.runner.build_seeded_protocols` provides:
+    nothing else may draw from it.  The transmit :class:`Action` is
+    built once per message held, and rebuilt whenever ``best`` is
+    replaced (also from outside).
     """
 
     def __init__(
@@ -257,15 +277,25 @@ class CompeteProtocol(NodeProtocol):
         self._probabilities = tuple(probabilities)
         self.best: Optional[Message] = initial
         self.adopted_round: Optional[int] = None if initial is None else -1
+        # The unread draws of the current block, the next one last.
+        self._draws: list[float] = []
+        # The last transmit action built.  The listen action carries no
+        # message, so it stands in until the first transmission.
+        self._transmit = _LISTEN
 
     def act(self, round_number: int) -> Action:
-        if self.best is None:
-            return Action.listen()
+        best = self.best
+        if best is None:
+            return _LISTEN
+        draws = self._draws
+        if not draws:
+            draws = self._draws = self._rng.random(_DRAW_BLOCK)[::-1].tolist()
         cycle = self._probabilities
-        probability = cycle[round_number % len(cycle)]
-        if self._rng.random() < probability:
-            return Action.transmit(self.best)
-        return Action.listen()
+        if draws.pop() < cycle[round_number % len(cycle)]:
+            if self._transmit.message is not best:
+                self._transmit = Action.transmit(best)
+            return self._transmit
+        return _LISTEN
 
     def receive(self, round_number: int, heard: Any) -> None:
         if isinstance(heard, Message) and heard.beats(self.best):
@@ -745,6 +775,7 @@ class Compete:
             self._resolution = self._resolve_execution(
                 self._graph, self._config
             )
+            _require_distinct_keys(csr[2])
             self._csr = csr
             self._engine = None
         return self._resolution
@@ -773,6 +804,27 @@ class Compete:
                     f"or int, got {type(value).__name__}"
                 )
         return messages
+
+
+def _require_distinct_keys(nodes: Sequence[Any]) -> None:
+    """Reject two nodes with one :func:`~repro.network.messages.source_key`.
+
+    Messages of one value order by their sources' keys.  Two sources
+    with one key would leave neither message above the other, and the
+    backends would break that tie differently.  ``str`` tells any two
+    ints apart, and any two strs, so graphs of those skip the keys.
+    """
+    if set(map(type, nodes)) <= {int, str}:
+        return
+    owners: dict[tuple[str, str], Any] = {}
+    for node in nodes:
+        key = source_key(node)
+        other = owners.setdefault(key, node)
+        if other is not node:
+            raise ConfigurationError(
+                f"nodes {other!r} and {node!r} share the tie-break key "
+                f"{key!r}, so their messages cannot be ordered"
+            )
 
 
 def _dummy_value(messages: Mapping[Any, Message]) -> int:

@@ -9,8 +9,9 @@ queries the algorithms and the analysis need:
 * breadth-first search (single source, optionally truncated) and
   canonical shortest paths,
 * the diameter: exact by a bit-parallel BFS from every node at once
-  (``O(D·m·n/64)`` word operations over the CSR adjacency), or the
-  iterated two-sweep lower bound above 2 000 nodes,
+  (``O(D·m·n/64)`` word operations over the CSR adjacency) or, on a
+  tree, by the two-sweep, which is exact there; or the iterated
+  two-sweep lower bound above 2 000 nodes,
 * connectivity checks and connected components.
 
 Connectivity, the two-sweep bound and the CSR adjacency come from one
@@ -402,6 +403,9 @@ class Graph:
             neighbour of every row of degree above ``j``), so no gather
             is larger than the matrix: at most 512 KB at 2 000 nodes,
             however dense the graph.
+            On a tree (connected, with ``n - 1`` edges) the exact
+            diameter is the two-sweep bound below, which is exact there,
+            so no bit-parallel pass runs.
             ``False`` forces the iterated two-sweep heuristic: a lower
             bound that is exact on trees and typically exact on the
             benchmark topologies.  The default picks exact for graphs
@@ -423,7 +427,13 @@ class Graph:
         if not exact:
             return facts.two_sweep
         if facts.exact is None:
-            exact_diameter = self._bit_parallel_diameter()
+            if facts.csr[1].size // 2 == self.num_nodes - 1:
+                # A connected graph with n - 1 edges is a tree.  There the
+                # two-sweep is exact: its second sweep starts at a
+                # peripheral node.
+                exact_diameter = facts.two_sweep
+            else:
+                exact_diameter = self._bit_parallel_diameter()
             facts = self._facts = facts._replace(exact=exact_diameter)
         return facts.exact
 

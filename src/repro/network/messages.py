@@ -52,6 +52,8 @@ def source_key(source: Any) -> tuple[str, str]:
     :class:`Message` orders by ``(value, source_key(source))``, and the
     vectorized path ranks the spontaneous dummies -- which share one
     value -- by this key alone, so both orders come from this function.
+    Two distinct ids can share a key (objects with one ``str``);
+    :class:`~repro.core.compete.Compete` rejects a graph that has two.
     """
     kind = type(source)
     name = _TYPE_NAMES.get(kind)

@@ -12,7 +12,11 @@ ad-hoc model requires.
 Randomness is per node: :func:`spawn_node_rngs` derives one independent
 ``numpy`` generator per node from a single seed via
 ``numpy.random.SeedSequence.spawn``, so runs are exactly reproducible and
-no node's draws depend on the iteration order of another's.
+no node's draws depend on the iteration order of another's.  Each
+generator belongs to its node's protocol alone, so a protocol may read
+it ahead in blocks: ``Generator.random(k)`` returns the values of ``k``
+scalar ``random()`` calls, so a block read changes no decision.  The
+reference Compete node reads 16 at a time.
 """
 
 from __future__ import annotations

@@ -1,12 +1,20 @@
-"""The Compete primitive: saturation, ordering, Decay's Lemma 3.1 bound."""
+"""The Compete primitive: saturation, ordering, Decay's Lemma 3.1 bound,
+and the reference node's block reads against the scalar-draw oracle of
+``tests/protocol_oracle.py``."""
+
+import random
 
 import numpy as np
 import pytest
 
+import protocol_oracle
+from protocol_oracle import ScalarDrawCompeteProtocol
 from repro import Compete, compete, topology
 from repro.api import ExecutionConfig
+from repro.core.compete import _DRAW_BLOCK as BLOCK, CompeteProtocol
+from repro.dynamics import DynamicsSpec, EdgeChurn
 from repro.errors import ConfigurationError
-from repro.network.messages import Message
+from repro.network.messages import COLLISION, SILENCE, Message
 from repro.network.radio import RadioNetwork
 from repro.schedules.decay import (
     decay_success_probability_lower_bound,
@@ -145,3 +153,123 @@ def test_decay_empirical_rate_dominates_lemma_31_bound():
         assert empirical >= bound - slack, (
             f"k={contenders}: empirical {empirical:.3f} < bound {bound:.3f}"
         )
+
+
+# ----------------------------------------------------------------------
+# Block reads against the scalar-draw oracle (tests/protocol_oracle.py)
+# ----------------------------------------------------------------------
+#: The decay cycle of 14 steps: probability 1 first, then halving.
+DECAY_14 = tuple(2.0 ** -step for step in range(14))
+
+
+def _same_stream_pair(seed, cycle, initial):
+    """A block-reading node and its scalar oracle, each on a generator
+    built from the same ``SeedSequence`` child."""
+    child = np.random.SeedSequence(seed).spawn(4)[seed % 4]
+    return (
+        CompeteProtocol(0, 8, 3, np.random.default_rng(child), cycle,
+                        initial=initial),
+        ScalarDrawCompeteProtocol(0, 8, 3, np.random.default_rng(child),
+                                  cycle, initial=initial),
+    )
+
+
+def _hearing_script(seed, rounds, start):
+    """What the node hears when it listens: from round ``start`` on, now
+    and then a higher message (an adoption), a lower one, or noise."""
+    rng = random.Random(seed)
+    script = {}
+    for round_number in range(start, rounds):
+        u = rng.random()
+        if round_number == start or u < 0.05:
+            script[round_number] = Message(round_number, source=seed)
+        elif u < 0.1:
+            script[round_number] = Message(-1, source=seed)
+        elif u < 0.15:
+            script[round_number] = COLLISION
+    return script
+
+
+@pytest.mark.parametrize(
+    "cycle", [(1.0,), (0.5,), (1.0, 0.5, 0.25), DECAY_14],
+    ids=["p1", "p-half", "cycle-3", "cycle-14"],
+)
+def test_block_reads_act_like_the_scalar_oracle(cycle):
+    rounds = 200
+    mid_block_adoptions = 0
+    for seed in range(12):
+        # Odd seeds start uninformed and listen through a stretch of
+        # silence and noise, drawing nothing, until their first message.
+        initial = Message(0, source=seed) if seed % 2 == 0 else None
+        start = 0 if initial is not None else 1 + seed
+        fast, slow = _same_stream_pair(seed, cycle, initial)
+        script = _hearing_script(seed, rounds, start)
+        draws = 0
+        for round_number in range(rounds):
+            draws += fast.best is not None
+            action, expected = fast.act(round_number), slow.act(round_number)
+            assert action.kind is expected.kind, (seed, round_number)
+            assert action.message is expected.message, (seed, round_number)
+            heard = script.get(round_number, SILENCE)
+            if action.is_transmit:
+                heard = SILENCE
+            before = fast.best
+            fast.receive(round_number, heard)
+            slow.receive(round_number, heard)
+            assert fast.best is slow.best
+            assert fast.adopted_round == slow.adopted_round
+            if fast.best is not before and draws % BLOCK:
+                mid_block_adoptions += 1
+        # Every run reads well past three refills of the block.
+        assert draws > 3 * BLOCK
+    if min(cycle) < 1.0:
+        assert mid_block_adoptions > 0
+
+
+def test_a_write_to_best_from_outside_is_what_the_node_sends():
+    node = CompeteProtocol(0, 2, 1, np.random.default_rng(0), (1.0,),
+                           initial=Message(1, source=0))
+    first = node.act(0)
+    assert first.message == Message(1, source=0)
+    assert node.act(1) is first
+    node.best = Message(5, source=1)
+    assert node.act(2).message is node.best
+
+
+@pytest.mark.parametrize(
+    "factory, values, spontaneous, config",
+    [
+        (lambda: topology.grid_graph(5, 5), {0: 10, 24: 20, 12: 15}, True,
+         None),
+        (lambda: topology.path_graph(17), {0: 1}, False, None),
+        (lambda: topology.path_of_cliques_graph(5, 5), {0: 1}, True,
+         ExecutionConfig(strategy="clustered")),
+        (lambda: topology.grid_graph(6, 6), {0: 1}, True,
+         ExecutionConfig(dynamics=DynamicsSpec(
+             fault_seed=11, models=(EdgeChurn(p_down=0.08, p_up=0.4),)))),
+    ],
+    ids=["grid-spontaneous", "path-classical", "cliques-clustered",
+         "grid-churn"],
+)
+def test_scalar_oracle_nodes_reproduce_the_reference_run(
+    factory, values, spontaneous, config
+):
+    graph = factory()
+    for seed in (0, 7):
+        run, winner = protocol_oracle.run_race(
+            graph, values, seed=seed, spontaneous=spontaneous, config=config
+        )
+        result = Compete(graph, config=config).run(
+            values, seed=seed, spontaneous=spontaneous
+        )
+        assert result.winner == winner
+        assert result.rounds == run.rounds
+        assert result.metrics.as_dict() == run.metrics.as_dict()
+        states = run.outputs
+        assert dict(result.final_messages) == {
+            node: state.best for node, state in states.items()
+        }
+        assert dict(result.reception_rounds) == {
+            node: state.adopted_round if state.best == winner else None
+            for node, state in states.items()
+        }

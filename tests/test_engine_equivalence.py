@@ -41,6 +41,7 @@ from repro.core.broadcast import broadcast
 from repro.core.compete import Compete, compete
 from repro.core.leader_election import elect_leader
 from repro.core.parameters import CompeteParameters
+from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.network.messages import Message
 from repro.network.radio import CollisionModel
@@ -382,6 +383,39 @@ def test_spontaneous_dummy_order_agreement(factory, candidates):
             if best != reference.winner and best.source != node
         )
     assert adopted_dummies > 0
+
+
+class _Unnamed:
+    """A node id whose ``str`` is the same for every instance."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def __repr__(self):
+        return f"_Unnamed({self.index})"
+
+    def __str__(self):
+        return "node"
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+def test_node_ids_with_one_tie_break_key_are_rejected(backend):
+    # Dummies of these nodes would tie under Message.beats while the
+    # engine ranked one above the other, so the backends would differ.
+    nodes = [_Unnamed(index) for index in range(8)]
+    graph = Graph(nodes=nodes, edges=zip(nodes, nodes[1:]))
+    config = ExecutionConfig(backend=backend)
+    with pytest.raises(
+        ConfigurationError, match=r"^nodes _Unnamed\(0\) and _Unnamed\(1\) "
+    ):
+        compete(graph, {}, seed=0, spontaneous=True, config=config)
+    # The check follows mutations: one more such node on an int graph.
+    graph = topology.path_graph(4)
+    graph.add_edge(3, nodes[0])
+    primitive = Compete(graph, config=config)
+    graph.add_edge(nodes[0], nodes[1])
+    with pytest.raises(ConfigurationError, match="tie-break key"):
+        primitive.run({0: 1}, seed=0)
 
 
 def test_no_candidates_agreement():

@@ -126,9 +126,9 @@ def test_exact_diameter_follows_mutation():
     assert graph.diameter(exact=True) == 99
 
 
-def test_exact_diameter_is_computed_once_per_topology(monkeypatch):
-    # Every run on one graph derives its round budget from one
-    # bit-parallel pass; a mutation drops it with the rest of the memo.
+@pytest.fixture
+def bit_parallel_calls(monkeypatch):
+    """The graphs that bit-parallel passes ran on, in call order."""
     calls = []
     original = Graph._bit_parallel_diameter
 
@@ -137,15 +137,61 @@ def test_exact_diameter_is_computed_once_per_topology(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Graph, "_bit_parallel_diameter", counted)
-    graph = topology.path_graph(256)
+    return calls
+
+
+def test_exact_diameter_is_computed_once_per_topology(bit_parallel_calls):
+    # Every run on one graph derives its round budget from one
+    # bit-parallel pass; a mutation drops it with the rest of the memo.
+    calls = bit_parallel_calls
+    # A cycle plus a chord, since a tree takes no bit-parallel pass.
+    graph = topology.cycle_graph(256)
+    graph.add_edge(0, 128)
     config = ExecutionConfig(backend="vectorized")
     for seed in range(3):
         assert broadcast(graph, source=0, seed=seed, config=config).success
     assert calls == [graph]
-    graph.add_edge(0, 255)
+    graph.remove_edge(0, 128)
     fresh = Graph(nodes=graph.nodes(), edges=graph.edges())
     assert graph.diameter(exact=True) == fresh.diameter(exact=True) == 128
     assert calls == [graph, graph, fresh]
+
+
+def tree_cases():
+    """Paths, stars, binary trees, brooms and seeded random trees,
+    ``1 <= n <= 400``."""
+    rng = random.Random(0)
+    for n in (1, 2, 3, 64, 65, 255, 400):
+        yield f"path-{n}", topology.path_graph(n)
+    for leaves in (1, 2, 63, 64, 399):
+        yield f"star-{leaves + 1}", topology.star_graph(leaves)
+    for depth in (0, 1, 5, 7):
+        yield f"binary-tree-{depth}", topology.binary_tree_graph(depth)
+    for leaves, handle in ((40, 90), (1, 2), (300, 100)):
+        yield f"broom-{leaves}-{handle}", broom(leaves, handle)
+    for seed in range(30):
+        n = rng.randint(1, 400)
+        yield f"random-tree-{n}-{seed}", topology.random_tree_graph(n, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "graph", [pytest.param(graph, id=name) for name, graph in tree_cases()]
+)
+def test_exact_diameter_of_a_tree_is_its_two_sweep(graph):
+    assert graph.num_edges == graph.num_nodes - 1
+    expected = graph_oracle.exact_diameter(graph)
+    assert graph._bit_parallel_diameter() == expected
+    assert graph.diameter(exact=True) == expected
+
+
+def test_bit_parallel_pass_runs_for_a_cycle_and_not_for_a_tree(
+    bit_parallel_calls,
+):
+    tree = topology.random_tree_graph(200, seed=3)
+    cycle = topology.cycle_graph(200)
+    assert tree.diameter(exact=True) == graph_oracle.exact_diameter(tree)
+    assert cycle.diameter(exact=True) == 100
+    assert bit_parallel_calls == [cycle]
 
 
 @pytest.mark.parametrize(
@@ -175,7 +221,10 @@ def test_exact_diameter_rejects_disconnected_and_empty_graphs(graph):
 def test_exact_diameter_on_mixed_and_dense_degrees(graph):
     # Rows of very different degree make jagged diagonals of very
     # different lengths, down to the hub's run of one-row diagonals.
-    assert graph.diameter(exact=True) == graph_oracle.exact_diameter(graph)
+    # The star and the broom are trees, which diameter() answers from
+    # the two-sweep, so the pass is called directly too.
+    expected = graph_oracle.exact_diameter(graph)
+    assert graph.diameter(exact=True) == graph._bit_parallel_diameter() == expected
 
 
 def test_level_plan_is_the_jagged_diagonals():
