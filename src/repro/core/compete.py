@@ -653,10 +653,20 @@ class Compete:
             graph, resolved.collision_model, dynamics=resolved.fault_schedule
         )
 
+        # A holder never loses the winner (adoption is adopt-if-higher,
+        # the winner is the top message, a crash keeps a node's state),
+        # so the stop rule keeps the first node, in graph order, not yet
+        # holding it: amortized O(1) comparisons per round.
+        holders = list(protocols.values())
+        missing = 0
+
         def saturated() -> bool:
-            return winner is not None and all(
-                protocol.best == winner for protocol in protocols.values()
-            )
+            nonlocal missing
+            if winner is None:
+                return False
+            while missing < len(holders) and holders[missing].best == winner:
+                missing += 1
+            return missing == len(holders)
 
         if saturated():
             # Degenerate cases (single node, or every node a candidate

@@ -322,49 +322,6 @@ class Graph:
                     frontier.append(neighbour)
         return distances
 
-    def bfs_tree_parents(self, source: NodeId) -> dict[NodeId, Optional[NodeId]]:
-        """Return a BFS-tree parent map rooted at ``source``.
-
-        The root maps to ``None``.  Ties between possible parents are
-        broken by traversal order, which is deterministic given the
-        graph's insertion order.
-        """
-        if source not in self._adjacency:
-            raise GraphError(f"node {source!r} not in graph")
-        parents: dict[NodeId, Optional[NodeId]] = {source: None}
-        frontier = collections.deque([source])
-        while frontier:
-            node = frontier.popleft()
-            for neighbour in self._adjacency[node]:
-                if neighbour not in parents:
-                    parents[neighbour] = node
-                    frontier.append(neighbour)
-        return parents
-
-    def shortest_path(self, source: NodeId, target: NodeId) -> list[NodeId]:
-        """Return one shortest path from ``source`` to ``target`` (inclusive).
-
-        The returned path is the *canonical* shortest path in the sense of
-        Section 4 of the paper: it is deterministic for a fixed graph.
-
-        Raises
-        ------
-        GraphError
-            If either endpoint is missing or no path exists.
-        """
-        if target not in self._adjacency:
-            raise GraphError(f"node {target!r} not in graph")
-        parents = self.bfs_tree_parents(source)
-        if target not in parents:
-            raise GraphError(f"no path from {source!r} to {target!r}")
-        path = [target]
-        while path[-1] != source:
-            parent = parents[path[-1]]
-            assert parent is not None
-            path.append(parent)
-        path.reverse()
-        return path
-
     # ------------------------------------------------------------------
     # Global structure
     # ------------------------------------------------------------------

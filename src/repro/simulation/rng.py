@@ -5,12 +5,12 @@ The vectorized engine's default randomness policy (``rng="replay"``,
 runner's per-(trial, node) ``SeedSequence`` streams so that every backend
 agrees round for round.  That guarantee costs real time: one NumPy
 ``Generator`` per (trial, node).  Their seed words come from one
-vectorized pass over ``SeedSequence.spawn``'s mixing, yet building and
-first filling the 16384 streams of an ``n = 16384`` trial still takes
-50-110 ms on a 2-vCPU VM, and refilling all of their 128-draw blocks
-another 20-40 ms every 128 rounds.  The streams are also inherently
-*stateful*, so they cannot be sharded, replayed out of order, or skipped
-past silent rounds.
+vectorized pass over ``SeedSequence.spawn``'s mixing, yet building the
+16384 streams of an ``n = 16384`` trial still takes about 50 ms on a
+2-vCPU VM, and drawing all of their lockstep transmit decisions, at up
+to 1024 draws per generator call, another 105-115 ms every 1024 rounds.
+The streams are also inherently *stateful*, so they cannot be sharded,
+replayed out of order, or skipped past silent rounds.
 
 This module is the stateless alternative.  A draw is a pure hash of its
 coordinates::

@@ -147,30 +147,6 @@ class ProtocolRunner:
         self._record_outcomes = record_outcomes
         self._strict = strict
 
-    @classmethod
-    def from_factory(
-        cls,
-        network: RadioNetwork,
-        factory: SeededProtocolFactory,
-        *,
-        max_rounds: int,
-        seed: Optional[int] = None,
-        diameter: Optional[int] = None,
-        stop_when: Optional[StopPredicate] = None,
-        record_outcomes: bool = False,
-        strict: bool = False,
-    ) -> "ProtocolRunner":
-        """Build protocols via :func:`build_seeded_protocols` and wrap them."""
-        protocols = build_seeded_protocols(network, factory, seed, diameter)
-        return cls(
-            network,
-            protocols,
-            max_rounds=max_rounds,
-            stop_when=stop_when,
-            record_outcomes=record_outcomes,
-            strict=strict,
-        )
-
     @property
     def protocols(self) -> Mapping[Any, NodeProtocol]:
         """The protocol map being driven (a live read-only view)."""

@@ -56,11 +56,12 @@ all ``n`` nodes of a trial in one NumPy pass instead of through ``n``
 them one element per informed round, so the k-th decision of every node
 matches the reference's k-th decision exactly.  In a spontaneous run
 every stream draws every round, so the streams advance in lockstep and
-:meth:`DrawStreams.take_block` hands out a block's draws of all of them
-at once, with no per-stream cursor.  The reference runner
-keeps NumPy's own ``SeedSequence``, so
-``tests/test_engine_equivalence.py`` cross-checks the seeding as well as
-the rounds, across topology families, strategies and fault models.
+:meth:`DrawStreams.transmit_rows` stores each draw as its one-byte
+transmit decision, up to 1024 rounds per generator call, in a store
+whose rows are rounds.  The reference runner keeps NumPy's own
+``SeedSequence``, so ``tests/test_engine_equivalence.py`` cross-checks
+the seeding as well as the rounds, across topology families, strategies
+and fault models.
 """
 
 from __future__ import annotations
@@ -82,10 +83,19 @@ from repro.simulation.sparse import CSRAdjacency
 NO_MESSAGE = 0
 
 #: Uniform draws pre-fetched per (trial, node) stream by the replay
-#: path.  Larger blocks amortise the per-generator Python call over more
-#: rounds at the cost of ``trials * n * block * 8`` bytes of buffer;
-#: 512 and 2048 measured no faster.
+#: path, and the width of a lockstep store's first refill.  A float
+#: buffer of ``trials * n * block * 8`` bytes ran no faster at 512 or
+#: 2048; lockstep refills keep one byte per draw, so they grow past it.
 DEFAULT_DRAW_BLOCK = 128
+
+#: The widest lockstep refill: 1024 one-byte decisions per stream take
+#: the bytes of 128 float draws, and a generator call spends 5.4 ns per
+#: draw at 1024 draws against 15 ns at 128.
+_LOCKSTEP_WIDTH_CAP = 1024
+
+#: Streams per chunk of a lockstep refill, compared in contiguous
+#: buffers and then written into the round-major store transposed.
+_REFILL_CHUNK = 64
 
 #: The lanes (rounds x trials x nodes) one channel block may span.  A
 #: block of ``K`` rounds is the largest power of two up to
@@ -199,12 +209,13 @@ class DrawStreams:
     a ``None`` seed still takes fresh OS entropy and a negative one still
     raises, because each trial's entropy is read from
     ``SeedSequence(seeds[t])``.  :meth:`take` hands out the next element
-    of each requested stream; streams that are not requested in a round
-    advance by nothing, mirroring a listening (uninformed) node.  When
-    every stream draws every round, the streams advance in lockstep and
-    :meth:`take_block` hands out the next draws of all of them at once,
-    with no per-stream cursor.  One instance is driven by one of the
-    two methods, never both.
+    of each requested stream, from ``block`` floats per stream; streams
+    not requested in a round advance by nothing, mirroring a listening
+    (uninformed) node.  When every stream draws every round, the streams
+    advance in lockstep and :meth:`transmit_rows` stores each draw as
+    its transmit decision, in refills that start ``block`` rounds wide
+    and double up to :data:`_LOCKSTEP_WIDTH_CAP`.  One instance is
+    driven by one of the two methods, never both.
     """
 
     def __init__(
@@ -218,6 +229,7 @@ class DrawStreams:
         if block < 1:
             raise ConfigurationError(f"block must be >= 1, got {block}")
         self._block = block
+        self._num_nodes = num_nodes
         self._generators = [
             np.random.Generator(np.random.PCG64(_SeedWords(words)))
             for seed in seeds
@@ -225,17 +237,11 @@ class DrawStreams:
                 np.random.SeedSequence(seed).entropy, num_nodes
             )
         ]
-        count = len(self._generators)
-        self._buffer = np.empty((count, block), dtype=np.float64)
-        for generator, row in zip(self._generators, self._buffer):
-            generator.random(out=row)
-        # Stream ``i``'s next draw is ``flat[cursor[i]]``; the cursor
-        # stays inside row ``i``, in ``[i * block, row_end[i])``.
-        self._flat = self._buffer.reshape(-1)
-        self._cursor = np.arange(count, dtype=np.int64) * block
-        self._row_end = self._cursor + block
-        # :meth:`take_block`'s column, shared by every stream.
-        self._column = 0
+        self._buffer = None
+        # Rows ``[row, filled)`` of :meth:`transmit_rows`' store are not
+        # handed out yet; ``next_round`` is the next refill's first.
+        self._store = None
+        self._row = self._filled = self._next_round = 0
 
     def take(self, wanted: np.ndarray) -> np.ndarray:
         """Return the next draw of every stream where ``wanted`` is True.
@@ -245,6 +251,16 @@ class DrawStreams:
         that were not requested (callers use the draws only in comparisons,
         where ``nan`` compares False).
         """
+        if self._buffer is None:
+            block, count = self._block, len(self._generators)
+            self._buffer = np.empty((count, block), dtype=np.float64)
+            for generator, row in zip(self._generators, self._buffer):
+                generator.random(out=row)
+            # Stream ``i``'s next draw is ``flat[cursor[i]]``; the cursor
+            # stays inside row ``i``, in ``[i * block, row_end[i])``.
+            self._flat = self._buffer.reshape(-1)
+            self._cursor = np.arange(count, dtype=np.int64) * block
+            self._row_end = self._cursor + block
         cursor = self._cursor
         draws = np.where(wanted, self._flat[cursor], np.nan)
         cursor += wanted
@@ -258,29 +274,72 @@ class DrawStreams:
             cursor[exhausted] -= self._block
         return draws
 
-    def take_block(self, rounds: int) -> np.ndarray:
-        """Return the next ``rounds`` draws of every stream.
+    def transmit_rows(self, probabilities, rounds: int) -> np.ndarray:
+        """Return every stream's transmit decisions of the next ``rounds``.
 
-        For batches where every stream draws in every round: the result
-        has shape ``(trials * num_nodes, rounds)``, and column ``k`` is
-        each stream's draw of the ``k``-th round.  It is a view of the
-        buffer, valid until the next call, or a copy where the rounds
-        cross a refill.  Rows are refilled together, when a call finds
-        them used up.
+        ``probabilities`` is the ``(cycle_length, num_nodes)`` schedule,
+        the same on every call.  Row ``k`` of the ``(rounds, trials *
+        num_nodes)`` result holds ``draw < probabilities[r % cycle_length,
+        i % num_nodes]`` for each stream ``i``, where ``r`` is the ``k``-th
+        round not handed out yet.  It is a view of the store, valid until
+        the next call, or a copy where the rounds cross a refill.
         """
         parts = []
         while rounds:
-            if self._column == self._block:
-                for generator, row in zip(self._generators, self._buffer):
-                    generator.random(out=row)
-                self._column = 0
-            width = min(rounds, self._block - self._column)
-            part = self._buffer[:, self._column:self._column + width]
+            if self._row == self._filled:
+                self._refill_rows(probabilities)
+            width = min(rounds, self._filled - self._row)
+            part = self._store[self._row:self._row + width]
             rounds -= width
-            self._column += width
+            self._row += width
             # A later refill in this call would overwrite the view.
             parts.append(part.copy() if rounds else part)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _refill_rows(self, probabilities: np.ndarray) -> None:
+        """Draw the next rounds of every stream into the store, as bits."""
+        num_nodes, generators = self._num_nodes, self._generators
+        if self._store is None:
+            capacity = max(self._block, _LOCKSTEP_WIDTH_CAP)
+            self._store = np.empty((capacity, len(generators)), dtype=bool)
+            # Each node's cycle as one contiguous row, gathered by phase.
+            self._node_cycles = np.ascontiguousarray(probabilities.T)
+            width = self._block
+        else:
+            width = min(2 * self._filled, len(self._store))
+        if width != self._filled:
+            # Thresholds, draws and bits of one chunk of streams, sized
+            # anew only while the width grows: a short run keeps less.
+            size = min(_REFILL_CHUNK, num_nodes) * width
+            self._chunk_buffers = (
+                np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+            )
+        # ``take``'s "wrap" mode wraps by repeated subtraction, so the
+        # phases are reduced here.
+        phases = np.arange(self._next_round, self._next_round + width)
+        phases %= self._node_cycles.shape[1]
+        # Streams run trial-major, so a chunk of nodes has the same
+        # thresholds in every trial: gather them once, then fill and
+        # compare each trial's chunk in contiguous buffers, and write its
+        # transpose into the round-major store.
+        for low in range(0, num_nodes, _REFILL_CHUNK):
+            count = min(_REFILL_CHUNK, num_nodes - low)
+            limits, draws, bits = (
+                buffer[:count * width].reshape(count, width)
+                for buffer in self._chunk_buffers
+            )
+            np.take(
+                self._node_cycles[low:low + count], phases, axis=1,
+                out=limits, mode="clip",
+            )
+            for first in range(low, len(generators), num_nodes):
+                chunk = generators[first:first + count]
+                for generator, row in zip(chunk, draws):
+                    generator.random(out=row)
+                np.less(draws, limits, out=bits)
+                self._store[:width, first:first + count] = bits.T
+        self._next_round += width
+        self._filled, self._row = width, 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -537,7 +596,7 @@ class VectorizedCompeteEngine:
         masks = np.empty((3, block) + ranks.shape, dtype=bool)
         thresholds = self._probabilities if replay else self._limits
         cycle_length = thresholds.shape[0]
-        if block > 1:
+        if block > 1 and not replay:
             # Rows ``round % cycle_length`` of a block's rounds, as one
             # slice wherever the block starts in the cycle.
             thresholds = thresholds.take(
@@ -552,28 +611,26 @@ class VectorizedCompeteEngine:
                 counters.fill(0)
                 flushed = start
             first = start % cycle_length
-            window = thresholds[first:first + size]
             block_masks = masks[:, :size]
             transmit = block_masks[0]
             if not replay:
+                window = thresholds[first:first + size]
                 for k in range(size):
                     np.less_equal(
                         streams.bits(start + k), window[k], out=transmit[k]
                     )
                 transmit &= wanted
             elif lockstep:
-                draws = streams.take_block(size)
-                draws = draws.reshape(ranks.shape + (size,))
-                np.less(
-                    draws.transpose(2, 0, 1), window[:, None], out=transmit
-                )
                 # Stopped trials draw on in lockstep but send nothing.
-                transmit &= wanted
+                decisions = streams.transmit_rows(self._probabilities, size)
+                np.logical_and(
+                    decisions.reshape(transmit.shape), wanted, out=transmit
+                )
             else:
                 # Requested draws compare against the probability row;
                 # the rest are nan, which compares False.
                 draws = streams.take(flat_wanted).reshape(ranks.shape)
-                np.less(draws, window, out=transmit[0])
+                np.less(draws, thresholds[first], out=transmit[0])
 
             entry_mask = None
             if self._dynamics is not None:

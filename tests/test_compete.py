@@ -2,6 +2,7 @@
 and the reference node's block reads against the scalar-draw oracle of
 ``tests/protocol_oracle.py``."""
 
+import importlib
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.dynamics import DynamicsSpec, EdgeChurn
 from repro.errors import ConfigurationError
 from repro.network.messages import COLLISION, SILENCE, Message
 from repro.network.radio import RadioNetwork
+from repro.simulation.runner import ProtocolRunner
 from repro.schedules.decay import (
     decay_success_probability_lower_bound,
     simulate_decay_round,
@@ -264,6 +266,67 @@ def test_scalar_oracle_nodes_reproduce_the_reference_run(
         )
         assert result.winner == winner
         assert result.rounds == run.rounds
+        assert result.metrics.as_dict() == run.metrics.as_dict()
+        states = run.outputs
+        assert dict(result.final_messages) == {
+            node: state.best for node, state in states.items()
+        }
+        assert dict(result.reception_rounds) == {
+            node: state.adopted_round if state.best == winner else None
+            for node, state in states.items()
+        }
+
+
+def test_the_stop_rule_compares_each_holder_with_the_winner_once(
+    monkeypatch
+):
+    # A holder never loses the winner, so the reference stop rule walks
+    # past each holder once and fails at most once per round: at most
+    # n + rounds comparisons in all.  The results equal the scalar
+    # oracle's race, whose stop rule scans every node every round.
+    graph = topology.grid_graph(16, 16)
+    config = ExecutionConfig(dynamics=DynamicsSpec(
+        fault_seed=2017, models=(EdgeChurn(p_down=0.05, p_up=0.35),)))
+    values = {0: 1}
+    expected = [
+        protocol_oracle.run_race(
+            graph, values, seed=seed, spontaneous=True, config=config
+        )
+        for seed in (0, 7)
+    ]
+    counting = False
+    comparisons = 0
+    equal = Message.__eq__
+
+    def counted_equal(self, other):
+        nonlocal comparisons
+        comparisons += counting
+        return equal(self, other)
+
+    class SpiedRunner(ProtocolRunner):
+        def __init__(self, *args, stop_when, **kwargs):
+            def spied(outcome, protocols):
+                nonlocal counting
+                counting = True
+                try:
+                    return stop_when(outcome, protocols)
+                finally:
+                    counting = False
+
+            super().__init__(*args, stop_when=spied, **kwargs)
+
+    monkeypatch.setattr(Message, "__eq__", counted_equal)
+    monkeypatch.setattr(
+        importlib.import_module("repro.core.compete"), "ProtocolRunner",
+        SpiedRunner,
+    )
+    for seed, (run, winner) in zip((0, 7), expected):
+        comparisons = 0
+        result = Compete(graph, config=config).run(
+            values, seed=seed, spontaneous=True
+        )
+        assert result.success and result.rounds == run.rounds
+        assert 0 < comparisons <= graph.num_nodes + result.rounds
         assert result.metrics.as_dict() == run.metrics.as_dict()
         states = run.outputs
         assert dict(result.final_messages) == {

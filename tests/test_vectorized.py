@@ -5,7 +5,7 @@ oracle, round for round, across the family x strategy x collision x
 algorithm table -- is pinned by ``tests/test_engine_equivalence.py``.
 This file covers what is not visible from the outside: batch/single
 consistency, block-size invisibility, draw-stream seeding, buffering
-and lockstep draws, the decoupled ``p = 1`` limit, input validation,
+and lockstep transmit decisions, the decoupled ``p = 1`` limit, input validation,
 rank exactness, cache invalidation on graph mutation, the
 message-ranking reduction and the read-only result views.
 """
@@ -172,32 +172,88 @@ def test_channel_block_size_is_invisible(faults, monkeypatch):
             ), f"{faults} K={block}: {field.name}"
 
 
-@pytest.mark.parametrize("block", [2, 4096])
-def test_engine_draw_block_size_is_invisible(block, monkeypatch):
-    # The pre-draw block size is an implementation detail.  The default
-    # block refills mid-run on this path, a block of 2 refills every
-    # other round and 4096 never does; no outcome array may change.
-    graph = topology.path_graph(40)
+def _mixed_cycle_schedule(nodes):
+    """Per-node Decay cycles of lengths 1, 3 and 8, by node position."""
+    lengths = (1, 3, 8)
+    return TransmissionSchedule({
+        node: tuple(2.0 ** -(step + 1) for step in range(lengths[i % 3]))
+        for i, node in enumerate(nodes)
+    })
+
+
+@pytest.mark.parametrize("case, block", [
+    pytest.param(case, block, id=f"{case}-{block}" if case else str(block))
+    for case in (None, "uniform", "per-node") for block in (2, 4096)
+])
+def test_engine_draw_block_size_is_invisible(case, block, monkeypatch):
+    # The pre-draw block size is an implementation detail.  On the
+    # classical path (per-stream draws) the default block refills mid-
+    # run, a block of 2 refills every other round and 4096 never does.
+    # The spontaneous cases draw in lockstep for more than the 1920
+    # rounds that fill the capped store (128 + 256 + 512 + 1024), so
+    # it is rewritten at least once; a first width of 2 doubles nine
+    # times before the cap.  No outcome array may change.
+    if case is None:
+        graph = topology.path_graph(40)
+        ranks = np.zeros((3, graph.num_nodes), dtype=np.int64)
+        ranks[:, 0] = 1
+        seeds = [0, 1, 2]
+    else:
+        graph = topology.path_graph(200)
+        ranks = np.ones((2, graph.num_nodes), dtype=np.int64)
+        ranks[:, 0] = 2
+        seeds = [3, 4]
     parameters = CompeteParameters.from_graph(graph)
+    if case == "per-node":
+        schedule = _mixed_cycle_schedule(graph.nodes())
+    else:
+        schedule = uniform_decay_schedule(
+            graph.nodes(), parameters.decay_steps
+        )
     engine = VectorizedCompeteEngine(
-        graph,
-        schedule=uniform_decay_schedule(graph.nodes(), parameters.decay_steps),
-        max_rounds=parameters.total_rounds,
+        graph, schedule=schedule, max_rounds=parameters.total_rounds
     )
-    ranks = np.zeros((3, graph.num_nodes), dtype=np.int64)
-    ranks[:, 0] = 1
-    seeds = [0, 1, 2]
-    default = engine.run_batch(ranks.copy(), 1, seeds)
+    winner = int(ranks.max())
+    default = engine.run_batch(ranks.copy(), winner, seeds)
     monkeypatch.setattr(
         "repro.simulation.vectorized.DrawStreams",
         functools.partial(DrawStreams, block=block),
     )
-    resized = engine.run_batch(ranks.copy(), 1, seeds)
-    assert default.rounds.max() > DEFAULT_DRAW_BLOCK, "must cross a refill"
+    resized = engine.run_batch(ranks.copy(), winner, seeds)
+    if case is None:
+        assert default.rounds.max() > DEFAULT_DRAW_BLOCK, "must cross a refill"
+    else:
+        assert default.rounds.min() > 1920, "must rewrite the capped store"
     for field in dataclasses.fields(default):
         assert np.array_equal(
             getattr(default, field.name), getattr(resized, field.name)
         ), field.name
+
+
+def test_lockstep_run_of_1000_rounds_fills_the_store_four_times(
+    monkeypatch
+):
+    # Lockstep refills double from 128 draws per stream up to 1024:
+    # 128 + 256 + 512 + 1024 cover 1000 rounds in 4 fills, where a
+    # fixed 128-draw refill takes 8.
+    graph = topology.grid_graph(4, 4)
+    engine = VectorizedCompeteEngine(
+        graph,
+        schedule=uniform_decay_schedule(graph.nodes(), 4),
+        max_rounds=1000,
+    )
+    fills = []
+    refill = DrawStreams._refill_rows
+
+    def spied(self, probabilities):
+        refill(self, probabilities)
+        fills.append(self._filled)
+
+    monkeypatch.setattr(DrawStreams, "_refill_rows", spied)
+    ranks = np.ones((2, graph.num_nodes), dtype=np.int64)
+    outcome = engine.run_batch(ranks, None, [0, 1])
+    assert outcome.rounds.tolist() == [1000, 1000]
+    assert fills == [128, 256, 512, 1024]
 
 
 @pytest.mark.parametrize("seed", [
@@ -249,22 +305,41 @@ def test_draw_streams_replay_independent_node_streams(seeds, block):
 
 
 @pytest.mark.parametrize("block", [1, 3, 128])
-def test_draw_streams_take_block_advances_every_stream(block):
-    # Lockstep draws: column k of take_block is every stream's next
-    # draw, exactly the per-stream generator's, across refills and for
-    # blocks of rounds shorter and longer than the buffer.
-    seeds, num_nodes = [5, 2**64 + 7], 4
+def test_draw_streams_transmit_rows_replay_every_stream(block):
+    # Lockstep decisions: row k, stream i of transmit_rows is stream i's
+    # next draw compared with its node's probability for round k,
+    # exactly the per-stream generator's draw.  Two trials and cycles
+    # of lengths 1, 3 and 8 tell streams from nodes and rounds from
+    # phases; the requests cross refills, the doubling from each first
+    # width and the 1024-round cap at least twice, and some are longer
+    # than the rows left in the store.
+    seeds, num_nodes = [5, 2**64 + 7], 6
+    probabilities = _mixed_cycle_schedule(
+        range(num_nodes)
+    ).probability_matrix(range(num_nodes))
+    probabilities *= np.random.default_rng(block).uniform(
+        0.2, 1.8, probabilities.shape
+    )
+    cycle = probabilities.shape[0]
     streams = DrawStreams(seeds, num_nodes, block)
     oracles = [
         np.random.default_rng(child)
         for seed in seeds
         for child in np.random.SeedSequence(seed).spawn(num_nodes)
     ]
-    for rounds in (1, 2, 5, 128, 3, 300, 1):
-        draws = streams.take_block(rounds)
-        assert draws.shape == (len(oracles), rounds)
-        expected = [oracle.random(rounds).tolist() for oracle in oracles]
-        assert draws.tolist() == expected
+    done = 0
+    for rounds in (1, 2, 5, 128, 300, 1) * 8:
+        rows = streams.transmit_rows(probabilities, rounds)
+        assert rows.dtype == bool
+        assert rows.shape == (rounds, len(oracles))
+        phases = np.arange(done, done + rounds) % cycle
+        expected = np.stack([
+            oracle.random(rounds) < probabilities[phases, i % num_nodes]
+            for i, oracle in enumerate(oracles)
+        ], axis=1)
+        assert np.array_equal(rows, expected), f"rounds {done}+{rounds}"
+        done += rounds
+    assert done > 3 * 1024
 
 
 def test_draw_streams_seed_none_is_fresh_and_negative_raises():
