@@ -91,7 +91,7 @@ from repro.schedules.transmission import (
     TransmissionSchedule,
     uniform_decay_schedule,
 )
-from repro.simulation.runner import ProtocolRunner, spawn_node_rngs
+from repro.simulation.runner import ProtocolRunner, build_seeded_protocols
 from repro.simulation.vectorized import NO_MESSAGE, rank_messages
 from repro.core.parameters import CompeteParameters
 
@@ -620,6 +620,7 @@ class Compete:
             When True, non-candidate nodes participate from round 0 with
             a dummy message ranked strictly below every candidate.
         """
+        check_seed(seed)
         if self._config.backend == "vectorized":
             return self.run_batch(
                 candidates, seeds=[seed], spontaneous=spontaneous
@@ -633,24 +634,20 @@ class Compete:
         schedule = resolved.schedule
         initial = self._initial_messages(messages, spontaneous)
 
-        rngs = spawn_node_rngs(graph, seed)
-        protocols = {
-            node: CompeteProtocol(
-                node,
-                graph.num_nodes,
-                params.diameter,
-                rngs[node],
-                schedule.probabilities(node),
-                initial=initial[node],
-            )
-            for node in graph.nodes()
-        }
-
         # The resolved fault schedule (None on static configs) rides the
         # same channel masks the vectorized engines apply, and every run
         # starts it back at round 0 via its replay cursor.
         network = RadioNetwork(
             graph, resolved.collision_model, dynamics=resolved.fault_schedule
+        )
+        protocols = build_seeded_protocols(
+            network,
+            lambda node, num_nodes, diameter, rng: CompeteProtocol(
+                node, num_nodes, diameter, rng,
+                schedule.probabilities(node), initial=initial[node],
+            ),
+            seed,
+            diameter=params.diameter,
         )
 
         # A holder never loses the winner (adoption is adopt-if-higher,
@@ -722,6 +719,8 @@ class Compete:
         over the trial's rank arrays.
         """
         seed_list = list(seeds)
+        for seed in seed_list:
+            check_seed(seed)
         if not seed_list:
             return []
         messages = self._normalise_candidates(candidates)
@@ -814,6 +813,13 @@ class Compete:
                     f"or int, got {type(value).__name__}"
                 )
         return messages
+
+
+def check_seed(seed: Optional[int]) -> None:
+    """Reject a negative seed where it enters, with one message for every
+    backend (``SeedSequence`` would raise NumPy's own ``ValueError``)."""
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
 
 def _require_distinct_keys(nodes: Sequence[Any]) -> None:

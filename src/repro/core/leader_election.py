@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.network.messages import Message
 from repro.network.metrics import NetworkMetrics
-from repro.core.compete import Compete, CompeteResult
+from repro.core.compete import Compete, CompeteResult, check_seed
 from repro.core.parameters import CompeteParameters
 
 
@@ -108,6 +108,7 @@ def elect_leader(
     >>> result.success and result.leader in topology.complete_graph(16)
     True
     """
+    check_seed(seed)
     num_nodes = graph.num_nodes
     if candidate_probability is None:
         candidate_probability = 1.0 / max(num_nodes, 1)

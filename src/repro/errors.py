@@ -32,11 +32,11 @@ class ProtocolError(ReproError):
 
 
 class SimulationError(ReproError):
-    """Raised when a simulation cannot make progress.
+    """Raised when a simulation cannot make progress or its backends disagree.
 
-    The most common cause is exhausting the round budget before the
-    protocol reports completion; the error message records how many
-    rounds were executed and which nodes had not terminated.
+    Examples include a benchmark worker process dying mid-batch, a
+    served job ending in failure, and a reference trial that no longer
+    matches its vectorized twin round for round.
     """
 
 

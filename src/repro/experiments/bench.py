@@ -23,6 +23,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.network.graph import Graph
 from repro.topology.validation import TopologySummary, summarize_topology
 from repro.api import DEFAULT_ALGORITHMS, ExecutionConfig
+from repro.core.compete import check_seed
 from repro.core.leader_election import LeaderElectionResult
 from repro.core.parameters import CompeteParameters
 from repro.experiments.persistence import SCHEMA_VERSION
@@ -177,8 +178,7 @@ def run_benchmark(
     num_workers = workers if workers is not None else 1
     if num_workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {num_workers}")
-    if seed is not None and seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     if config is None:
         config = scenario.execution_config()
     num_trials = per_batch * num_batches
@@ -255,12 +255,6 @@ def run_benchmark(
         # design -- the reference pass is timing-only and the payload
         # records zero checked trials (statistical tests own parity).
 
-    stats = _aggregate(scenario, vectorized)
-    vec_per_trial = vectorized_seconds / num_trials
-    ref_per_trial = (
-        reference_seconds / num_reference if num_reference else None
-    )
-
     payload = {
         "schema": SCHEMA_VERSION,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -285,24 +279,11 @@ def run_benchmark(
         },
         "rng": config.rng,
         "workers": effective_workers,
-        "results": stats,
-        "timing": {
-            "vectorized_seconds": vectorized_seconds,
-            "vectorized_seconds_per_trial": vec_per_trial,
-            "reference_seconds": reference_seconds,
-            "reference_seconds_per_trial": ref_per_trial,
-            "speedup": (
-                ref_per_trial / vec_per_trial
-                if ref_per_trial is not None and vec_per_trial > 0
-                else None
-            ),
-        },
-        "agreement": {
-            "checked_trials": num_checked,
-            # True iff agreement was actually checked; a disagreement
-            # raises instead of persisting, so this is never a false True.
-            "round_exact": num_checked > 0,
-        },
+        "results": _summarise(_per_trial(scenario, vectorized)),
+        "timing": _timing(
+            vectorized_seconds, num_trials, reference_seconds, num_reference
+        ),
+        "agreement": _agreement(num_checked),
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -414,32 +395,15 @@ def merge_benchmark_batches(payloads: Sequence[dict]) -> dict[str, Any]:
     num_batches = len(payloads)
     num_trials = per_batch * num_batches
 
-    per_trial: dict[str, list] = {}
-    for key in first["results"]["per_trial"]:
-        per_trial[key] = [
+    per_trial = {
+        key: [
             value
             for payload in payloads
             for value in payload["results"]["per_trial"][key]
         ]
-    results: dict[str, Any] = {
-        "success_rate": sum(per_trial["success"]) / num_trials,
+        for key in first["results"]["per_trial"]
     }
-    for key, values in per_trial.items():
-        if key == "success":
-            continue
-        results[key] = _series(values)
-    results["per_trial"] = per_trial
-
     reference_trials = sum(p["trials"]["reference"] for p in payloads)
-    vec_seconds = sum(p["timing"]["vectorized_seconds"] for p in payloads)
-    ref_seconds = sum(
-        p["timing"]["reference_seconds"] or 0.0 for p in payloads
-    )
-    vec_per_trial = vec_seconds / num_trials
-    ref_per_trial = (
-        ref_seconds / reference_trials if reference_trials else None
-    )
-    checked = sum(p["agreement"]["checked_trials"] for p in payloads)
 
     merged = dict(first)
     merged["trials"] = dict(
@@ -449,22 +413,16 @@ def merge_benchmark_batches(payloads: Sequence[dict]) -> dict[str, Any]:
         seed_batches=num_batches,
         reference=reference_trials,
     )
-    merged["results"] = results
-    merged["timing"] = {
-        "vectorized_seconds": vec_seconds,
-        "vectorized_seconds_per_trial": vec_per_trial,
-        "reference_seconds": ref_seconds if reference_trials else None,
-        "reference_seconds_per_trial": ref_per_trial,
-        "speedup": (
-            ref_per_trial / vec_per_trial
-            if ref_per_trial is not None and vec_per_trial > 0
-            else None
-        ),
-    }
-    merged["agreement"] = {
-        "checked_trials": checked,
-        "round_exact": checked > 0,
-    }
+    merged["results"] = _summarise(per_trial)
+    merged["timing"] = _timing(
+        sum(p["timing"]["vectorized_seconds"] for p in payloads),
+        num_trials,
+        sum(p["timing"]["reference_seconds"] or 0.0 for p in payloads),
+        reference_trials,
+    )
+    merged["agreement"] = _agreement(
+        sum(p["agreement"]["checked_trials"] for p in payloads)
+    )
     return merged
 
 
@@ -556,16 +514,14 @@ def _check_agreement(
             )
 
 
-def _aggregate(scenario: Scenario, results: Sequence) -> dict[str, Any]:
-    """Summarise per-trial series into the payload's ``results`` block.
+def _per_trial(scenario: Scenario, results: Sequence) -> dict[str, list]:
+    """The payload's raw per-trial series (``results.per_trial``).
 
-    The block also records the raw per-trial values
-    (``results.per_trial``): the trend-report subsystem derives
-    percentiles and sparklines from them, and the golden-artifact test
-    layer re-derives every summary statistic, so a drift between the
-    series and its summary can never persist.
+    The trend-report subsystem derives percentiles and sparklines from
+    them, and the golden-artifact test layer re-derives every summary
+    statistic, so a drift between the series and its summary can never
+    persist.
     """
-    successes = sum(1 for result in results if result.success)
     series: dict[str, list] = {
         "rounds": [result.rounds for result in results],
         "transmissions": [result.metrics.transmissions for result in results],
@@ -591,15 +547,56 @@ def _aggregate(scenario: Scenario, results: Sequence) -> dict[str, Any]:
         ]
     for attribute in DEFAULT_ALGORITHMS.get(scenario.algorithm).extra_series:
         series[attribute] = [getattr(result, attribute) for result in results]
-    stats: dict[str, Any] = {
-        "success_rate": successes / len(results),
-    }
-    for key, values in series.items():
-        stats[key] = _series(values)
-    stats["per_trial"] = dict(
-        series, success=[bool(result.success) for result in results]
+    series["success"] = [bool(result.success) for result in results]
+    return series
+
+
+def _summarise(per_trial: dict[str, list]) -> dict[str, Any]:
+    """The payload's ``results`` block: ``per_trial`` and its summaries."""
+    successes = per_trial["success"]
+    results: dict[str, Any] = {"success_rate": sum(successes) / len(successes)}
+    for key, values in per_trial.items():
+        if key != "success":
+            results[key] = _series(values)
+    results["per_trial"] = per_trial
+    return results
+
+
+def _timing(
+    vectorized_seconds: float,
+    num_trials: int,
+    reference_seconds: Optional[float],
+    num_reference: int,
+) -> dict[str, Any]:
+    """The payload's ``timing`` block; no reference trials, no speedup."""
+    vec_per_trial = vectorized_seconds / num_trials
+    ref_per_trial = (
+        reference_seconds / num_reference if num_reference else None
     )
-    return stats
+    return {
+        "vectorized_seconds": vectorized_seconds,
+        "vectorized_seconds_per_trial": vec_per_trial,
+        "reference_seconds": reference_seconds if num_reference else None,
+        "reference_seconds_per_trial": ref_per_trial,
+        "speedup": (
+            ref_per_trial / vec_per_trial
+            if ref_per_trial is not None and vec_per_trial > 0
+            else None
+        ),
+    }
+
+
+def _agreement(checked_trials: int) -> dict[str, Any]:
+    """The payload's ``agreement`` block.
+
+    ``round_exact`` is True iff agreement was actually checked; a
+    disagreement raises instead of persisting, so it is never a false
+    True.
+    """
+    return {
+        "checked_trials": checked_trials,
+        "round_exact": checked_trials > 0,
+    }
 
 
 def _series(values: Sequence[float]) -> dict[str, float]:

@@ -9,9 +9,8 @@ detection), with an optional collision-detection variant.
 
 from repro.network.graph import Graph
 from repro.network.messages import Message, SILENCE, COLLISION
-from repro.network.protocol import Action, ActionKind, NodeProtocol, ProtocolFactory
+from repro.network.protocol import Action, ActionKind, NodeProtocol
 from repro.network.radio import RadioNetwork, CollisionModel, RoundOutcome
-from repro.network.events import TraceEvent, EventLog
 from repro.network.metrics import NetworkMetrics
 
 __all__ = [
@@ -22,11 +21,8 @@ __all__ = [
     "Action",
     "ActionKind",
     "NodeProtocol",
-    "ProtocolFactory",
     "RadioNetwork",
     "CollisionModel",
     "RoundOutcome",
-    "TraceEvent",
-    "EventLog",
     "NetworkMetrics",
 ]

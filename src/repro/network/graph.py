@@ -6,8 +6,7 @@ provides a small, dependency-free adjacency-set graph with exactly the
 queries the algorithms and the analysis need:
 
 * neighbourhood and degree queries,
-* breadth-first search (single source, optionally truncated) and
-  canonical shortest paths,
+* breadth-first search from a single source,
 * the diameter: exact by a bit-parallel BFS from every node at once
   (``O(D·m·n/64)`` word operations over the CSR adjacency) or, on a
   tree, by the two-sweep, which is exact there; or the iterated
@@ -294,19 +293,8 @@ class Graph:
     # ------------------------------------------------------------------
     # Traversal and distances
     # ------------------------------------------------------------------
-    def bfs_distances(
-        self, source: NodeId, max_distance: Optional[int] = None
-    ) -> dict[NodeId, int]:
-        """Return hop distances from ``source`` to every reachable node.
-
-        Parameters
-        ----------
-        source:
-            Starting node.
-        max_distance:
-            If given, the search stops once this distance is exceeded and
-            only nodes within ``max_distance`` hops are returned.
-        """
+    def bfs_distances(self, source: NodeId) -> dict[NodeId, int]:
+        """Return hop distances from ``source`` to every reachable node."""
         if source not in self._adjacency:
             raise GraphError(f"node {source!r} not in graph")
         distances = {source: 0}
@@ -314,8 +302,6 @@ class Graph:
         while frontier:
             node = frontier.popleft()
             next_distance = distances[node] + 1
-            if max_distance is not None and next_distance > max_distance:
-                continue
             for neighbour in self._adjacency[node]:
                 if neighbour not in distances:
                     distances[neighbour] = next_distance
@@ -456,35 +442,22 @@ class Graph:
             self._facts = _Topology((*_sorted_csr(rows), nodes), connected, two_sweep)
         return self._facts
 
-    def _resolve_order(self, order: Optional[list]) -> tuple[list, dict]:
-        """Resolve an explicit node order (or the insertion order) plus
-        its node -> position map, validating permutations."""
-        if order is None:
-            nodes = self.nodes()
-        else:
-            nodes = list(order)
-            if set(nodes) != set(self._adjacency) or len(nodes) != self.num_nodes:
-                raise GraphError(
-                    "order must be a permutation of the graph's node set"
-                )
-        return nodes, {node: i for i, node in enumerate(nodes)}
-
-    def adjacency_matrix(self, order: Optional[list] = None):
+    def adjacency_matrix(self):
         """Return the dense boolean adjacency matrix and its node order.
 
         Returns ``(matrix, nodes)`` where ``matrix[i, j]`` is True iff
         ``nodes[i]`` and ``nodes[j]`` are adjacent and ``nodes`` is the
-        insertion order (or the explicit ``order`` argument, which must be
-        a permutation of the node set).  ``O(n²)`` memory: a view for
-        small graphs and tests; the vectorized engine runs on
-        :meth:`adjacency_csr`.
+        insertion order.  ``O(n²)`` memory, read from the adjacency sets
+        rather than from :meth:`adjacency_csr`, so the tests can hold the
+        CSR against it; the vectorized engine runs on the CSR.
 
         ``numpy`` is imported lazily so the graph module itself stays
         dependency-free.
         """
         import numpy as np
 
-        nodes, index = self._resolve_order(order)
+        nodes = self.nodes()
+        index = {node: i for i, node in enumerate(nodes)}
         matrix = np.zeros((len(nodes), len(nodes)), dtype=bool)
         for node, neighbours in self._adjacency.items():
             i = index[node]
@@ -492,38 +465,32 @@ class Graph:
                 matrix[i, index[neighbour]] = True
         return matrix, nodes
 
-    def adjacency_csr(self, order: Optional[list] = None):
+    def adjacency_csr(self):
         """Return the adjacency structure in CSR form and its node order.
 
         Returns ``(indptr, indices, nodes)``: ``nodes`` is the insertion
-        order (or the explicit ``order`` argument, which must be a
-        permutation of the node set), and the neighbours of ``nodes[i]``
-        are ``nodes[j]`` for each ``j`` in
-        ``indices[indptr[i]:indptr[i + 1]]``, sorted ascending.  Both
-        arrays are ``int64``; ``indptr`` has length ``n + 1`` and
-        ``indices`` one entry per *directed* edge (``2m`` total), so the
-        memory footprint is ``O(n + m)`` instead of the dense matrix's
-        ``O(n²)`` -- this is the substrate of
+        order, and the neighbours of ``nodes[i]`` are ``nodes[j]`` for
+        each ``j`` in ``indices[indptr[i]:indptr[i + 1]]``, sorted
+        ascending.  Both arrays are ``int64``; ``indptr`` has length
+        ``n + 1`` and ``indices`` one entry per *directed* edge (``2m``
+        total), so the memory footprint is ``O(n + m)`` instead of the
+        dense matrix's ``O(n²)`` -- this is the substrate of
         :mod:`repro.simulation.vectorized` (see
         :class:`repro.simulation.sparse.CSRAdjacency`).
 
-        The default-order result is memoized on the graph beside the
-        connectivity verdict and the two-sweep bound (one pass computes
-        all three), so repeated engine constructions over one topology
-        -- batch runs, the ``repro.service`` cache of prepared
-        topologies -- pay the build once.  Every mutation drops the
-        memo, so calls return the same tuple object until the next
-        mutation; :class:`~repro.core.compete.Compete` re-resolves when
-        the object changes.  Callers must treat the returned arrays as
-        read-only.
+        The result is memoized on the graph beside the connectivity
+        verdict and the two-sweep bound (one pass computes all three),
+        so repeated engine constructions over one topology -- batch
+        runs, the ``repro.service`` cache of prepared topologies -- pay
+        the build once.  Every mutation drops the memo, so calls return
+        the same tuple object until the next mutation;
+        :class:`~repro.core.compete.Compete` re-resolves when the object
+        changes.  Callers must treat the returned arrays as read-only.
 
         ``numpy`` is imported lazily so the graph module itself stays
         dependency-free.
         """
-        if order is None:
-            return self._topology().csr
-        nodes, _ = self._resolve_order(order)
-        return (*_sorted_csr(self._rows(nodes)), nodes)
+        return self._topology().csr
 
     # ------------------------------------------------------------------
     # Misc

@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import enum
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import ProtocolError
 from repro.network.messages import Message
@@ -99,21 +99,7 @@ class NodeProtocol(abc.ABC):
         half-duplex) and is passed :data:`SILENCE`.
         """
 
-    def is_done(self) -> bool:
-        """Return True once this node has locally terminated.
-
-        The runner stops when every node reports ``True`` (or the round
-        budget is exhausted).  The default is ``False`` -- protocols that
-        run forever are stopped by the round budget.
-        """
-        return False
-
     def output(self) -> Any:
         """Return this node's local output (e.g. the learned message or
         elected leader).  ``None`` by default."""
         return None
-
-
-#: A factory that builds the protocol instance for a given node.  It is
-#: called once per node with ``(node_id, num_nodes, diameter)``.
-ProtocolFactory = Callable[[Any, int, int], NodeProtocol]

@@ -30,7 +30,6 @@ import enum
 from typing import AbstractSet, Any, Mapping, Optional
 
 from repro.errors import ProtocolError
-from repro.network.events import EventLog, TraceEvent
 from repro.network.graph import Graph
 from repro.network.messages import COLLISION, SILENCE, Message
 from repro.network.metrics import NetworkMetrics
@@ -68,6 +67,10 @@ class RoundOutcome:
         Mapping from every node to what it heard: a
         :class:`~repro.network.messages.Message`, :data:`SILENCE` or
         :data:`COLLISION`.
+
+    :class:`~repro.simulation.runner.ProtocolRunner` hands every round's
+    outcome to its ``stop_when`` observer, the one place a reference run
+    is watched round by round.
     """
 
     round_number: int
@@ -85,12 +88,9 @@ class RadioNetwork:
     collision_model:
         Whether listeners can detect collisions.  Defaults to the paper's
         model (no detection).
-    event_log:
-        Optional :class:`~repro.network.events.EventLog`; when provided,
-        every transmission/reception/collision is traced into it.
     dynamics:
-        Optional :class:`repro.dynamics.FaultSchedule` (duck-typed --
-        anything with ``round_faults``/``crashed_nodes``/
+        Optional, keyword-only :class:`repro.dynamics.FaultSchedule`
+        (duck-typed -- anything with ``round_faults``/``crashed_nodes``/
         ``jammed_nodes``/``down_links``).  When provided, every round
         first resolves the schedule's fault state: crashed nodes are
         radio-off (their transmissions are suppressed and they hear
@@ -104,12 +104,11 @@ class RadioNetwork:
         self,
         graph: Graph,
         collision_model: CollisionModel = CollisionModel.NO_DETECTION,
-        event_log: Optional[EventLog] = None,
+        *,
         dynamics: Optional[Any] = None,
     ) -> None:
         self._graph = graph
         self._collision_model = collision_model
-        self._event_log = event_log
         self._dynamics = dynamics
         self._metrics = NetworkMetrics()
         self._round_number = 0
@@ -239,30 +238,7 @@ class RadioNetwork:
         metrics.collisions += collisions
         metrics.idle_listens += idle_listens
         metrics.jammed_listens += len(jammed_listens)
-        self._trace_round(transmitters, received)
 
         outcome = RoundOutcome(self._round_number, transmitters, received)
         self._round_number += 1
         return outcome
-
-    def _trace_round(
-        self, transmitters: Mapping[Any, Message], received: Mapping[Any, Any]
-    ) -> None:
-        if self._event_log is None:
-            return
-        for node, message in transmitters.items():
-            self._event_log.record(
-                TraceEvent(self._round_number, "transmit", node, message)
-            )
-        for node, heard in received.items():
-            if node in transmitters:
-                continue
-            if isinstance(heard, Message):
-                kind = "receive"
-            elif heard is COLLISION:
-                kind = "collision"
-            else:
-                kind = "silence"
-            self._event_log.record(
-                TraceEvent(self._round_number, kind, node, heard)
-            )

@@ -1,9 +1,10 @@
 """Transmission primitives shared by the paper's algorithms.
 
 * :mod:`repro.schedules.decay` -- the Decay protocol of Bar-Yehuda,
-  Goldreich and Itai (Algorithm 5 of the paper) and its single-round
-  success guarantee (Lemma 3.1).  The step-level decision rule exported
-  here is embedded by the :class:`~repro.core.compete.Compete` primitive.
+  Goldreich and Itai (Algorithm 5 of the paper): its round length and
+  its single-round success guarantee (Lemma 3.1).
+  :class:`~repro.core.compete.Compete` runs Decay through the
+  :class:`TransmissionSchedule` its strategy compiles.
 * :mod:`repro.schedules.transmission` -- per-node periodic transmission
   schedules (:class:`TransmissionSchedule`), the contract both Compete
   strategies compile to and both execution backends consume; includes
@@ -17,9 +18,6 @@
 from repro.schedules.decay import (
     DECAY_DEFAULT_CONSTANT,
     decay_round_length,
-    decay_transmit_step,
-    DecayTransmitter,
-    simulate_decay_round,
     decay_success_probability_lower_bound,
 )
 from repro.schedules.transmission import (
@@ -34,9 +32,6 @@ from repro.schedules.cluster import charged_cycle_steps, cluster_schedule
 __all__ = [
     "DECAY_DEFAULT_CONSTANT",
     "decay_round_length",
-    "decay_transmit_step",
-    "DecayTransmitter",
-    "simulate_decay_round",
     "decay_success_probability_lower_bound",
     "MAX_CYCLE_LENGTH",
     "TransmissionSchedule",

@@ -48,7 +48,6 @@ from repro.service.jobs import (
 from repro.service.protocol import (
     Request,
     RequestError,
-    SERVICE_SCHEMA,
     error_response,
     ok_response,
     parse_request,

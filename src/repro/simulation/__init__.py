@@ -5,7 +5,8 @@
   :class:`~repro.network.protocol.NodeProtocol` objects one synchronous
   round at a time against
   :meth:`~repro.network.radio.RadioNetwork.run_round`, with per-node
-  seedable randomness, a round budget and pluggable stop conditions.
+  seedable randomness, a round budget and an observer stop predicate
+  that sees every round's outcome.
   This is the auditable, information-hiding-faithful implementation of
   the model; every semantic question is settled here.
 * :mod:`repro.simulation.vectorized` -- the *vectorized* backend:

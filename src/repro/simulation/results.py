@@ -1,10 +1,9 @@
 """Structured results returned by :class:`~repro.simulation.runner.ProtocolRunner`.
 
-A run always terminates for one of three reasons -- every node locally
-finished, an observer-level stop condition fired, or the round budget ran
-out -- and downstream result objects (``CompeteResult`` and friends) need
-to distinguish them, so the reason is an explicit enum rather than a bare
-boolean.
+A run always terminates for one of two reasons -- the observer-level
+stop condition fired, or the round budget ran out -- and downstream
+result objects (``CompeteResult`` and friends) need to distinguish them,
+so the reason is an explicit enum rather than a bare boolean.
 """
 
 from __future__ import annotations
@@ -14,17 +13,14 @@ import enum
 from typing import Any, Mapping, Optional
 
 from repro.network.metrics import NetworkMetrics
-from repro.network.radio import RoundOutcome
 
 
 class StopReason(enum.Enum):
     """Why a :class:`~repro.simulation.runner.ProtocolRunner` run ended."""
 
-    #: Every protocol reported :meth:`~repro.network.protocol.NodeProtocol.is_done`.
-    ALL_DONE = "all-done"
     #: The caller-supplied ``stop_when`` predicate returned True.
     CONDITION = "condition"
-    #: ``max_rounds`` rounds were executed without either of the above.
+    #: ``max_rounds`` rounds were executed without the predicate firing.
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
@@ -49,9 +45,6 @@ class RunResult:
         Counters accumulated during this run only (a
         :meth:`~repro.network.metrics.NetworkMetrics.diff` against the
         pre-run snapshot).
-    outcomes:
-        The per-round :class:`~repro.network.radio.RoundOutcome` records,
-        present only when the runner was asked to record them.
     """
 
     stop_reason: StopReason
@@ -59,7 +52,6 @@ class RunResult:
     first_round: Optional[int]
     outputs: Mapping[Any, Any]
     metrics: NetworkMetrics
-    outcomes: Optional[tuple[RoundOutcome, ...]] = None
 
     @property
     def completed(self) -> bool:

@@ -130,8 +130,10 @@ class DecoupledStreams:
     ----------
     seeds:
         One seed per trial, with the reference runner's semantics:
-        an integer pins the trial's draws forever; ``None`` takes fresh
-        OS entropy (the trial is then not reproducible, exactly like
+        a non-negative integer pins the trial's draws forever (a
+        negative one is a :class:`~repro.errors.ConfigurationError`,
+        not an alias of ``seed + 2**64``); ``None`` takes fresh OS
+        entropy (the trial is then not reproducible, exactly like
         passing ``seed=None`` to the reference runner).
     num_nodes:
         Width of the node axis; node ``i`` (engine order) uses node key
@@ -151,6 +153,8 @@ class DecoupledStreams:
                 seed = int(
                     np.random.SeedSequence().generate_state(1, np.uint64)[0]
                 )
+            elif seed < 0:
+                raise ConfigurationError(f"seed must be >= 0, got {seed}")
             bases.append(_mix64_int(int(seed) ^ _SEED_SALT))
         self._bases = np.array(bases, dtype=np.uint64).reshape(-1, 1)
         self._node_keys = (
@@ -221,17 +225,6 @@ class DecoupledStreams:
         np.right_shift(out, _SHIFT_C, out=tmp)
         out ^= tmp
         return out
-
-    def mantissas(self, round_number: int) -> np.ndarray:
-        """One round's draws as 53-bit integers (``uniforms * 2**53``).
-
-        The engine's hot loop compares these against pre-scaled integer
-        thresholds ``ceil(p * 2**53)`` -- exactly equivalent to
-        ``uniforms(round) < p`` (for ``m`` an integer, ``m * 2**-53 < p``
-        iff ``m < ceil(p * 2**53)``) without converting the whole draw
-        matrix to float every round.
-        """
-        return self.bits(round_number) >> np.uint64(11)
 
     def uniforms(self, round_number: int) -> np.ndarray:
         """The ``(trials, num_nodes)`` uniform draws of one round."""

@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ProtocolError, SimulationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.network.graph import Graph
 from repro.network.protocol import NodeProtocol
 from repro.network.radio import RadioNetwork, RoundOutcome
@@ -111,16 +111,11 @@ class ProtocolRunner:
         Optional predicate evaluated after every round (see
         :data:`StopPredicate`).  This is an *observer-level* condition --
         it may inspect global state the protocols themselves cannot see,
-        e.g. "every node has adopted the winning message".
-    record_outcomes:
-        When True, the per-round :class:`~repro.network.radio.RoundOutcome`
-        records are kept and returned on the result (memory-heavy for
-        long runs; off by default).
-    strict:
-        When True, exhausting the round budget raises
-        :class:`~repro.errors.SimulationError` (listing the unfinished
-        nodes) instead of returning a result.  Protocols that run a fixed
-        schedule and never report completion should leave this off.
+        e.g. "every node has adopted the winning message".  It is also
+        the one way to watch a run: it receives every round's
+        :class:`~repro.network.radio.RoundOutcome`, in order, so a
+        predicate that records them and returns False traces the whole
+        run.
     """
 
     def __init__(
@@ -130,8 +125,6 @@ class ProtocolRunner:
         *,
         max_rounds: int,
         stop_when: Optional[StopPredicate] = None,
-        record_outcomes: bool = False,
-        strict: bool = False,
     ) -> None:
         if max_rounds < 0:
             raise ConfigurationError(f"max_rounds must be >= 0, got {max_rounds}")
@@ -144,8 +137,6 @@ class ProtocolRunner:
         self._protocols = dict(protocols)
         self._max_rounds = max_rounds
         self._stop_when = stop_when
-        self._record_outcomes = record_outcomes
-        self._strict = strict
 
     @property
     def protocols(self) -> Mapping[Any, NodeProtocol]:
@@ -153,18 +144,14 @@ class ProtocolRunner:
         return types.MappingProxyType(self._protocols)
 
     def run(self) -> RunResult:
-        """Execute rounds until a stop condition fires or the budget ends."""
+        """Execute rounds until ``stop_when`` fires or the budget ends."""
         network = self._network
         start_metrics = network.metrics.copy()
-        first_round: Optional[int] = None
-        outcomes: list[RoundOutcome] = []
+        first_round = network.current_round
         rounds_executed = 0
         stop_reason = StopReason.BUDGET_EXHAUSTED
 
-        if self._all_done():
-            stop_reason = StopReason.ALL_DONE
-
-        while stop_reason is StopReason.BUDGET_EXHAUSTED and rounds_executed < self._max_rounds:
+        while rounds_executed < self._max_rounds:
             round_number = network.current_round
             actions = {
                 node: protocol.act(round_number)
@@ -174,33 +161,14 @@ class ProtocolRunner:
             for node, protocol in self._protocols.items():
                 protocol.receive(round_number, outcome.received[node])
             rounds_executed += 1
-            if first_round is None:
-                first_round = round_number
-            if self._record_outcomes:
-                outcomes.append(outcome)
-            if self._all_done():
-                stop_reason = StopReason.ALL_DONE
-            elif self._stop_when is not None and self._stop_when(outcome, self._protocols):
+            if self._stop_when is not None and self._stop_when(outcome, self._protocols):
                 stop_reason = StopReason.CONDITION
-
-        if stop_reason is StopReason.BUDGET_EXHAUSTED and self._strict:
-            unfinished = sorted(
-                (repr(node) for node, p in self._protocols.items() if not p.is_done()),
-            )
-            raise SimulationError(
-                f"round budget of {self._max_rounds} exhausted after "
-                f"{rounds_executed} rounds; unfinished nodes: "
-                f"{', '.join(unfinished) if unfinished else '(none)'}"
-            )
+                break
 
         return RunResult(
             stop_reason=stop_reason,
             rounds=rounds_executed,
-            first_round=first_round,
+            first_round=first_round if rounds_executed else None,
             outputs={node: p.output() for node, p in self._protocols.items()},
             metrics=network.metrics.diff(start_metrics),
-            outcomes=tuple(outcomes) if self._record_outcomes else None,
         )
-
-    def _all_done(self) -> bool:
-        return all(protocol.is_done() for protocol in self._protocols.values())

@@ -74,11 +74,9 @@ class CSRAdjacency:
         self._degrees = np.diff(indptr)
 
     @classmethod
-    def from_graph(
-        cls, graph: Graph, order: Optional[list] = None
-    ) -> tuple["CSRAdjacency", list]:
+    def from_graph(cls, graph: Graph) -> tuple["CSRAdjacency", list]:
         """Build from a graph; returns ``(csr, nodes)``."""
-        indptr, indices, nodes = graph.adjacency_csr(order=order)
+        indptr, indices, nodes = graph.adjacency_csr()
         return cls(indptr, indices), nodes
 
     @property
@@ -97,14 +95,6 @@ class CSRAdjacency:
     @property
     def indices(self) -> np.ndarray:
         return self._indices
-
-    def to_dense(self) -> np.ndarray:
-        """The equivalent dense boolean matrix (for tests and round-trips)."""
-        n = self.num_nodes
-        matrix = np.zeros((n, n), dtype=bool)
-        rows = np.repeat(np.arange(n), np.diff(self._indptr))
-        matrix[rows, self._indices] = True
-        return matrix
 
     def transmitter_counts_and_rank_sums(
         self,

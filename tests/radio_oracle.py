@@ -11,11 +11,9 @@ canonical edge ids of :func:`edge_ids`, built once per network.
 
 It is a reference implementation that tests compare against, not a
 second round: the package has one.  It has the network's interface
-(``run_round``, ``metrics``, ``current_round``) and traces into an
-``EventLog`` in the network's event order.
+(``run_round``, ``metrics``, ``current_round``).
 """
 
-from repro.network.events import TraceEvent
 from repro.network.messages import COLLISION, SILENCE, Message
 from repro.network.metrics import NetworkMetrics
 from repro.network.radio import CollisionModel, RoundOutcome
@@ -35,10 +33,9 @@ class ListenerDrivenNetwork:
     """``RadioNetwork``'s round, with the collision rule per listener."""
 
     def __init__(self, graph, collision_model=CollisionModel.NO_DETECTION,
-                 event_log=None, dynamics=None):
+                 *, dynamics=None):
         self._graph = graph
         self._collision_model = collision_model
-        self._event_log = event_log
         self._dynamics = dynamics
         self._edge_ids = edge_ids(dynamics) if dynamics is not None else {}
         self.metrics = NetworkMetrics()
@@ -70,7 +67,6 @@ class ListenerDrivenNetwork:
                 else:
                     received[node] = SILENCE
         self._count(transmitters, received, faults, crashed, jammed)
-        self._trace(transmitters, received)
         outcome = RoundOutcome(self.current_round, transmitters, received)
         self.current_round += 1
         return outcome
@@ -108,21 +104,3 @@ class ListenerDrivenNetwork:
                 metrics.collisions += 1
             else:
                 metrics.idle_listens += 1
-
-    def _trace(self, transmitters, received):
-        if self._event_log is None:
-            return
-        for node, message in transmitters.items():
-            self._event_log.record(
-                TraceEvent(self.current_round, "transmit", node, message))
-        for node, heard in received.items():
-            if node in transmitters:
-                continue
-            if isinstance(heard, Message):
-                kind = "receive"
-            elif heard is COLLISION:
-                kind = "collision"
-            else:
-                kind = "silence"
-            self._event_log.record(
-                TraceEvent(self.current_round, kind, node, heard))

@@ -18,8 +18,9 @@ from repro.api import (
     get_algorithm,
     resolve_execution,
 )
-from repro.core.broadcast import broadcast
+from repro.core.broadcast import broadcast, broadcast_batch
 from repro.core.compete import SkeletonStrategy
+from repro.core.leader_election import elect_leader
 from repro.core.parameters import CompeteParameters
 from repro.dynamics import DynamicsSpec, EdgeChurn
 from repro.errors import ConfigurationError
@@ -116,6 +117,36 @@ def test_config_accepts_strategy_instances():
 # ----------------------------------------------------------------------
 # resolve_execution: the one shared resolution path
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "entry", ["broadcast", "broadcast_batch", "elect_leader"]
+)
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExecutionConfig(),
+        ExecutionConfig(backend="vectorized"),
+        ExecutionConfig(backend="vectorized", rng="decoupled"),
+    ],
+    ids=["reference", "replay", "decoupled"],
+)
+def test_negative_seed_is_a_configuration_error_on_every_backend(
+    config, entry
+):
+    # Not NumPy's ValueError, and not the counter hash's alias of
+    # seed + 2**64: the same one-line error as run_benchmark's.
+    graph = topology.path_graph(8)
+    calls = {
+        "broadcast": lambda: broadcast(graph, 0, seed=-1, config=config),
+        "broadcast_batch": lambda: broadcast_batch(
+            graph, 0, seeds=[3, -1], config=config
+        ),
+        "elect_leader": lambda: elect_leader(graph, seed=-1, config=config),
+    }
+    with pytest.raises(ConfigurationError) as raised:
+        calls[entry]()
+    assert str(raised.value) == "seed must be >= 0, got -1"
+
+
 def test_resolve_execution_derives_everything():
     graph = topology.path_graph(16)
     resolved = resolve_execution(graph, ExecutionConfig(strategy="clustered"))

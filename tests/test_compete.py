@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import protocol_oracle
+from decay_oracle import simulate_decay_round
 from protocol_oracle import ScalarDrawCompeteProtocol
 from repro import Compete, compete, topology
 from repro.api import ExecutionConfig
@@ -18,10 +19,7 @@ from repro.errors import ConfigurationError
 from repro.network.messages import COLLISION, SILENCE, Message
 from repro.network.radio import RadioNetwork
 from repro.simulation.runner import ProtocolRunner
-from repro.schedules.decay import (
-    decay_success_probability_lower_bound,
-    simulate_decay_round,
-)
+from repro.schedules.decay import decay_success_probability_lower_bound
 
 
 def test_highest_candidate_wins_on_star():

@@ -1,4 +1,5 @@
-"""Edge cases of the Decay step rule (`repro.schedules.decay`).
+"""Edge cases of the Decay rule: `repro.schedules.decay` and the
+step-by-step oracle of `tests/decay_oracle.py`.
 
 The Compete suites exercise Decay only through full protocol runs; these
 tests pin the primitive directly: the degenerate ``n = 1`` network, step
@@ -12,17 +13,19 @@ import math
 import numpy as np
 import pytest
 
+from decay_oracle import (
+    DecayTransmitter,
+    decay_transmit_step,
+    simulate_decay_round,
+)
 from repro import topology
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.network.messages import Message
 from repro.network.radio import RadioNetwork
 from repro.schedules.decay import (
-    DecayTransmitter,
     decay_round_length,
     decay_success_probability_lower_bound,
-    decay_transmit_step,
-    simulate_decay_round,
 )
 
 

@@ -14,7 +14,6 @@ from repro.dynamics import (
     NodeCrash,
 )
 from repro.errors import ProtocolError
-from repro.network.events import EventLog
 from repro.network.graph import Graph
 from repro.network.messages import COLLISION, SILENCE, Message
 from repro.network.protocol import Action
@@ -177,9 +176,8 @@ def test_round_matches_the_listener_driven_oracle(family, faults, model):
         if _FAULTS[faults]:
             spec = DynamicsSpec(fault_seed=seed, models=_FAULTS[faults])
             dynamics = [FaultSchedule(spec, graph) for _ in range(2)]
-        logs = EventLog(), EventLog()
-        network = RadioNetwork(graph, model, logs[0], dynamics[0])
-        oracle = ListenerDrivenNetwork(graph, model, logs[1], dynamics[1])
+        network = RadioNetwork(graph, model, dynamics=dynamics[0])
+        oracle = ListenerDrivenNetwork(graph, model, dynamics=dynamics[1])
         rng = random.Random(seed)
         for round_number in range(24):
             actions = _random_actions(graph, rng)
@@ -197,4 +195,3 @@ def test_round_matches_the_listener_driven_oracle(family, faults, model):
                 + delta.idle_listens + delta.jammed_listens
                 + delta.crashed_nodes
             ) == graph.num_nodes
-        assert list(logs[0]) == list(logs[1])

@@ -185,8 +185,9 @@ class TestDecoupledStreams:
         assert not np.array_equal(kept, second)
 
     def test_mantissas_match_uniforms(self):
+        # A uniform is its hash word's top 53 bits over 2**53.
         streams = DecoupledStreams([3], num_nodes=64)
-        mantissas = streams.mantissas(4).copy()
+        mantissas = streams.bits(4) >> np.uint64(11)
         np.testing.assert_array_equal(
             mantissas.astype(np.float64) * 2.0**-53, streams.uniforms(4)
         )
@@ -201,6 +202,8 @@ class TestDecoupledStreams:
             DecoupledStreams([1], num_nodes=0)
         with pytest.raises(ConfigurationError, match="round_number"):
             DecoupledStreams([1], num_nodes=4).bits(-1)
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            DecoupledStreams([1, -1], num_nodes=4)
 
     def test_rng_modes_constant(self):
         assert RNG_MODES == ("replay", "decoupled")

@@ -1,9 +1,10 @@
-"""ProtocolRunner: stop conditions, budgets, accounting."""
+"""ProtocolRunner: the stop predicate, budgets, accounting."""
 
 import pytest
 
 from repro import topology
-from repro.errors import ConfigurationError, ProtocolError, SimulationError
+from repro.dynamics import DynamicsSpec, EdgeChurn, FaultSchedule, JammingWindows
+from repro.errors import ConfigurationError, ProtocolError
 from repro.network.messages import Message
 from repro.network.protocol import Action, NodeProtocol
 from repro.network.radio import RadioNetwork
@@ -12,7 +13,7 @@ from repro.simulation import ProtocolRunner, StopReason, build_seeded_protocols
 
 class OneShotBeacon(NodeProtocol):
     """Transmits once in ``fire_round`` (if it is the beacon), then idles;
-    reports done once it has heard (or sent) a message."""
+    keeps the message it heard."""
 
     def __init__(self, node_id, num_nodes, diameter, is_beacon, fire_round=0):
         super().__init__(node_id, num_nodes, diameter)
@@ -29,11 +30,29 @@ class OneShotBeacon(NodeProtocol):
         if isinstance(heard, Message):
             self.heard = heard
 
-    def is_done(self):
-        return self.is_beacon or self.heard is not None
-
     def output(self):
         return self.heard
+
+
+class Chatter(NodeProtocol):
+    """Transmits a fresh message with probability 1/2 each round; keeps
+    what it sent and what it heard, by round."""
+
+    def __init__(self, node_id, num_nodes, diameter, rng):
+        super().__init__(node_id, num_nodes, diameter)
+        self.rng = rng
+        self.sent = {}
+        self.heard = {}
+
+    def act(self, round_number):
+        if self.rng.random() < 0.5:
+            message = Message(value=round_number, source=self.node_id)
+            self.sent[round_number] = message
+            return Action.transmit(message)
+        return Action.listen()
+
+    def receive(self, round_number, heard):
+        self.heard[round_number] = heard
 
 
 def _beacon_protocols(graph, beacon):
@@ -43,14 +62,20 @@ def _beacon_protocols(graph, beacon):
     }
 
 
+def _all_done(outcome, protocols):
+    """Every node is the beacon or has heard a message."""
+    return all(p.is_beacon or p.heard is not None for p in protocols.values())
+
+
 def test_run_stops_when_all_done():
     graph = topology.star_graph(4)
     network = RadioNetwork(graph)
     runner = ProtocolRunner(
-        network, _beacon_protocols(graph, beacon=0), max_rounds=10
+        network, _beacon_protocols(graph, beacon=0), max_rounds=10,
+        stop_when=_all_done,
     )
     result = runner.run()
-    assert result.stop_reason is StopReason.ALL_DONE
+    assert result.stop_reason is StopReason.CONDITION
     assert result.completed
     assert result.rounds == 1
     assert result.first_round == 0
@@ -69,23 +94,18 @@ def test_budget_exhaustion_is_reported_not_raised_by_default():
         node: OneShotBeacon(node, 3, 2, node == 0, fire_round=5)
         for node in graph.nodes()
     }
-    runner = ProtocolRunner(network, protocols, max_rounds=3)
+    runner = ProtocolRunner(
+        network, protocols, max_rounds=3, stop_when=_all_done
+    )
     result = runner.run()
     assert result.stop_reason is StopReason.BUDGET_EXHAUSTED
     assert not result.completed
     assert result.rounds == 3
-
-
-def test_strict_budget_exhaustion_raises():
-    graph = topology.path_graph(3)
-    network = RadioNetwork(graph)
-    protocols = {
-        node: OneShotBeacon(node, 3, 2, node == 0, fire_round=5)
-        for node in graph.nodes()
-    }
-    runner = ProtocolRunner(network, protocols, max_rounds=2, strict=True)
-    with pytest.raises(SimulationError, match="round budget of 2"):
-        runner.run()
+    # A zero budget runs no round, so there is no first round to report.
+    empty = ProtocolRunner(network, protocols, max_rounds=0).run()
+    assert empty.stop_reason is StopReason.BUDGET_EXHAUSTED
+    assert empty.rounds == 0
+    assert empty.first_round is None
 
 
 def test_stop_when_condition():
@@ -105,32 +125,47 @@ def test_stop_when_condition():
     assert result.rounds == 5
 
 
-def test_zero_round_run_when_everyone_already_done():
-    graph = topology.star_graph(2)
-    network = RadioNetwork(graph)
-    protocols = _beacon_protocols(graph, beacon=0)
-    for protocol in protocols.values():
-        protocol.heard = Message(value=0, source=None)
-    runner = ProtocolRunner(network, protocols, max_rounds=10)
-    result = runner.run()
-    assert result.stop_reason is StopReason.ALL_DONE
-    assert result.rounds == 0
-    assert result.first_round is None
+def test_stop_when_sees_every_round_in_order():
+    # Churn drops links and jamming deafens listeners, so a round
+    # delivers less than its transmitters sent.  The predicate still
+    # sees every round once, in order, as the nodes saw it.
+    graph = topology.grid_graph(3, 4)
+    spec = DynamicsSpec(fault_seed=5, models=(
+        EdgeChurn(p_down=0.3, p_up=0.4),
+        JammingWindows(period=3, duration=2, fraction=0.4),
+    ))
+    network = RadioNetwork(graph, dynamics=FaultSchedule(spec, graph))
+    protocols = build_seeded_protocols(network, Chatter, seed=11)
+    seen = []
 
+    def record(outcome, protos):
+        seen.append(outcome)
+        return False
 
-def test_record_outcomes():
-    graph = topology.star_graph(2)
-    network = RadioNetwork(graph)
-    runner = ProtocolRunner(
-        network,
-        _beacon_protocols(graph, beacon=0),
-        max_rounds=10,
-        record_outcomes=True,
+    result = ProtocolRunner(
+        network, protocols, max_rounds=12, stop_when=record
+    ).run()
+    assert result.stop_reason is StopReason.BUDGET_EXHAUSTED
+    assert [outcome.round_number for outcome in seen] == list(range(12))
+    for outcome in seen:
+        round_number = outcome.round_number
+        assert outcome.transmitters == {
+            node: protocol.sent[round_number]
+            for node, protocol in protocols.items()
+            if round_number in protocol.sent
+        }
+        assert list(outcome.received) == graph.nodes()
+        for node, protocol in protocols.items():
+            assert outcome.received[node] is protocol.heard[round_number]
+    assert sum(len(outcome.transmitters) for outcome in seen) == (
+        result.metrics.transmissions
     )
-    result = runner.run()
-    assert result.outcomes is not None
-    assert len(result.outcomes) == result.rounds
-    assert result.outcomes[0].transmitters == {0: Message(value=1, source=0)}
+    assert sum(
+        isinstance(heard, Message)
+        for outcome in seen for heard in outcome.received.values()
+    ) == result.metrics.receptions > 0
+    assert result.metrics.suppressed_links > 0
+    assert result.metrics.jammed_listens > 0
 
 
 def test_runner_validates_inputs():

@@ -63,21 +63,6 @@ def test_adjacency_csr_degenerate_graphs():
     assert list(indptr) == [0] * 6 and indices.size == 0
 
 
-def test_adjacency_csr_respects_node_order_permutations():
-    graph = topology.path_graph(6)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        order = list(rng.permutation(6))
-        dense, _ = graph.adjacency_matrix(order=order)
-        indptr, indices, nodes = graph.adjacency_csr(order=order)
-        assert nodes == order
-        assert np.array_equal(csr_to_dense(indptr, indices, 6), dense)
-    with pytest.raises(GraphError, match="permutation"):
-        graph.adjacency_csr(order=[0, 1])
-    with pytest.raises(GraphError, match="permutation"):
-        graph.adjacency_csr(order=[0, 0, 1, 2, 3, 4])
-
-
 def assert_facts_of_a_fresh_graph(graph):
     """Connectivity and both diameters equal a freshly built copy's."""
     fresh = Graph(nodes=graph.nodes(), edges=graph.edges())
@@ -166,7 +151,9 @@ def test_csr_adjacency_from_graph_round_trips():
     assert nodes == dense_nodes
     assert csr.num_nodes == graph.num_nodes
     assert csr.num_entries == 2 * graph.num_edges
-    assert np.array_equal(csr.to_dense(), dense)
+    assert np.array_equal(
+        csr_to_dense(csr.indptr, csr.indices, csr.num_nodes), dense
+    )
 
 
 def test_csr_adjacency_validation():
@@ -221,7 +208,7 @@ def test_transmitter_kernel_matches_dense_matmul(seed, down_rate):
             if rng.random() < 0.15:
                 graph.add_edge(u, v)
     csr, _ = CSRAdjacency.from_graph(graph)
-    dense = csr.to_dense()
+    dense = csr_to_dense(csr.indptr, csr.indices, csr.num_nodes)
     if down_rate is None:
         entry_mask, up = None, dense
     else:
@@ -250,7 +237,7 @@ def test_transmitter_kernel_reads_one_entry_mask_row_per_group(groups):
     rng = np.random.default_rng(groups)
     graph = topology.connected_gnp_graph(30, 0.2, seed=groups)
     csr, _ = CSRAdjacency.from_graph(graph)
-    dense = csr.to_dense()
+    dense = csr_to_dense(csr.indptr, csr.indices, csr.num_nodes)
     n, trials = graph.num_nodes, 3
     rows = np.repeat(np.arange(n), np.diff(csr.indptr))
     downs = []

@@ -528,12 +528,3 @@ def test_adjacency_matrix():
     for u, v in [(0, 1), (1, 2), (2, 3)]:
         expected[u, v] = expected[v, u] = True
     assert np.array_equal(matrix, expected)
-
-    reordered, order = graph.adjacency_matrix(order=[3, 2, 1, 0])
-    assert order == [3, 2, 1, 0]
-    assert np.array_equal(reordered, expected[::-1, ::-1])
-
-    from repro.errors import GraphError
-
-    with pytest.raises(GraphError):
-        graph.adjacency_matrix(order=[0, 1])
