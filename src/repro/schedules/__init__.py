@@ -1,8 +1,7 @@
 """Transmission primitives shared by the paper's algorithms.
 
 * :mod:`repro.schedules.decay` -- the Decay protocol of Bar-Yehuda,
-  Goldreich and Itai (Algorithm 5 of the paper): its round length and
-  its single-round success guarantee (Lemma 3.1).
+  Goldreich and Itai (Algorithm 5 of the paper): its round length.
   :class:`~repro.core.compete.Compete` runs Decay through the
   :class:`TransmissionSchedule` its strategy compiles.
 * :mod:`repro.schedules.transmission` -- per-node periodic transmission
@@ -15,11 +14,7 @@
   :class:`~repro.core.clustering.ClusterDecomposition`).
 """
 
-from repro.schedules.decay import (
-    DECAY_DEFAULT_CONSTANT,
-    decay_round_length,
-    decay_success_probability_lower_bound,
-)
+from repro.schedules.decay import decay_round_length
 from repro.schedules.transmission import (
     MAX_CYCLE_LENGTH,
     TransmissionSchedule,
@@ -30,9 +25,7 @@ from repro.schedules.transmission import (
 from repro.schedules.cluster import charged_cycle_steps, cluster_schedule
 
 __all__ = [
-    "DECAY_DEFAULT_CONSTANT",
     "decay_round_length",
-    "decay_success_probability_lower_bound",
     "MAX_CYCLE_LENGTH",
     "TransmissionSchedule",
     "decay_probabilities",

@@ -3,9 +3,9 @@
 An ``asyncio`` job-queue server that accepts benchmark requests over
 HTTP or stdio JSON lines, caches prepared topologies (graph, diameter
 summary, round budget, CSR adjacency) in an LRU keyed by execution
-identity + topology digest, shards work over a bounded worker pool, and
-streams per-batch results -- see ``docs/EXPERIMENTS.md`` ("Serving
-simulations").
+identity + topology digest, runs every job's CPU work on one thread
+(jobs interleave batch by batch), and streams per-batch results -- see
+``docs/EXPERIMENTS.md`` ("Serving simulations").
 
 Layout: :mod:`~repro.service.protocol` (wire format and validation),
 :mod:`~repro.service.cache` (LRU + single-flight resolver),

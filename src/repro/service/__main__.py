@@ -57,8 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "%(default)s)")
     parser.add_argument("--job-workers", type=int,
                         default=DEFAULT_JOB_WORKERS,
-                        help="concurrently executing jobs (default: "
-                             "%(default)s)")
+                        help="jobs in flight at once (default: "
+                             "%(default)s).  The event loop does I/O; "
+                             "one CPU thread runs preparations and "
+                             "batches first-in first-out; jobs "
+                             "interleave at batch boundaries; parallel "
+                             "CPU work happens only through a run "
+                             "request's workers field")
     parser.add_argument("--timeout", type=float, default=None,
                         help="default per-job timeout in seconds "
                              "(requests may override; default: none)")

@@ -17,13 +17,22 @@ on one entry share nothing they mutate.
 :class:`ResolutionCache` is the synchronous LRU (usable on its own);
 :class:`CachedResolver` is the ``asyncio`` facade the server uses,
 adding single-flight coalescing: concurrent requests for the same key
-await one shared preparation instead of stampeding the executor.
+await one shared preparation instead of preparing it twice.
+
+The service's concurrency model: the event loop does I/O; one CPU
+thread runs preparations and batches first-in first-out; jobs
+interleave at batch boundaries; parallel CPU work happens only through
+``workers=``.  So a cache-miss preparation runs on the executor the
+resolver is handed -- the :class:`~repro.service.jobs.JobManager`'s CPU
+thread -- never on the loop's default executor, where it would contend
+for the interpreter lock with the batches.
 """
 
 from __future__ import annotations
 
 import asyncio
 import collections
+import concurrent.futures
 import time
 from typing import Callable, Optional
 
@@ -111,7 +120,8 @@ class CachedResolver:
     call for the same key prepared it; this one awaited it), and
     ``seconds`` is the time this caller spent obtaining the entry --
     the number the ``BENCH_service-*`` artifacts report as cold-vs-warm
-    resolve latency.  ``compile`` is the preparation function and the
+    resolve latency, including any wait for ``executor``.  ``compile``
+    is the preparation function, run on ``executor``, and the
     ``compiles`` counter counts its calls.
     """
 
@@ -119,11 +129,13 @@ class CachedResolver:
         self,
         cache: Optional[ResolutionCache] = None,
         *,
+        executor: concurrent.futures.Executor,
         compile: Callable[
             [Scenario, ExecutionConfig], PreparedScenario
         ] = prepare_scenario,
     ) -> None:
         self._cache = cache if cache is not None else ResolutionCache()
+        self._executor = executor
         self._compile = compile
         self._inflight: dict[str, asyncio.Future] = {}
         self._compiles = 0
@@ -164,7 +176,7 @@ class CachedResolver:
         try:
             self._compiles += 1
             prepared = await loop.run_in_executor(
-                None, self._compile, scenario, config
+                self._executor, self._compile, scenario, config
             )
         except BaseException as error:
             future.set_exception(error)

@@ -4,22 +4,34 @@ A *job* is one benchmark request -- a scenario plus run overrides --
 executed as a sequence of seed batches so results can stream out as they
 finish.  :class:`JobManager` owns the bounded ``asyncio`` queue (whose
 ``put_nowait`` failure is the service's backpressure signal: the request
-is rejected with ``queue-full`` rather than buffered without bound), a
-small set of worker tasks draining it, the
-:class:`~repro.service.cache.CachedResolver` all jobs share, and the
-thread pool that keeps the CPU-bound benchmark calls off the event
-loop.
+is rejected with ``queue-full`` rather than buffered without bound),
+``job_workers`` worker tasks draining it, the
+:class:`~repro.service.cache.CachedResolver` all jobs share, and the one
+CPU thread that keeps the CPU-bound calls off the event loop.
+
+The concurrency model: the event loop does I/O; one CPU thread runs
+preparations and batches first-in first-out; jobs interleave at batch
+boundaries; parallel CPU work happens only through ``workers=``.  Two
+threads of one process share one interpreter lock, so a second CPU
+thread would not add throughput, only slow each batch by contending
+with the first.  ``job_workers`` sets how many jobs are in flight, and
+their batches take turns on the thread, so a short job is not stuck
+behind a long one.  The thread is not the loop's default executor, so
+name lookups and other default-executor work never queue behind a
+batch.
 
 Each batch is one
 :func:`~repro.experiments.bench.run_benchmark` call reusing the cached
 :class:`~repro.experiments.bench.PreparedScenario` -- the same code path
 an in-process caller takes, which is what makes service results
 byte-identical to local runs -- and multi-process trial sharding inside
-a batch rides the same ``workers=`` seam.  Timeouts and cancellation are
-cooperative at batch boundaries: a running batch is never killed
-mid-trial (its thread cannot be), but no further batch starts once the
-deadline passed or a cancel arrived, and the job records how far it
-got.
+a batch rides the same ``workers=`` seam.  Each batch records the
+seconds it waited for the CPU thread and the seconds it ran
+(``batch_timing`` in the job status; beside the payload of each
+``batch`` stream event).  Timeouts and cancellation are cooperative at
+batch boundaries: a running batch is never killed mid-trial (its thread
+cannot be), but no further batch starts once the deadline passed or a
+cancel arrived, and the job records how far it got.
 """
 
 from __future__ import annotations
@@ -47,7 +59,8 @@ TERMINAL_STATES = ("done", "failed", "cancelled", "timeout")
 #: Default bound on the job queue (backpressure threshold).
 DEFAULT_QUEUE_SIZE = 64
 
-#: Default number of concurrently executing jobs.
+#: Default number of jobs in flight at once (their batches take turns on
+#: the one CPU thread).
 DEFAULT_JOB_WORKERS = 2
 
 
@@ -68,6 +81,8 @@ class Job:
         self.state = "queued"
         self.error: Optional[str] = None
         self.batches: list[dict[str, Any]] = []
+        # Per batch: seconds waited for the CPU thread, seconds run.
+        self.batch_timing: list[dict[str, float]] = []
         self.batches_total = (
             spec.overrides.seed_batches
             if spec.overrides.seed_batches is not None
@@ -112,6 +127,7 @@ class Job:
                 "seconds": self.resolve_seconds,
             },
             "wall_seconds": self.wall_seconds,
+            "batch_timing": list(self.batch_timing),
         }
         if self.error is not None:
             payload["error"] = self.error
@@ -123,7 +139,7 @@ class Job:
 
 
 class JobManager:
-    """The service's execution core: queue, workers, shared cache.
+    """The service's execution core: queue, workers, shared cache, CPU thread.
 
     Start with :meth:`start` (idempotent) and dispose with
     :meth:`close`.  Tests drive it directly -- without the HTTP layer --
@@ -146,17 +162,16 @@ class JobManager:
             raise RequestError(
                 "bad-request", f"job_workers must be >= 1, got {job_workers}"
             )
-        self.resolver = CachedResolver(cache)
+        self._executor = concurrent.futures.ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-service-cpu"
+        )
+        self.resolver = CachedResolver(cache, executor=self._executor)
         self._queue: asyncio.Queue[Job] = asyncio.Queue(maxsize=queue_size)
         self._job_workers = job_workers
         self._default_timeout = default_timeout
         self._jobs: dict[str, Job] = {}
         self._counter = 0
         self._workers: list[asyncio.Task] = []
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=job_workers,
-            thread_name_prefix="repro-service-job",
-        )
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -167,7 +182,11 @@ class JobManager:
             )
 
     async def close(self) -> None:
-        """Cancel the workers and release the thread pool."""
+        """Cancel the workers and release the CPU thread.
+
+        Work queued on the thread never starts; a batch already running
+        finishes, and the thread exits after it.
+        """
         for task in self._workers:
             task.cancel()
         for task in self._workers:
@@ -287,15 +306,20 @@ class JobManager:
                         f"{len(job.batches)}/{job.batches_total} batch(es)",
                     )
                     return
-                payload = await loop.run_in_executor(
+                submitted = time.perf_counter()
+                payload, started, finished = await loop.run_in_executor(
                     self._executor,
-                    self._run_batch,
+                    self._timed_batch,
                     spec,
                     config,
                     prepared,
                     per_batch,
                     base_seed + batch * per_batch,
                 )
+                job.batch_timing.append({
+                    "wait_seconds": started - submitted,
+                    "run_seconds": finished - started,
+                })
                 job.batches.append(payload)
                 job.changed.set()
             job.result = (
@@ -308,6 +332,12 @@ class JobManager:
             job._mark("failed", str(error))
         except Exception as error:  # defensive: never kill the worker
             job._mark("failed", f"{type(error).__name__}: {error}")
+
+    def _timed_batch(self, *args):
+        """One batch on the CPU thread, with when it started and ended."""
+        started = time.perf_counter()
+        payload = self._run_batch(*args)
+        return payload, started, time.perf_counter()
 
     def _run_batch(self, spec, config, prepared, trials, seed):
         return run_benchmark(

@@ -307,9 +307,11 @@ class ServiceServer:
         The response has no ``Content-Length``; per HTTP/1.1 the close
         delimits the body (``Connection: close`` is set on every
         response anyway).  Each line is one event object:
-        ``{"event": "batch", "batch": i, "payload": ...}`` per finished
-        batch, then one ``{"event": "end", ...}`` with the job's final
-        state (and merged result when it completed).
+        ``{"event": "batch", "batch": i, "payload": ..., "wait_seconds":
+        ..., "run_seconds": ...}`` per finished batch (the seconds it
+        waited for the CPU thread and ran there, beside the payload),
+        then one ``{"event": "end", ...}`` with the job's final state
+        (and merged result when it completed).
         """
         job = self.manager.get(job_id)  # may raise unknown-job
         writer.write(
@@ -327,6 +329,7 @@ class ServiceServer:
                         "job": job.id,
                         "batch": sent,
                         "payload": job.batches[sent],
+                        **job.batch_timing[sent],
                     },
                     sort_keys=True,
                 )

@@ -7,13 +7,15 @@ compiled probability cycles
 (:func:`repro.schedules.transmission.uniform_decay_schedule` and the
 cluster schedules).  This module keeps the rule one draw at a time: the
 step decision, a per-node transmitter that walks the steps, and one
-round of Decay driven on a :class:`~repro.network.radio.RadioNetwork`.
+round of Decay driven on a :class:`~repro.network.radio.RadioNetwork`,
+plus Lemma 3.1's analytic bound on one round's success probability.
 It reads nothing of the compiled cycles, so the Lemma 3.1 Monte-Carlo
 check in ``tests/test_compete.py``, which runs on it, shares no code
 with them.
 """
 
 import dataclasses
+import math
 from typing import Any, Iterable, Mapping, Optional
 
 import numpy as np
@@ -120,3 +122,30 @@ def simulate_decay_round(
             if isinstance(received, Message) and node not in heard:
                 heard[node] = received
     return heard
+
+
+def decay_success_probability_lower_bound(num_contenders: int) -> float:
+    """Analytic lower bound on the Lemma 3.1 success probability.
+
+    For a listener with ``k = num_contenders`` participating neighbours,
+    consider the Decay step ``i`` with ``2^-i`` closest to ``1/k`` from
+    below (so ``1/(2k) < 2^-i <= 1/k``).  The probability that exactly one
+    contender transmits at that step is at least
+
+        ``k * p * (1 - p)^(k-1)  >=  (1/2) * (1 - 1/k)^(k-1)  >=  1/(2e)``.
+
+    This is the classical bound; the Lemma 3.1 regression tests check
+    that the empirical success rate dominates it for all ``k``.
+    """
+    if num_contenders < 1:
+        raise ConfigurationError(
+            f"num_contenders must be >= 1, got {num_contenders}"
+        )
+    if num_contenders == 1:
+        # Step 1 alone transmits with probability 1/2.
+        return 0.5
+    k = num_contenders
+    # Find the step probability p = 2^-i with 1/(2k) < p <= 1/k.
+    step = math.ceil(math.log2(k))
+    p = 2.0 ** (-step)
+    return k * p * (1.0 - p) ** (k - 1)

@@ -15,6 +15,7 @@ import pytest
 
 from decay_oracle import (
     DecayTransmitter,
+    decay_success_probability_lower_bound,
     decay_transmit_step,
     simulate_decay_round,
 )
@@ -23,10 +24,7 @@ from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.network.messages import Message
 from repro.network.radio import RadioNetwork
-from repro.schedules.decay import (
-    decay_round_length,
-    decay_success_probability_lower_bound,
-)
+from repro.schedules.decay import decay_round_length
 
 
 class StubRng:

@@ -82,6 +82,37 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def _default_executor_calls(source):
+    """Lines that hand ``run_in_executor`` the loop's default executor."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "run_in_executor"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value is None
+    ]
+
+
+def test_service_cpu_work_never_runs_on_the_default_executor():
+    # The service runs CPU work on its one CPU thread.  The default
+    # executor serves asyncio's own blocking calls (getaddrinfo), so work
+    # put there would contend with the batches and delay binds.
+    assert _default_executor_calls(
+        "loop.run_in_executor(None, work)\nloop.run_in_executor(pool, work)"
+    ) == [1]
+    offenders = {
+        str(path.relative_to(REPO_ROOT)): lines
+        for path in sorted(
+            (REPO_ROOT / "src" / "repro" / "service").rglob("*.py")
+        )
+        if (lines := _default_executor_calls(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
 def test_package_docstring_quickstart():
     results = doctest.testmod(repro, verbose=False)
     assert results.attempted > 0

@@ -8,6 +8,7 @@ plain test functions (no pytest-asyncio in the dependency budget).
 """
 
 import asyncio
+import concurrent.futures
 import json
 import logging
 import socket
@@ -19,7 +20,7 @@ import urllib.request
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import run_benchmark
+from repro.experiments import prepare_scenario, run_benchmark, validate_bench
 from repro.experiments.scenarios import DEFAULT_REGISTRY, Scenario
 from repro.service import (
     CachedResolver,
@@ -192,15 +193,16 @@ def test_cached_resolver_coalesces_concurrent_compiles():
         time.sleep(0.2)
         return f"prepared-{scenario.name}"
 
-    async def scenario_pair():
-        resolver = CachedResolver(compile=slow_compile)
+    async def scenario_pair(executor):
+        resolver = CachedResolver(executor=executor, compile=slow_compile)
         first, second = await asyncio.gather(
             resolver.resolve(TINY), resolver.resolve(TINY)
         )
         third = await resolver.resolve(TINY)
         return first, second, third, resolver.stats()
 
-    first, second, third, stats = asyncio.run(scenario_pair())
+    with concurrent.futures.ThreadPoolExecutor(1) as executor:
+        first, second, third, stats = asyncio.run(scenario_pair(executor))
     assert len(compiles) == 1, "duplicate requests must share one compile"
     assert first[0] == second[0] == third[0] == "prepared-svc-tiny"
     assert {first[1], second[1]} == {"miss", "coalesced"}
@@ -218,14 +220,15 @@ def test_cached_resolver_propagates_compile_failure_then_recovers():
             raise ConfigurationError("transient failure")
         return "ok"
 
-    async def drive():
-        resolver = CachedResolver(compile=flaky_compile)
+    async def drive(executor):
+        resolver = CachedResolver(executor=executor, compile=flaky_compile)
         with pytest.raises(ConfigurationError, match="transient"):
             await resolver.resolve(TINY)
         prepared, outcome, _ = await resolver.resolve(TINY)
         return prepared, outcome
 
-    prepared, outcome = asyncio.run(drive())
+    with concurrent.futures.ThreadPoolExecutor(1) as executor:
+        prepared, outcome = asyncio.run(drive(executor))
     assert prepared == "ok" and outcome == "miss"
     assert len(attempts) == 2, "a failed compile must not be cached"
 
@@ -361,6 +364,188 @@ def test_queue_full_rejection_and_queued_cancel():
         await manager.close()
 
     asyncio.run(drive())
+
+
+def _record_cpu_work(manager, log):
+    """Log ``(kind, thread id, start, end)`` of every batch and compile."""
+
+    def recorded(kind, call):
+        def wrapper(*args):
+            start = time.perf_counter()
+            try:
+                return call(*args)
+            finally:
+                log.append((
+                    kind, threading.get_ident(), start, time.perf_counter()
+                ))
+
+        return wrapper
+
+    manager._run_batch = recorded("batch", manager._run_batch)
+    manager.resolver._compile = recorded(
+        "compile", manager.resolver._compile
+    )
+
+
+def test_concurrent_jobs_prepare_and_run_on_one_thread_in_turn():
+    # A warm job and a cache miss in flight together: every preparation
+    # and every batch runs on the one CPU thread, never two at a time.
+    async def drive():
+        manager = JobManager(job_workers=2)
+        config = TINY.execution_config()
+        manager.resolver.cache.put(
+            resolution_key(TINY, config), prepare_scenario(TINY, config)
+        )
+        log = []
+        _record_cpu_work(manager, log)
+        manager.start()
+        try:
+            jobs = [
+                manager.submit(JobSpec(
+                    scenario=scenario,
+                    overrides=RunOverrides(trials=1, seed_batches=3),
+                ))
+                for scenario in (TINY, TINY_OTHER_TOPOLOGY)
+            ]
+            for job in jobs:
+                await _wait_terminal(manager, job)
+        finally:
+            await manager.close()
+        return jobs, log
+
+    jobs, log = asyncio.run(drive())
+    assert [job.state for job in jobs] == ["done", "done"]
+    assert [job.resolve_outcome for job in jobs] == ["hit", "miss"]
+    assert sorted(kind for kind, *_ in log) == ["batch"] * 6 + ["compile"]
+    assert len({thread for _, thread, _, _ in log}) == 1
+    intervals = sorted((start, end) for _, _, start, end in log)
+    for (_, end), (next_start, _) in zip(intervals, intervals[1:]):
+        assert end <= next_start
+
+
+def test_short_job_finishes_before_a_long_jobs_last_batch_starts():
+    # Jobs in flight interleave at batch boundaries: a 1-batch job
+    # submitted beside a 3-batch one does not wait for all three.
+    async def drive():
+        manager = JobManager(job_workers=2)
+        starts = {}
+        real_batch = manager._run_batch
+
+        def logged_batch(spec, config, prepared, trials, seed):
+            starts[seed] = time.time()
+            return real_batch(spec, config, prepared, trials, seed)
+
+        manager._run_batch = logged_batch
+        manager.start()
+        try:
+            long = manager.submit(JobSpec(
+                scenario=TINY,
+                overrides=RunOverrides(trials=1, seed=11, seed_batches=3),
+            ))
+            short = manager.submit(JobSpec(
+                scenario=TINY, overrides=RunOverrides(trials=1, seed=100),
+            ))
+            await _wait_terminal(manager, long)
+            await _wait_terminal(manager, short)
+        finally:
+            await manager.close()
+        return long, short, starts
+
+    long, short, starts = asyncio.run(drive())
+    assert long.state == short.state == "done"
+    assert sorted(starts) == [11, 12, 13, 100]
+    assert short.finished_at < starts[13]
+
+
+def test_a_batch_that_raises_fails_its_job_and_the_thread_runs_on():
+    async def drive():
+        # One job worker: the second job runs only after the first
+        # failed, so it shows the worker and the CPU thread survived.
+        manager = JobManager(job_workers=1)
+        threads = {}
+        real_batch = manager._run_batch
+
+        def exploding_batch(spec, config, prepared, trials, seed):
+            threads[seed] = threading.get_ident()
+            if seed == 100:
+                raise RuntimeError("batch exploded")
+            return real_batch(spec, config, prepared, trials, seed)
+
+        manager._run_batch = exploding_batch
+        manager.start()
+        try:
+            broken = manager.submit(JobSpec(
+                scenario=TINY,
+                overrides=RunOverrides(seed=100, seed_batches=2),
+            ))
+            after = manager.submit(JobSpec(
+                scenario=TINY,
+                overrides=RunOverrides(trials=1, seed_batches=2),
+            ))
+            await _wait_terminal(manager, broken)
+            await _wait_terminal(manager, after)
+        finally:
+            await manager.close()
+        return broken, after, threads
+
+    broken, after, threads = asyncio.run(drive())
+    assert broken.state == "failed"
+    assert broken.error == "RuntimeError: batch exploded"
+    assert broken.batches == [] and broken.result is None
+    assert after.state == "done" and len(after.batches) == 2
+    assert sorted(threads) == [11, 12, 100]
+    assert len(set(threads.values())) == 1
+
+
+def test_close_with_running_and_queued_jobs_starts_no_more_work():
+    started = threading.Event()
+    release = threading.Event()
+    ran = []
+    cpu_threads = []
+
+    async def drive():
+        manager = JobManager(job_workers=2)
+        real_batch = manager._run_batch
+
+        def gated_batch(spec, config, prepared, trials, seed):
+            ran.append(seed)
+            cpu_threads.append(threading.current_thread())
+            started.set()
+            assert release.wait(30)
+            return real_batch(spec, config, prepared, trials, seed)
+
+        manager._run_batch = gated_batch
+        manager.start()
+        running, waiting, queued = [
+            manager.submit(JobSpec(
+                scenario=TINY,
+                overrides=RunOverrides(seed=seed, seed_batches=2),
+            ))
+            for seed in (100, 200, 300)
+        ]
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, started.wait, 30)
+        # The second job is in flight too: its first batch waits for
+        # the CPU thread once its resolve is recorded.
+        end = time.monotonic() + 30
+        while waiting.resolve_outcome is None:
+            assert time.monotonic() < end, "second job never resolved"
+            await asyncio.sleep(0.01)
+        closing = time.monotonic()
+        await asyncio.wait_for(manager.close(), timeout=5)
+        return (running, waiting, queued), time.monotonic() - closing
+
+    try:
+        jobs, close_seconds = asyncio.run(drive())
+    finally:
+        release.set()
+    assert close_seconds < 5
+    assert jobs[2].state == "queued"
+    assert [job.batches for job in jobs] == [[], [], []]
+    (thread,) = cpu_threads
+    thread.join(timeout=10)
+    assert not thread.is_alive(), "the CPU thread outlived its batch"
+    assert ran == [100], "work queued behind the running batch started"
 
 
 # ----------------------------------------------------------------------
@@ -510,6 +695,10 @@ def test_http_stream_emits_batches_then_end():
             events = await loop.run_in_executor(
                 None, read_stream, submitted["job"]
             )
+            status, job = await loop.run_in_executor(
+                None, call, "GET", f"/v1/jobs/{submitted['job']}"
+            )
+            assert status == 200
         finally:
             await server.close()
         assert [event["event"] for event in events] == [
@@ -518,6 +707,17 @@ def test_http_stream_emits_batches_then_end():
         assert [event.get("batch") for event in events[:3]] == [0, 1, 2]
         assert events[-1]["state"] == "done"
         assert events[-1]["result"]["trials"]["vectorized"] == 3
+        # Each batch's wait for the CPU thread and its run time ride
+        # beside the payload, which stays a plain artifact.
+        timing = []
+        for event in events[:3]:
+            validate_bench(event["payload"])
+            assert event["wait_seconds"] >= 0 and event["run_seconds"] > 0
+            timing.append({
+                "wait_seconds": event["wait_seconds"],
+                "run_seconds": event["run_seconds"],
+            })
+        assert job["batch_timing"] == timing
 
     asyncio.run(drive())
 
@@ -661,6 +861,9 @@ def test_stdio_transport_round_trip():
         finally:
             client_writer.close()
             await asyncio.wait_for(session, timeout=10)
+            server_writer.close()
+            await server_writer.wait_closed()
+            await client_writer.wait_closed()
             await manager.close()
 
     asyncio.run(drive())
@@ -670,8 +873,6 @@ def test_stdio_transport_round_trip():
 # loadgen helpers
 # ----------------------------------------------------------------------
 def test_attach_service_block_keeps_payload_schema_valid():
-    from repro.experiments import validate_bench
-
     payload = run_benchmark(TINY, include_reference=False)
     status = {
         "job": "job-1",
