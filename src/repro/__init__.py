@@ -39,7 +39,6 @@ from repro.simulation.runner import ProtocolRunner
 from repro.core.parameters import CompeteParameters
 from repro.core.compete import Compete, CompeteResult, compete
 from repro.core.broadcast import broadcast, broadcast_batch, BroadcastResult
-from repro.core.decay_broadcast import decay_broadcast
 from repro.core.leader_election import elect_leader, LeaderElectionResult
 from repro.api import (
     DEFAULT_ALGORITHMS,
@@ -47,7 +46,6 @@ from repro.api import (
     AlgorithmRegistry,
     ExecutionConfig,
     ResolvedExecution,
-    get_algorithm,
     resolve_execution,
 )
 
@@ -71,7 +69,6 @@ __all__ = [
     "broadcast",
     "broadcast_batch",
     "BroadcastResult",
-    "decay_broadcast",
     "elect_leader",
     "LeaderElectionResult",
     "DEFAULT_ALGORITHMS",
@@ -79,6 +76,5 @@ __all__ = [
     "AlgorithmRegistry",
     "ExecutionConfig",
     "ResolvedExecution",
-    "get_algorithm",
     "resolve_execution",
 ]

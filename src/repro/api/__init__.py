@@ -12,13 +12,12 @@ This layer is the single front door for *how* and *what* to run:
 * :class:`~repro.api.registry.AlgorithmRegistry` -- algorithms
   (``broadcast``, ``leader-election``, the classical
   ``decay-broadcast`` baseline, and future prior-work protocols) as
-  named, capability-declaring plugins
-  (:data:`~repro.api.registry.DEFAULT_ALGORITHMS`), so scenarios and
-  the CLI dispatch by name instead of ``if``/``elif`` chains.
+  named, capability-declaring plugins, each one function over a list of
+  seeds (:data:`~repro.api.registry.DEFAULT_ALGORITHMS`), so scenarios
+  and the CLI dispatch by name instead of ``if``/``elif`` chains.
 """
 
 from repro.api.config import (
-    RNG_POLICIES,
     ExecutionConfig,
     ResolvedExecution,
     resolve_execution,
@@ -28,11 +27,9 @@ from repro.api.registry import (
     DEFAULT_ALGORITHMS,
     Algorithm,
     AlgorithmRegistry,
-    get_algorithm,
 )
 
 __all__ = [
-    "RNG_POLICIES",
     "ExecutionConfig",
     "ResolvedExecution",
     "resolve_execution",
@@ -40,5 +37,4 @@ __all__ = [
     "DEFAULT_ALGORITHMS",
     "Algorithm",
     "AlgorithmRegistry",
-    "get_algorithm",
 ]

@@ -4,8 +4,8 @@ Every execution axis -- the backend (``"reference"`` or
 ``"vectorized"``), the Compete strategy, the collision model, the round
 budget (``parameters`` / ``margin``), the seed policy and the fault
 environment -- lives in one validated, immutable value object that
-``Compete``, ``broadcast``, ``elect_leader``, ``decay_broadcast`` and
-the benchmark subsystem all accept as a single ``config=``:
+``Compete``, ``broadcast``, ``elect_leader``, the algorithm registry
+and the benchmark subsystem all accept as a single ``config=``:
 
 >>> from repro.api import ExecutionConfig
 >>> config = ExecutionConfig(backend="vectorized")
@@ -27,7 +27,9 @@ strategy compiled to a
 normalised collision model and the fault schedule -- and
 :meth:`ResolvedExecution.build_engine` constructs the vectorized engine
 it describes.  :class:`~repro.core.compete.Compete` resolves its config
-once, and again only after its graph is mutated.
+once, and again only after its graph is mutated; every seed of one
+:meth:`~repro.core.compete.Compete.run_batch` call, on either backend,
+shares that resolution.
 """
 
 from __future__ import annotations
@@ -52,14 +54,6 @@ from repro.schedules.transmission import TransmissionSchedule
 from repro.simulation.rng import RNG_MODES
 from repro.simulation.vectorized import VectorizedCompeteEngine
 from repro.topology.validation import validate_radio_topology
-
-#: Seed policies: how per-(trial, node) randomness is produced.
-#: ``"replay"`` replays the reference runner's ``SeedSequence.spawn``
-#: streams for round-exact backend parity; ``"decoupled"`` evaluates the
-#: stateless counter-based hash of :mod:`repro.simulation.rng`
-#: (vectorized backend only -- fast, seed-reproducible, distributionally
-#: equivalent).  Aliases :data:`repro.simulation.rng.RNG_MODES`.
-RNG_POLICIES = RNG_MODES
 
 _COLLISION_BY_NAME = {model.value: model for model in CollisionModel}
 
@@ -95,11 +89,11 @@ class ExecutionConfig:
         Multiplier on ``D + log2 n`` for the derived round budget
         (ignored when ``parameters`` is given).
     rng:
-        Seed policy, one of :data:`RNG_POLICIES`: ``"replay"`` (the
-        reference-parity stream replay, round-exact across backends) or
-        ``"decoupled"`` (the counter-based hash fast mode; vectorized
-        backend only, seed-reproducible against itself, equivalent to
-        replay *in distribution* -- the contract
+        Seed policy, one of :data:`~repro.simulation.rng.RNG_MODES`:
+        ``"replay"`` (the reference-parity stream replay, round-exact
+        across backends) or ``"decoupled"`` (the counter-based hash fast
+        mode; vectorized backend only, seed-reproducible against itself,
+        equivalent to replay *in distribution* -- the contract
         ``tests/test_rng_decoupled.py`` enforces statistically).
     dynamics:
         Optional :class:`repro.dynamics.DynamicsSpec` (or its
@@ -157,9 +151,9 @@ class ExecutionConfig:
             raise ConfigurationError(
                 f"margin must be > 0, got {self.margin}"
             )
-        if self.rng not in RNG_POLICIES:
+        if self.rng not in RNG_MODES:
             raise ConfigurationError(
-                f"rng must be one of {RNG_POLICIES}, got {self.rng!r}"
+                f"rng must be one of {RNG_MODES}, got {self.rng!r}"
             )
         if self.rng == "decoupled" and self.backend == "reference":
             raise ConfigurationError(

@@ -4,21 +4,20 @@ Scenarios, the benchmark runner and the CLI used to dispatch on
 hard-coded ``if algorithm == "broadcast" ... elif ...`` chains, so a new
 baseline protocol meant edits across five modules.  This module makes
 the algorithm a first-class registered object: an :class:`Algorithm`
-bundles the entry points (single-seed ``run``, optional batched
-``run_batch``) with the *capabilities* callers must respect -- which
+bundles its one entry point, ``run_batch`` over a list of seeds on the
+config's backend, with the *capabilities* callers must respect -- which
 collision models the protocol supports, whether it can (or must) run
 with spontaneous transmissions, and which extra per-trial series its
 results report.  :data:`DEFAULT_ALGORITHMS` holds the built-ins:
 
 * ``"broadcast"`` -- Compete-based broadcasting (the paper's algorithm),
 * ``"leader-election"`` -- ~1/n self-selection + Compete on random IDs,
-* ``"decay-broadcast"`` -- the classical repeated-Decay baseline
-  (:mod:`repro.core.decay_broadcast`), registered through the same seam
-  a future Ghaffari--Haeupler--Khabbazian collision-detection baseline
-  will use.
+* ``"decay-broadcast"`` -- the classical repeated-Decay baseline of
+  Bar-Yehuda--Goldreich--Itai: the paper's broadcast with spontaneous
+  transmissions off, on the uniform skeleton schedule only.
 
-Adding a baseline is now a self-contained plugin: implement the
-algorithm against :class:`~repro.api.config.ExecutionConfig`, build an
+Adding a baseline is a self-contained plugin: implement one function
+against :class:`~repro.api.config.ExecutionConfig`, build an
 :class:`Algorithm` record, and ``DEFAULT_ALGORITHMS.register(...)`` it
 -- scenarios and the CLI pick it up by name with no dispatch edits.
 
@@ -37,14 +36,13 @@ from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.network.radio import CollisionModel
 from repro.api.config import ExecutionConfig
-from repro.core.broadcast import broadcast, broadcast_batch
-from repro.core.decay_broadcast import decay_broadcast, decay_broadcast_batch
+from repro.core.broadcast import broadcast_batch
 from repro.core.leader_election import elect_leader
 
 
 @dataclasses.dataclass(frozen=True)
 class Algorithm:
-    """One registered algorithm: entry points plus declared capabilities.
+    """One registered algorithm: its entry point plus declared capabilities.
 
     Attributes
     ----------
@@ -52,15 +50,11 @@ class Algorithm:
         Registry key; also what scenarios and the CLI dispatch on.
     description:
         One line shown by ``python -m repro.experiments algorithms``.
-    run:
-        ``run(graph, *, config, seed, spontaneous)`` -> result object.
-        Implementations pick their own conventions for anything further
-        (e.g. the broadcast source defaults to the graph's first node).
     run_batch:
-        Optional ``run_batch(graph, *, config, seeds, spontaneous)`` ->
-        list of results, for algorithms whose trials batch on the
-        vectorized backend; ``None`` falls back to per-seed ``run``
-        calls.
+        ``run_batch(graph, *, config, seeds, spontaneous)`` -> one
+        result per seed, run on ``config.backend``.  Implementations
+        pick their own conventions for anything further (e.g. the
+        broadcast source defaults to the graph's first node).
     collision_models:
         The collision semantics the protocol is defined for.
     supports_spontaneous / requires_spontaneous:
@@ -76,8 +70,7 @@ class Algorithm:
 
     name: str
     description: str
-    run: Callable[..., Any]
-    run_batch: Optional[Callable[..., Any]] = None
+    run_batch: Callable[..., list]
     collision_models: frozenset = frozenset(CollisionModel)
     supports_spontaneous: bool = True
     requires_spontaneous: bool = False
@@ -173,17 +166,9 @@ class AlgorithmRegistry:
         >>> result.success
         True
         """
-        algorithm = self.get(name)
-        if config is None:
-            config = ExecutionConfig()
-        if spontaneous is None:
-            spontaneous = algorithm.spontaneous_default
-        algorithm.check(
-            collision_model=config.collision_model, spontaneous=spontaneous
-        )
-        return algorithm.run(
-            graph, config=config, seed=seed, spontaneous=spontaneous, **kwargs
-        )
+        return self._dispatch(
+            name, graph, config, [seed], spontaneous, kwargs
+        )[0]
 
     def run_batch(
         self,
@@ -197,10 +182,12 @@ class AlgorithmRegistry:
     ) -> list:
         """Dispatch a batch of seeded trials to the named algorithm.
 
-        Uses the algorithm's batched entry point when it has one (the
-        trials share one vectorized engine), falling back to per-seed
-        :meth:`run` calls otherwise.
+        The trials run on ``config.backend``, with the same defaults and
+        capability check as :meth:`run`.
         """
+        return self._dispatch(name, graph, config, seeds, spontaneous, kwargs)
+
+    def _dispatch(self, name, graph, config, seeds, spontaneous, kwargs):
         algorithm = self.get(name)
         if config is None:
             config = ExecutionConfig()
@@ -209,18 +196,10 @@ class AlgorithmRegistry:
         algorithm.check(
             collision_model=config.collision_model, spontaneous=spontaneous
         )
-        if algorithm.run_batch is not None:
-            return algorithm.run_batch(
-                graph, config=config, seeds=seeds, spontaneous=spontaneous,
-                **kwargs,
-            )
-        return [
-            algorithm.run(
-                graph, config=config, seed=seed, spontaneous=spontaneous,
-                **kwargs,
-            )
-            for seed in seeds
-        ]
+        return algorithm.run_batch(
+            graph, config=config, seeds=seeds, spontaneous=spontaneous,
+            **kwargs,
+        )
 
     def __contains__(self, name: str) -> bool:
         return name in self._algorithms
@@ -239,39 +218,32 @@ def _default_source(graph: Graph, source) -> Any:
     return graph.nodes()[0] if source is None else source
 
 
-def _run_broadcast(graph, *, config, seed, spontaneous, source=None):
-    return broadcast(
-        graph, _default_source(graph, source), seed=seed,
-        spontaneous=spontaneous, config=config,
-    )
-
-
-def _run_broadcast_batch(graph, *, config, seeds, spontaneous, source=None):
+def _run_broadcast(graph, *, config, seeds, spontaneous, source=None):
     return broadcast_batch(
         graph, _default_source(graph, source), seeds=seeds,
         spontaneous=spontaneous, config=config,
     )
 
 
-def _run_election(graph, *, config, seed, spontaneous):
-    return elect_leader(
-        graph, seed=seed, spontaneous=spontaneous, config=config
-    )
+def _run_election(graph, *, config, seeds, spontaneous):
+    return [
+        elect_leader(graph, seed=seed, spontaneous=spontaneous, config=config)
+        for seed in seeds
+    ]
 
 
-def _run_decay_broadcast(graph, *, config, seed, spontaneous, source=None):
-    return decay_broadcast(
-        graph, _default_source(graph, source), seed=seed,
-        spontaneous=spontaneous, config=config,
-    )
-
-
-def _run_decay_broadcast_batch(
-    graph, *, config, seeds, spontaneous, source=None
-):
-    return decay_broadcast_batch(
-        graph, _default_source(graph, source), seeds=seeds,
-        spontaneous=spontaneous, config=config,
+def _run_decay_broadcast(graph, *, config, seeds, spontaneous, source=None):
+    # Repeated Decay is Compete with one candidate, no spontaneous
+    # transmissions and the uniform skeleton schedule: only informed
+    # nodes draw.  The capability check has already rejected
+    # spontaneous=True, and broadcast_batch rejects an unknown source.
+    if config.strategy_name != "skeleton":
+        raise ConfigurationError(
+            "decay-broadcast is the classical uniform-Decay baseline and "
+            f"supports only strategy='skeleton', got {config.strategy_name!r}"
+        )
+    return _run_broadcast(
+        graph, config=config, seeds=seeds, spontaneous=False, source=source
     )
 
 
@@ -284,8 +256,7 @@ DEFAULT_ALGORITHMS.register(Algorithm(
         "Compete-based broadcasting (the paper's algorithm; spontaneous "
         "transmissions on by default)"
     ),
-    run=_run_broadcast,
-    run_batch=_run_broadcast_batch,
+    run_batch=_run_broadcast,
     spontaneous_default=True,
 ))
 
@@ -295,7 +266,7 @@ DEFAULT_ALGORITHMS.register(Algorithm(
         "~1/n candidate self-selection + Compete on random identifiers, "
         "retried until a unique leader saturates"
     ),
-    run=_run_election,
+    run_batch=_run_election,
     spontaneous_default=False,
     extra_series=("attempts",),
 ))
@@ -306,13 +277,7 @@ DEFAULT_ALGORITHMS.register(Algorithm(
         "classical repeated-Decay broadcast (Bar-Yehuda-Goldreich-Itai), "
         "the no-spontaneous-transmissions baseline"
     ),
-    run=_run_decay_broadcast,
-    run_batch=_run_decay_broadcast_batch,
+    run_batch=_run_decay_broadcast,
     supports_spontaneous=False,
     spontaneous_default=False,
 ))
-
-
-def get_algorithm(name: str) -> Algorithm:
-    """Look up ``name`` in :data:`DEFAULT_ALGORITHMS`."""
-    return DEFAULT_ALGORITHMS.get(name)

@@ -10,7 +10,9 @@
   cost-charged schedules.
 * :mod:`repro.core.broadcast` -- single-source broadcasting as the
   one-candidate instance of Compete, with spontaneous transmissions on
-  by default.
+  by default; with them off it is the classical repeated-Decay baseline,
+  registered as ``"decay-broadcast"`` in
+  :data:`repro.api.DEFAULT_ALGORITHMS`.
 * :mod:`repro.core.leader_election` -- candidates self-select with
   probability ``~1/n`` and Compete on random identifiers; retried until
   a unique leader saturates.
@@ -35,8 +37,10 @@ For every strategy, the backends are **round-exact equivalents**: given
 the same graph, candidates and seed they produce identical results --
 same winner, same per-node reception rounds, same metric counters -- so
 the vectorized backend can stand in wherever throughput matters (see
-:mod:`repro.experiments`), and :meth:`Compete.run_batch` runs many seeded
-trials as one batched computation.
+:mod:`repro.experiments`).  Each algorithm has one runner,
+:meth:`Compete.run_batch` over a list of seeds, and it is the one place
+that reads the backend: the reference runner takes the seeds one after
+another, the engine races them as one batched computation.
 """
 
 from repro.core.parameters import DEFAULT_MARGIN, CompeteParameters
@@ -57,7 +61,6 @@ from repro.core.compete import (
     resolve_strategy,
 )
 from repro.core.broadcast import BroadcastResult, broadcast, broadcast_batch
-from repro.core.decay_broadcast import decay_broadcast, decay_broadcast_batch
 from repro.core.leader_election import LeaderElectionResult, elect_leader
 
 __all__ = [
@@ -82,8 +85,6 @@ __all__ = [
     "BroadcastResult",
     "broadcast",
     "broadcast_batch",
-    "decay_broadcast",
-    "decay_broadcast_batch",
     "LeaderElectionResult",
     "elect_leader",
 ]

@@ -94,14 +94,9 @@ def broadcast(
     >>> result.success
     True
     """
-    if source not in graph:
-        raise ConfigurationError(f"source node {source!r} is not in the graph")
-    primitive = Compete(graph, config=config)
-    message = Message(value=1, source=source)
-    compete_result = primitive.run(
-        {source: message}, seed=seed, spontaneous=spontaneous
-    )
-    return _wrap(source, message, compete_result)
+    return broadcast_batch(
+        graph, source, seeds=[seed], spontaneous=spontaneous, config=config
+    )[0]
 
 
 def broadcast_batch(
@@ -112,12 +107,12 @@ def broadcast_batch(
     spontaneous: bool = True,
     config=None,
 ) -> list[BroadcastResult]:
-    """One seeded broadcast per entry of ``seeds``, batched.
+    """One seeded broadcast per entry of ``seeds``, on ``config.backend``.
 
-    All trials run simultaneously through the vectorized engine
-    (regardless of ``config.backend``, which only governs single-seed
-    :func:`broadcast` calls); each returned :class:`BroadcastResult` is
-    identical to the corresponding single-seed reference run.
+    The trials share one :class:`~repro.core.compete.Compete`, so one
+    resolution (:meth:`~repro.core.compete.Compete.run_batch`); each
+    returned :class:`BroadcastResult` equals :func:`broadcast` for its
+    seed.
     """
     if source not in graph:
         raise ConfigurationError(f"source node {source!r} is not in the graph")

@@ -44,10 +44,10 @@ replays the identical dynamics through
 array operations.  Both consume the same
 :class:`~repro.schedules.transmission.TransmissionSchedule` and produce
 the same :class:`CompeteResult` round for round under a shared seed, for
-every (strategy, backend) cell of the matrix;
-:meth:`Compete.run_batch` additionally runs many seeded trials at once on
-the vectorized backend, on the CSR kernel of
-:mod:`repro.simulation.sparse`.
+every (strategy, backend) cell of the matrix.  :meth:`Compete.run_batch`
+is the one runner and the one place that reads the backend: the
+reference backend runs its seeds one after another, the vectorized one
+races them at once on the CSR kernel of :mod:`repro.simulation.sparse`.
 
 The vectorized backend keeps node state in arrays from start to finish.
 It ranks the candidates by :meth:`Message.sort_key
@@ -100,7 +100,7 @@ from repro.core.parameters import CompeteParameters
 #: value (wrapped into ``Message(value, source=node)``).
 CandidateSpec = Mapping[Any, Union[Message, int]]
 
-#: The execution backends of :meth:`Compete.run`.
+#: The execution backends of :meth:`Compete.run_batch`.
 BACKENDS = ("reference", "vectorized")
 
 #: The built-in inner-loop strategies of :class:`Compete`.
@@ -591,11 +591,6 @@ class Compete:
         """The inner-loop strategy scheduling transmissions."""
         return self._resolved().strategy
 
-    @property
-    def backend(self) -> str:
-        """The execution backend of :meth:`run`."""
-        return self._config.backend
-
     def run(
         self,
         candidates: CandidateSpec,
@@ -620,16 +615,81 @@ class Compete:
             When True, non-candidate nodes participate from round 0 with
             a dummy message ranked strictly below every candidate.
         """
-        check_seed(seed)
-        if self._config.backend == "vectorized":
-            return self.run_batch(
-                candidates, seeds=[seed], spontaneous=spontaneous
-            )[0]
+        return self.run_batch(
+            candidates, seeds=[seed], spontaneous=spontaneous
+        )[0]
 
+    def run_batch(
+        self,
+        candidates: CandidateSpec,
+        *,
+        seeds: Iterable[Optional[int]],
+        spontaneous: bool = False,
+    ) -> list[CompeteResult]:
+        """Run one seeded trial per entry of ``seeds`` on the config's backend.
+
+        All trials share the candidate set and one resolution, so the
+        schedule compiles once per call.  The reference backend runs
+        the trials one after another through the per-node runner; the
+        vectorized backend races them simultaneously through the engine
+        (one extra array axis, not one Python loop per trial), and its
+        per-node mappings are read-only views over each trial's rank
+        arrays.  Either way, each returned :class:`CompeteResult` is the
+        one :meth:`run` gives for that seed.
+        """
+        seed_list = list(seeds)
+        for seed in seed_list:
+            check_seed(seed)
+        if not seed_list:
+            return []
         messages = self._normalise_candidates(candidates)
         winner = highest_message(*messages.values())
-        graph = self._graph
         resolved = self._resolved()
+        if self._config.backend == "reference":
+            return [
+                self._run_reference(
+                    resolved, messages, winner, seed, spontaneous
+                )
+                for seed in seed_list
+            ]
+        if self._engine is None:
+            self._engine = resolved.build_engine()
+        engine = self._engine
+        table, initial_row = _RankTable.for_race(
+            engine.nodes, messages, spontaneous
+        )
+        # The winner is the highest candidate: the top rank in play.
+        winner_rank = None if winner is None else int(initial_row.max())
+        initial_ranks = np.tile(initial_row, (len(seed_list), 1))
+        outcome = engine.run_batch(initial_ranks, winner_rank, seed_list)
+
+        results = []
+        for trial in range(outcome.num_trials):
+            ranks = outcome.final_ranks[trial]
+            results.append(
+                CompeteResult(
+                    success=bool(outcome.saturated[trial]),
+                    winner=winner,
+                    rounds=int(outcome.rounds[trial]),
+                    num_candidates=len(messages),
+                    reception_rounds=ReceptionRoundsView(
+                        table, ranks, outcome.adopted_rounds[trial],
+                        winner_rank,
+                    ),
+                    final_messages=FinalMessagesView(table, ranks),
+                    metrics=outcome.metrics(trial),
+                    parameters=resolved.parameters,
+                    strategy=resolved.strategy.name,
+                )
+            )
+        return results
+
+    def _run_reference(
+        self, resolved, messages: Mapping[Any, Message],
+        winner: Optional[Message], seed: Optional[int], spontaneous: bool,
+    ) -> CompeteResult:
+        """One seeded trial through the per-node reference runner."""
+        graph = self._graph
         params = resolved.parameters
         schedule = resolved.schedule
         initial = self._initial_messages(messages, spontaneous)
@@ -701,62 +761,6 @@ class Compete:
             parameters=params,
             strategy=resolved.strategy.name,
         )
-
-    def run_batch(
-        self,
-        candidates: CandidateSpec,
-        *,
-        seeds: Iterable[Optional[int]],
-        spontaneous: bool = False,
-    ) -> list[CompeteResult]:
-        """Run one seeded trial per entry of ``seeds``, batched.
-
-        All trials share the candidate set and race simultaneously through
-        the vectorized engine (one extra array axis, not one Python loop
-        per trial).  Each returned :class:`CompeteResult` equals what
-        :meth:`run` on the reference backend would have produced for the
-        corresponding seed; its per-node mappings are read-only views
-        over the trial's rank arrays.
-        """
-        seed_list = list(seeds)
-        for seed in seed_list:
-            check_seed(seed)
-        if not seed_list:
-            return []
-        messages = self._normalise_candidates(candidates)
-        winner = highest_message(*messages.values())
-        resolved = self._resolved()
-        if self._engine is None:
-            self._engine = resolved.build_engine()
-        engine = self._engine
-        table, initial_row = _RankTable.for_race(
-            engine.nodes, messages, spontaneous
-        )
-        # The winner is the highest candidate: the top rank in play.
-        winner_rank = None if winner is None else int(initial_row.max())
-        initial_ranks = np.tile(initial_row, (len(seed_list), 1))
-        outcome = engine.run_batch(initial_ranks, winner_rank, seed_list)
-
-        results = []
-        for trial in range(outcome.num_trials):
-            ranks = outcome.final_ranks[trial]
-            results.append(
-                CompeteResult(
-                    success=bool(outcome.saturated[trial]),
-                    winner=winner,
-                    rounds=int(outcome.rounds[trial]),
-                    num_candidates=len(messages),
-                    reception_rounds=ReceptionRoundsView(
-                        table, ranks, outcome.adopted_rounds[trial],
-                        winner_rank,
-                    ),
-                    final_messages=FinalMessagesView(table, ranks),
-                    metrics=outcome.metrics(trial),
-                    parameters=resolved.parameters,
-                    strategy=resolved.strategy.name,
-                )
-            )
-        return results
 
     def _initial_messages(
         self, messages: Mapping[Any, Message], spontaneous: bool

@@ -434,13 +434,17 @@ def _run_trials(
     backend: str,
     config: ExecutionConfig,
 ) -> list:
-    """Run every seed through the registry, batched where possible.
+    """Run every seed through the registry on ``backend``.
 
     Dispatch is by algorithm name via
     :data:`repro.api.DEFAULT_ALGORITHMS` -- registering a new baseline
     makes it benchmarkable with no edits here.  The pre-derived
     ``parameters`` ride inside the config so the diameter is not
-    recomputed per trial.
+    recomputed per trial.  The vectorized trials are one
+    :meth:`~repro.api.registry.AlgorithmRegistry.run_batch` call; the
+    reference pass is one :meth:`~repro.api.registry.AlgorithmRegistry.run`
+    call per seed, so ``run_batch`` times the vectorized work alone
+    (``perfbench``'s ``node_rounds_per_s`` stopwatch wraps it).
     """
     if backend == "reference" and config.rng == "decoupled":
         # The reference runner has no counter mode (the config layer

@@ -260,7 +260,6 @@ def _command_algorithms(arguments: argparse.Namespace) -> int:
                     "supports_spontaneous": algorithm.supports_spontaneous,
                     "requires_spontaneous": algorithm.requires_spontaneous,
                     "spontaneous_default": algorithm.spontaneous_default,
-                    "batched": algorithm.run_batch is not None,
                 }
                 for algorithm in algorithms
             ],

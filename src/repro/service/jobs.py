@@ -184,8 +184,10 @@ class JobManager:
     async def close(self) -> None:
         """Cancel the workers and release the CPU thread.
 
-        Work queued on the thread never starts; a batch already running
-        finishes, and the thread exits after it.
+        Jobs in flight end ``cancelled``, their error saying how many
+        batches finished; queued jobs stay ``queued``.  Work queued on
+        the thread never starts; a batch already running finishes, and
+        the thread exits after it.
         """
         for task in self._workers:
             task.cancel()
@@ -328,6 +330,13 @@ class JobManager:
                 else job.batches[0]
             )
             job._mark("done")
+        except asyncio.CancelledError:
+            job._mark(
+                "cancelled",
+                f"server shut down after {len(job.batches)}/"
+                f"{job.batches_total} batch(es)",
+            )
+            raise
         except ReproError as error:
             job._mark("failed", str(error))
         except Exception as error:  # defensive: never kill the worker

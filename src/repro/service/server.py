@@ -94,12 +94,10 @@ class ServiceServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        registry=DEFAULT_REGISTRY,
     ) -> None:
         self.manager = manager if manager is not None else JobManager()
         self._host = host
         self._port = port
-        self._registry = registry
         self._server: Optional[asyncio.base_events.Server] = None
 
     @property
@@ -159,7 +157,7 @@ class ServiceServer:
                 {"job": job.id, "state": job.state}, request_id=request.id
             )
         # op == "sweep"
-        scenarios = self._registry.select(
+        scenarios = DEFAULT_REGISTRY.select(
             match=request.match, tag=request.tag
         )
         if request.limit is not None:
@@ -260,7 +258,7 @@ class ServiceServer:
                     )
                 payload = _decode_body(body)
                 payload["op"] = path.rsplit("/", 1)[1]
-                request = parse_request(payload, registry=self._registry)
+                request = parse_request(payload, registry=DEFAULT_REGISTRY)
                 return await _send_json(writer, 200, self.dispatch(request))
             if path.startswith("/v1/jobs/"):
                 tail = path[len("/v1/jobs/"):]
@@ -401,8 +399,6 @@ async def serve_stdio(
     manager: JobManager,
     reader: asyncio.StreamReader,
     writer,
-    *,
-    registry=DEFAULT_REGISTRY,
 ) -> None:
     """The stdio transport: JSON-lines request/response over one pipe.
 
@@ -412,7 +408,7 @@ async def serve_stdio(
     ``async drain()`` -- a real :class:`asyncio.StreamWriter` or the
     blocking stdout facade ``python -m repro.service --stdio`` uses.
     """
-    server = ServiceServer(manager, registry=registry)
+    server = ServiceServer(manager)
     manager.start()
     while True:
         line = await reader.readline()
@@ -432,7 +428,7 @@ async def serve_stdio(
             if isinstance(payload, Mapping):
                 raw_id = payload.get("id")
                 request_id = raw_id if isinstance(raw_id, str) else None
-            request = parse_request(payload, registry=registry)
+            request = parse_request(payload, registry=DEFAULT_REGISTRY)
             response = server.dispatch(request)
         except RequestError as error:
             response = error_response(

@@ -15,16 +15,16 @@ from repro.api import (
     Algorithm,
     AlgorithmRegistry,
     ExecutionConfig,
-    get_algorithm,
     resolve_execution,
 )
 from repro.core.broadcast import broadcast, broadcast_batch
-from repro.core.compete import SkeletonStrategy
+from repro.core.compete import Compete, SkeletonStrategy
 from repro.core.leader_election import elect_leader
 from repro.core.parameters import CompeteParameters
 from repro.dynamics import DynamicsSpec, EdgeChurn
 from repro.errors import ConfigurationError
 from repro.network.radio import CollisionModel
+from repro.simulation.runner import ProtocolRunner
 
 
 # ----------------------------------------------------------------------
@@ -181,10 +181,6 @@ def test_budget_is_pinned_only_through_the_config():
     # has no diameter= shortcut either.
     from repro.core.broadcast import broadcast_batch
     from repro.core.compete import Compete, compete
-    from repro.core.decay_broadcast import (
-        decay_broadcast,
-        decay_broadcast_batch,
-    )
     from repro.core.leader_election import elect_leader
 
     graph = topology.path_graph(8)
@@ -196,9 +192,6 @@ def test_budget_is_pinned_only_through_the_config():
         "broadcast_batch": lambda **kw: broadcast_batch(
             graph, 0, seeds=[0], **kw),
         "elect_leader": lambda **kw: elect_leader(graph, **kw),
-        "decay_broadcast": lambda **kw: decay_broadcast(graph, 0, **kw),
-        "decay_broadcast_batch": lambda **kw: decay_broadcast_batch(
-            graph, 0, seeds=[0], **kw),
         "resolve_execution": lambda **kw: resolve_execution(graph, **kw),
     }
     for name, call in calls.items():
@@ -218,16 +211,15 @@ def test_default_registry_contents_and_capabilities():
         "broadcast", "leader-election", "decay-broadcast"
     }
     assert len(DEFAULT_ALGORITHMS) == 3
-    broadcast_spec = get_algorithm("broadcast")
-    assert broadcast_spec.spontaneous_default is True
-    assert broadcast_spec.run_batch is not None
-    election = get_algorithm("leader-election")
+    # One entry point per algorithm: a batch of seeds, no single-seed run.
+    assert "run" not in {field.name for field in dataclasses.fields(Algorithm)}
+    assert DEFAULT_ALGORITHMS.get("broadcast").spontaneous_default is True
+    election = DEFAULT_ALGORITHMS.get("leader-election")
     assert election.extra_series == ("attempts",)
-    assert election.run_batch is None
-    decay = get_algorithm("decay-broadcast")
+    decay = DEFAULT_ALGORITHMS.get("decay-broadcast")
     assert decay.supports_spontaneous is False
     with pytest.raises(ConfigurationError, match="unknown algorithm"):
-        get_algorithm("teleport")
+        DEFAULT_ALGORITHMS.get("teleport")
 
 
 def test_registry_enforces_capabilities():
@@ -239,7 +231,7 @@ def test_registry_enforces_capabilities():
     narrow = Algorithm(
         name="detect-only",
         description="",
-        run=lambda graph, **kwargs: None,
+        run_batch=lambda graph, **kwargs: None,
         collision_models=frozenset({CollisionModel.WITH_DETECTION}),
     )
     with pytest.raises(ConfigurationError, match="collision model"):
@@ -249,14 +241,14 @@ def test_registry_enforces_capabilities():
     with pytest.raises(ConfigurationError, match="requires spontaneous"):
         Algorithm(
             name="needs-spont", description="",
-            run=lambda graph, **kwargs: None, requires_spontaneous=True,
+            run_batch=lambda graph, **kwargs: None, requires_spontaneous=True,
         ).check(
             collision_model=CollisionModel.NO_DETECTION, spontaneous=False
         )
     with pytest.raises(ConfigurationError):
         Algorithm(
             name="broken", description="",
-            run=lambda graph, **kwargs: None,
+            run_batch=lambda graph, **kwargs: None,
             supports_spontaneous=False, requires_spontaneous=True,
         )
 
@@ -264,25 +256,84 @@ def test_registry_enforces_capabilities():
 def test_registry_rejects_duplicates_and_dispatches():
     registry = AlgorithmRegistry()
 
-    def constant_run(graph, *, config, seed, spontaneous):
-        return {"n": graph.num_nodes, "backend": config.backend}
+    def census(graph, *, config, seeds, spontaneous):
+        return [
+            {"n": graph.num_nodes, "backend": config.backend, "seed": seed}
+            for seed in seeds
+        ]
 
     registry.register(Algorithm(
-        name="census", description="count nodes", run=constant_run
+        name="census", description="count nodes", run_batch=census
     ))
     with pytest.raises(ConfigurationError, match="already registered"):
         registry.register(Algorithm(
-            name="census", description="", run=constant_run
+            name="census", description="", run_batch=census
         ))
     assert "census" in registry and len(registry) == 1
-    result = registry.run("census", topology.path_graph(5))
-    assert result == {"n": 5, "backend": "reference"}
-    # No run_batch hook -> the registry loops run() per seed.
+    # A single-seed run is the registered function over one seed.
+    result = registry.run("census", topology.path_graph(5), seed=4)
+    assert result == {"n": 5, "backend": "reference", "seed": 4}
     batch = registry.run_batch(
         "census", topology.path_graph(5), seeds=[0, 1, 2],
         config=ExecutionConfig(backend="vectorized"),
     )
     assert len(batch) == 3 and batch[0]["backend"] == "vectorized"
+
+
+def test_batch_entries_run_on_the_config_backend(monkeypatch):
+    # One runner per algorithm.  Under ExecutionConfig() a batch entry
+    # runs each seed through the reference runner, off one resolution
+    # (one schedule compile per call), and equals the vectorized batch
+    # trial by trial; the vectorized batch never enters the runner.
+    graph = topology.grid_graph(4, 5)
+    seeds = [0, 1, 2]
+    calls = {"runner": 0, "schedule": 0}
+    run, build = ProtocolRunner.run, SkeletonStrategy.build_schedule
+
+    def counted_run(self):
+        calls["runner"] += 1
+        return run(self)
+
+    def counted_build(self, graph, parameters):
+        calls["schedule"] += 1
+        return build(self, graph, parameters)
+
+    monkeypatch.setattr(ProtocolRunner, "run", counted_run)
+    monkeypatch.setattr(SkeletonStrategy, "build_schedule", counted_build)
+    entries = {
+        "broadcast_batch": lambda config: broadcast_batch(
+            graph, 0, seeds=seeds, config=config),
+        "Compete.run_batch": lambda config: Compete(
+            graph, config=config
+        ).run_batch({0: 5, 19: 9}, seeds=seeds),
+        "decay-broadcast": lambda config: DEFAULT_ALGORITHMS.run_batch(
+            "decay-broadcast", graph, seeds=seeds, config=config),
+    }
+    for name, entry in entries.items():
+        calls.update(runner=0, schedule=0)
+        reference = entry(ExecutionConfig())
+        assert calls == {"runner": len(seeds), "schedule": 1}, name
+        calls.update(runner=0, schedule=0)
+        fast = entry(ExecutionConfig(backend="vectorized"))
+        assert calls == {"runner": 0, "schedule": 1}, name
+        assert len(reference) == len(fast) == len(seeds), name
+        assert all(result.success for result in reference), name
+        for seed, want, got in zip(seeds, reference, fast):
+            context = f"{name} seed={seed}"
+            assert want.success == got.success, context
+            assert want.rounds == got.rounds, context
+            assert dict(want.reception_rounds) == dict(
+                got.reception_rounds), context
+            assert want.metrics.as_dict() == got.metrics.as_dict(), context
+
+    # A single-seed run does not pass through the registry's batch entry.
+    entered = []
+    monkeypatch.setattr(
+        AlgorithmRegistry, "run_batch",
+        lambda self, *args, **kwargs: entered.append(args),
+    )
+    assert DEFAULT_ALGORITHMS.run("decay-broadcast", graph, seed=0).success
+    assert entered == []
 
 
 def test_registry_plugin_seam_end_to_end():
@@ -291,18 +342,22 @@ def test_registry_plugin_seam_end_to_end():
     # spontaneous defaults and capability checks -- no core edits.
     registry = AlgorithmRegistry()
 
-    def double_broadcast(graph, *, config, seed, spontaneous):
-        first = broadcast(graph, graph.nodes()[0], seed=seed,
-                          spontaneous=spontaneous, config=config)
-        second = broadcast(graph, graph.nodes()[-1], seed=seed,
-                           spontaneous=spontaneous, config=config)
-        return {"rounds": first.rounds + second.rounds,
-                "success": first.success and second.success}
+    def double_broadcast(graph, *, config, seeds, spontaneous):
+        ends = [
+            broadcast_batch(graph, source, seeds=seeds,
+                            spontaneous=spontaneous, config=config)
+            for source in (graph.nodes()[0], graph.nodes()[-1])
+        ]
+        return [
+            {"rounds": first.rounds + second.rounds,
+             "success": first.success and second.success}
+            for first, second in zip(*ends)
+        ]
 
     registry.register(Algorithm(
         name="double-broadcast",
         description="broadcast from both ends",
-        run=double_broadcast,
+        run_batch=double_broadcast,
         spontaneous_default=True,
     ))
     outcome = registry.run(
@@ -372,7 +427,7 @@ def test_scenarios_algorithms_constant_is_a_live_view():
     try:
         DEFAULT_ALGORITHMS.register(Algorithm(
             name="late-plugin", description="",
-            run=lambda graph, **kwargs: None,
+            run_batch=lambda graph, **kwargs: None,
         ))
         # A post-import registration is visible without re-importing.
         assert "late-plugin" in scenarios.ALGORITHMS

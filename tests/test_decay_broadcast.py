@@ -1,9 +1,10 @@
-"""The classical repeated-Decay broadcast baseline (registry plugin).
+"""The classical repeated-Decay broadcast baseline (a registry record).
 
 Pins the baseline's semantics (no spontaneous transmissions, uniform
-Decay schedule only), its backend equivalence, the batch API, and its
+Decay schedule only), its backend equivalence, its batches, and its
 integration through the registry, scenarios, the benchmark runner and
-the CLI.
+the CLI.  The record is the only entry point: ``"decay-broadcast"`` in
+:data:`repro.api.DEFAULT_ALGORITHMS`.
 """
 
 import json
@@ -12,12 +13,21 @@ import pytest
 
 from repro import topology
 from repro.api import DEFAULT_ALGORITHMS, ExecutionConfig
-from repro.core.broadcast import BroadcastResult
-from repro.core.decay_broadcast import decay_broadcast, decay_broadcast_batch
+from repro.core.broadcast import BroadcastResult, broadcast
 from repro.errors import ConfigurationError
 from repro.experiments import get_scenario, run_benchmark, validate_bench
 from repro.experiments.cli import main
 from repro.experiments.scenarios import Scenario
+
+
+def run_decay(graph, **kwargs):
+    """One seeded run of the ``"decay-broadcast"`` record."""
+    return DEFAULT_ALGORITHMS.run("decay-broadcast", graph, **kwargs)
+
+
+def run_decay_batch(graph, **kwargs):
+    """A batch of seeded runs of the ``"decay-broadcast"`` record."""
+    return DEFAULT_ALGORITHMS.run_batch("decay-broadcast", graph, **kwargs)
 
 
 def assert_same_result(a: BroadcastResult, b: BroadcastResult, context=""):
@@ -37,7 +47,7 @@ def assert_same_result(a: BroadcastResult, b: BroadcastResult, context=""):
 ], ids=["path", "star", "grid"])
 def test_decay_broadcast_succeeds(factory):
     graph = factory()
-    result = decay_broadcast(graph, source=graph.nodes()[0], seed=7)
+    result = run_decay(graph, source=graph.nodes()[0], seed=7)
     assert result.success
     assert result.num_informed == graph.num_nodes
     assert result.reception_rounds[graph.nodes()[0]] == -1
@@ -50,15 +60,15 @@ def test_decay_broadcast_succeeds(factory):
 def test_decay_broadcast_rejects_unsupported_modes():
     graph = topology.path_graph(8)
     with pytest.raises(ConfigurationError, match="spontaneous"):
-        decay_broadcast(graph, source=0, spontaneous=True)
+        run_decay(graph, source=0, spontaneous=True)
     with pytest.raises(ConfigurationError, match="spontaneous"):
-        decay_broadcast_batch(graph, source=0, seeds=[0], spontaneous=True)
+        run_decay_batch(graph, source=0, seeds=[0], spontaneous=True)
     with pytest.raises(ConfigurationError, match="skeleton"):
-        decay_broadcast(
+        run_decay(
             graph, source=0, config=ExecutionConfig(strategy="clustered")
         )
     with pytest.raises(ConfigurationError, match="source"):
-        decay_broadcast(graph, source=99)
+        run_decay(graph, source=99)
 
 
 def test_decay_broadcast_backend_equivalence():
@@ -66,8 +76,8 @@ def test_decay_broadcast_backend_equivalence():
     # package's round-exact guarantee.
     graph = topology.grid_graph(4, 5)
     for seed in (0, 3):
-        reference = decay_broadcast(graph, source=0, seed=seed)
-        fast = decay_broadcast(
+        reference = run_decay(graph, source=0, seed=seed)
+        fast = run_decay(
             graph, source=0, seed=seed,
             config=ExecutionConfig(backend="vectorized"),
         )
@@ -77,8 +87,8 @@ def test_decay_broadcast_backend_equivalence():
 def test_decay_broadcast_collision_detection_model():
     graph = topology.star_graph(10)
     config = ExecutionConfig(collision_model="with-detection")
-    reference = decay_broadcast(graph, source=0, seed=2, config=config)
-    fast = decay_broadcast(
+    reference = run_decay(graph, source=0, seed=2, config=config)
+    fast = run_decay(
         graph, source=0, seed=2,
         config=config.replace(backend="vectorized"),
     )
@@ -89,20 +99,25 @@ def test_decay_broadcast_collision_detection_model():
 def test_decay_broadcast_batch_matches_singles():
     graph = topology.path_graph(12)
     seeds = [0, 1, 2]
-    batch = decay_broadcast_batch(graph, source=0, seeds=seeds)
+    batch = run_decay_batch(
+        graph, source=0, seeds=seeds,
+        config=ExecutionConfig(backend="vectorized"),
+    )
     assert len(batch) == len(seeds)
     for seed, batched in zip(seeds, batch):
         assert_same_result(
-            decay_broadcast(graph, source=0, seed=seed), batched,
+            run_decay(graph, source=0, seed=seed), batched,
             f"seed={seed}",
         )
-    assert decay_broadcast_batch(graph, source=0, seeds=[]) == []
+    assert run_decay_batch(graph, source=0, seeds=[]) == []
 
 
 def test_registry_dispatch_defaults_to_classical_mode():
     graph = topology.path_graph(10)
     via_registry = DEFAULT_ALGORITHMS.run("decay-broadcast", graph, seed=4)
-    direct = decay_broadcast(graph, source=graph.nodes()[0], seed=4)
+    direct = broadcast(
+        graph, source=graph.nodes()[0], seed=4, spontaneous=False
+    )
     assert_same_result(via_registry, direct)
 
 
@@ -156,5 +171,3 @@ def test_cli_runs_the_baseline_and_lists_algorithms(tmp_path, capsys):
     by_name = {entry["name"]: entry for entry in listed}
     assert set(by_name) == {"broadcast", "leader-election", "decay-broadcast"}
     assert by_name["decay-broadcast"]["supports_spontaneous"] is False
-    assert by_name["leader-election"]["batched"] is False
-    assert by_name["broadcast"]["batched"] is True

@@ -540,6 +540,12 @@ def test_close_with_running_and_queued_jobs_starts_no_more_work():
     finally:
         release.set()
     assert close_seconds < 5
+    # Both jobs in flight end cancelled, saying how far they got; the
+    # job that never started stays queued.
+    for job in jobs[:2]:
+        assert job.state == "cancelled"
+        assert job.finished_at is not None
+        assert job.error == "server shut down after 0/2 batch(es)"
     assert jobs[2].state == "queued"
     assert [job.batches for job in jobs] == [[], [], []]
     (thread,) = cpu_threads
@@ -858,6 +864,23 @@ def test_stdio_transport_round_trip():
                 await asyncio.sleep(0.05)
             assert status["state"] == "done"
             assert status["result"]["trials"]["vectorized"] == 1
+
+            # A sweep submits one job per matching registered scenario.
+            swept = await call({
+                "op": "sweep", "tag": "baseline", "trials": 1, "id": "p4",
+            })
+            assert swept["ok"] is True and swept["id"] == "p4"
+            assert [entry["scenario"] for entry in swept["jobs"]] == [
+                scenario.name
+                for scenario in DEFAULT_REGISTRY.select(tag="baseline")
+            ]
+            for entry in swept["jobs"]:
+                while True:
+                    status = await call({"op": "status", "job": entry["job"]})
+                    if status["state"] in ("done", "failed"):
+                        break
+                    await asyncio.sleep(0.05)
+                assert status["state"] == "done"
         finally:
             client_writer.close()
             await asyncio.wait_for(session, timeout=10)
