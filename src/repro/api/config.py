@@ -4,8 +4,10 @@ Every execution axis -- the backend (``"reference"`` or
 ``"vectorized"``), the Compete strategy, the collision model, the round
 budget (``parameters`` / ``margin``), the seed policy and the fault
 environment -- lives in one validated, immutable value object that
-``Compete``, ``broadcast``, ``elect_leader``, the algorithm registry
-and the benchmark subsystem all accept as a single ``config=``:
+``Compete``, ``broadcast``, ``elect_leader`` and the algorithm registry
+all accept as a single ``config=``.  A benchmark builds its config from
+its scenario (:meth:`~repro.experiments.scenarios.Scenario.execution_config`),
+so an artifact's scenario block names what ran:
 
 >>> from repro.api import ExecutionConfig
 >>> config = ExecutionConfig(backend="vectorized")
@@ -44,12 +46,7 @@ from repro.dynamics import DynamicsSpec, FaultSchedule, coerce_dynamics
 from repro.network.graph import Graph
 from repro.network.radio import CollisionModel
 from repro.core.parameters import DEFAULT_MARGIN, CompeteParameters
-from repro.core.compete import (
-    BACKENDS,
-    STRATEGIES,
-    CompeteStrategy,
-    resolve_strategy,
-)
+from repro.core.compete import BACKENDS, STRATEGIES
 from repro.schedules.transmission import TransmissionSchedule
 from repro.simulation.rng import RNG_MODES
 from repro.simulation.vectorized import VectorizedCompeteEngine
@@ -73,9 +70,9 @@ class ExecutionConfig:
         :class:`~repro.simulation.runner.ProtocolRunner`) or
         ``"vectorized"`` (the round-exact NumPy batch engine).
     strategy:
-        The Compete inner-loop strategy: a registered name
-        (:data:`repro.core.compete.STRATEGIES`) or a custom
-        :class:`~repro.core.compete.CompeteStrategy` instance.
+        The Compete inner-loop strategy: a key of
+        :data:`repro.core.compete.STRATEGIES`, whose compiler builds the
+        run's transmission schedule.
     collision_model:
         The radio model's collision semantics; accepts the enum or its
         string value (``"no-detection"`` / ``"with-detection"``) and is
@@ -106,7 +103,7 @@ class ExecutionConfig:
     """
 
     backend: str = "reference"
-    strategy: Union[str, CompeteStrategy] = "skeleton"
+    strategy: str = "skeleton"
     collision_model: Union[str, CollisionModel] = CollisionModel.NO_DETECTION
     parameters: Optional[CompeteParameters] = None
     margin: float = DEFAULT_MARGIN
@@ -118,12 +115,12 @@ class ExecutionConfig:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if not isinstance(self.strategy, CompeteStrategy) and (
+        if not isinstance(self.strategy, str) or (
             self.strategy not in STRATEGIES
         ):
             raise ConfigurationError(
-                f"strategy must be one of {STRATEGIES} or a CompeteStrategy "
-                f"instance, got {self.strategy!r}"
+                f"strategy must be one of {tuple(STRATEGIES)}, got "
+                f"{self.strategy!r}"
             )
         if isinstance(self.collision_model, str):
             try:
@@ -165,17 +162,6 @@ class ExecutionConfig:
         # collision_model above; validation happens in DynamicsSpec.
         object.__setattr__(self, "dynamics", coerce_dynamics(self.dynamics))
 
-    @property
-    def strategy_name(self) -> str:
-        """The strategy's short name (recorded on results/artifacts)."""
-        if isinstance(self.strategy, CompeteStrategy):
-            return self.strategy.name
-        return self.strategy
-
-    def strategy_instance(self) -> CompeteStrategy:
-        """The strategy as a :class:`CompeteStrategy` instance."""
-        return resolve_strategy(self.strategy)
-
     def replace(self, **changes: Any) -> "ExecutionConfig":
         """A new config with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
@@ -186,7 +172,7 @@ class ExecutionConfig:
         ``backend`` is left out: the backends agree round for round.
         """
         description = {
-            "strategy": self.strategy_name,
+            "strategy": self.strategy,
             "collision_model": self.collision_model.value,
             "margin": self.margin,
             "rng": self.rng,
@@ -234,10 +220,8 @@ class ExecutionConfig:
 
         Note the deliberate blind spots, matching :meth:`identity`: the
         backend (both agree round for round) and an explicit
-        ``parameters`` round budget (graph-derived on the service path,
-        where requests arrive as scenario payloads).
-        :func:`~repro.experiments.bench.run_benchmark` refuses a
-        prepared topology whose config pins a different budget.
+        ``parameters`` round budget (the scenario path never sets one:
+        its budget derives from the scenario's margin).
         """
         return f"{self.identity()}:{topology}"
 
@@ -270,9 +254,9 @@ class ResolvedExecution:
 
     Produced by :func:`resolve_execution`; holds everything downstream
     code needs to run: the validated graph, the derived (or supplied)
-    round budget, the strategy instance, and -- built lazily, because
-    cluster decomposition is not free -- the compiled
-    :class:`TransmissionSchedule`.
+    round budget and -- built lazily, because cluster decomposition is
+    not free -- the :class:`TransmissionSchedule` the config's strategy
+    compiles.
     """
 
     def __init__(
@@ -280,12 +264,10 @@ class ResolvedExecution:
         graph: Graph,
         config: ExecutionConfig,
         parameters: CompeteParameters,
-        strategy: CompeteStrategy,
     ) -> None:
         self._graph = graph
         self._config = config
         self._parameters = parameters
-        self._strategy = strategy
         self._schedule: Optional[TransmissionSchedule] = None
         self._fault_schedule: Optional[FaultSchedule] = None
 
@@ -303,23 +285,14 @@ class ResolvedExecution:
         return self._parameters
 
     @property
-    def strategy(self) -> CompeteStrategy:
-        """The resolved strategy instance."""
-        return self._strategy
-
-    @property
     def collision_model(self) -> CollisionModel:
         return self._config.collision_model
-
-    @property
-    def backend(self) -> str:
-        return self._config.backend
 
     @property
     def schedule(self) -> TransmissionSchedule:
         """The strategy's compiled schedule (built on first access)."""
         if self._schedule is None:
-            self._schedule = self._strategy.build_schedule(
+            self._schedule = STRATEGIES[self._config.strategy](
                 self._graph, self._parameters
             )
         return self._schedule
@@ -351,8 +324,7 @@ class ResolvedExecution:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ResolvedExecution(backend={self.backend!r}, "
-            f"strategy={self._strategy.name!r}, "
+            f"ResolvedExecution(strategy={self._config.strategy!r}, "
             f"n={self._graph.num_nodes})"
         )
 
@@ -362,16 +334,16 @@ def resolve_execution(
 ) -> ResolvedExecution:
     """Bind ``config`` (default :class:`ExecutionConfig()`) to ``graph``.
 
-    This is the single shared resolution path: topology validation, the
-    round-budget derivation and strategy lookup all happen here, so
-    every caller agrees on them.  The budget is ``config.parameters``
-    when set (it must be for ``graph``'s size), otherwise derived from
-    the graph's ``(n, D)`` and ``config.margin``.
+    This is the single shared resolution path: topology validation and
+    the round-budget derivation happen here, and the schedule is
+    compiled from here, so every caller agrees on them.  The budget is
+    ``config.parameters`` when set (it must be for ``graph``'s size),
+    otherwise derived from the graph's ``(n, D)`` and ``config.margin``.
 
     >>> from repro import topology
     >>> resolved = resolve_execution(topology.path_graph(8))
-    >>> resolved.backend, resolved.strategy.name
-    ('reference', 'skeleton')
+    >>> resolved.parameters.num_nodes, resolved.schedule.name
+    (8, 'skeleton')
     """
     if config is None:
         config = ExecutionConfig()
@@ -384,6 +356,5 @@ def resolve_execution(
             f"parameters are for n={parameters.num_nodes} but the graph "
             f"has n={graph.num_nodes}"
         )
-    strategy = config.strategy_instance()
-    return ResolvedExecution(graph, config, parameters, strategy)
+    return ResolvedExecution(graph, config, parameters)
 

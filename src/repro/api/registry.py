@@ -5,10 +5,10 @@ hard-coded ``if algorithm == "broadcast" ... elif ...`` chains, so a new
 baseline protocol meant edits across five modules.  This module makes
 the algorithm a first-class registered object: an :class:`Algorithm`
 bundles its one entry point, ``run_batch`` over a list of seeds on the
-config's backend, with the *capabilities* callers must respect -- which
-collision models the protocol supports, whether it can (or must) run
-with spontaneous transmissions, and which extra per-trial series its
-results report.  :data:`DEFAULT_ALGORITHMS` holds the built-ins:
+config's backend, with the *capabilities* callers must respect --
+whether it can run with spontaneous transmissions, and which extra
+per-trial series its results report.  :data:`DEFAULT_ALGORITHMS` holds
+the built-ins:
 
 * ``"broadcast"`` -- Compete-based broadcasting (the paper's algorithm),
 * ``"leader-election"`` -- ~1/n self-selection + Compete on random IDs,
@@ -34,7 +34,6 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
-from repro.network.radio import CollisionModel
 from repro.api.config import ExecutionConfig
 from repro.core.broadcast import broadcast_batch
 from repro.core.leader_election import elect_leader
@@ -55,12 +54,10 @@ class Algorithm:
         result per seed, run on ``config.backend``.  Implementations
         pick their own conventions for anything further (e.g. the
         broadcast source defaults to the graph's first node).
-    collision_models:
-        The collision semantics the protocol is defined for.
-    supports_spontaneous / requires_spontaneous:
-        Whether the algorithm *may* and *must* run with uninformed nodes
-        transmitting from round 0 (the paper's model).  The classical
-        baselines set ``supports_spontaneous=False``.
+    supports_spontaneous:
+        Whether the algorithm may run with uninformed nodes transmitting
+        from round 0 (the paper's model).  The classical baselines set
+        False.
     spontaneous_default:
         What ``spontaneous=None`` resolves to when dispatching.
     extra_series:
@@ -71,44 +68,20 @@ class Algorithm:
     name: str
     description: str
     run_batch: Callable[..., list]
-    collision_models: frozenset = frozenset(CollisionModel)
     supports_spontaneous: bool = True
-    requires_spontaneous: bool = False
     spontaneous_default: bool = False
     extra_series: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("algorithm name must be non-empty")
-        if not self.collision_models:
-            raise ConfigurationError(
-                f"algorithm {self.name!r} must support at least one "
-                "collision model"
-            )
-        if self.requires_spontaneous and not self.supports_spontaneous:
-            raise ConfigurationError(
-                f"algorithm {self.name!r} cannot require spontaneous "
-                "transmissions while not supporting them"
-            )
 
-    def check(
-        self, *, collision_model: CollisionModel, spontaneous: bool
-    ) -> None:
-        """Raise unless this capability combination is declared supported."""
-        if collision_model not in self.collision_models:
-            supported = sorted(m.value for m in self.collision_models)
-            raise ConfigurationError(
-                f"algorithm {self.name!r} does not support collision model "
-                f"{collision_model.value!r} (supported: {supported})"
-            )
+    def check(self, *, spontaneous: bool) -> None:
+        """Raise unless the algorithm supports this spontaneous setting."""
         if spontaneous and not self.supports_spontaneous:
             raise ConfigurationError(
                 f"algorithm {self.name!r} does not support spontaneous "
                 "transmissions (it models the classical regime)"
-            )
-        if not spontaneous and self.requires_spontaneous:
-            raise ConfigurationError(
-                f"algorithm {self.name!r} requires spontaneous transmissions"
             )
 
 
@@ -193,9 +166,7 @@ class AlgorithmRegistry:
             config = ExecutionConfig()
         if spontaneous is None:
             spontaneous = algorithm.spontaneous_default
-        algorithm.check(
-            collision_model=config.collision_model, spontaneous=spontaneous
-        )
+        algorithm.check(spontaneous=spontaneous)
         return algorithm.run_batch(
             graph, config=config, seeds=seeds, spontaneous=spontaneous,
             **kwargs,
@@ -237,10 +208,10 @@ def _run_decay_broadcast(graph, *, config, seeds, spontaneous, source=None):
     # transmissions and the uniform skeleton schedule: only informed
     # nodes draw.  The capability check has already rejected
     # spontaneous=True, and broadcast_batch rejects an unknown source.
-    if config.strategy_name != "skeleton":
+    if config.strategy != "skeleton":
         raise ConfigurationError(
             "decay-broadcast is the classical uniform-Decay baseline and "
-            f"supports only strategy='skeleton', got {config.strategy_name!r}"
+            f"supports only strategy='skeleton', got {config.strategy!r}"
         )
     return _run_broadcast(
         graph, config=config, seeds=seeds, spontaneous=False, source=source

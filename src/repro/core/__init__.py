@@ -19,13 +19,14 @@
 
 Every algorithm accepts two orthogonal axes:
 
-* ``strategy`` selects the inner loop's transmission schedule:
+* ``strategy`` names the inner loop's transmission schedule:
   ``"skeleton"`` (the classical uniform ``O((D + log n) · log n)`` Decay
   schedule) or ``"clustered"`` (the cluster-decomposed, Lemma 2.3
   cost-charged schedule that removes the multiplicative ``log n``
-  wherever contention is below the global worst case).  Custom
-  strategies plug in as :class:`~repro.core.compete.CompeteStrategy`
-  instances.
+  wherever contention is below the global worst case).  Each name is a
+  key of :data:`~repro.core.compete.STRATEGIES`, whose value compiles
+  the graph and its round budget into the schedule; a new strategy is
+  one more entry there.
 * ``backend`` selects how rounds are executed: ``"reference"`` (the
   default) drives one :class:`~repro.network.protocol.NodeProtocol` per
   node through the pure-Python
@@ -44,21 +45,21 @@ another, the engine races them as one batched computation.
 """
 
 from repro.core.parameters import DEFAULT_MARGIN, CompeteParameters
-from repro.core.clustering import Cluster, ClusterDecomposition, decompose
+from repro.core.clustering import (
+    DEFAULT_CLUSTER_RADIUS,
+    Cluster,
+    ClusterDecomposition,
+    decompose,
+)
 from repro.core.compete import (
     BACKENDS,
-    DEFAULT_CLUSTER_RADIUS,
     STRATEGIES,
     CandidateSpec,
-    ClusteredStrategy,
     Compete,
     CompeteNodeState,
     CompeteProtocol,
     CompeteResult,
-    CompeteStrategy,
-    SkeletonStrategy,
     compete,
-    resolve_strategy,
 )
 from repro.core.broadcast import BroadcastResult, broadcast, broadcast_batch
 from repro.core.leader_election import LeaderElectionResult, elect_leader
@@ -73,15 +74,11 @@ __all__ = [
     "DEFAULT_CLUSTER_RADIUS",
     "STRATEGIES",
     "CandidateSpec",
-    "ClusteredStrategy",
     "Compete",
     "CompeteNodeState",
     "CompeteProtocol",
     "CompeteResult",
-    "CompeteStrategy",
-    "SkeletonStrategy",
     "compete",
-    "resolve_strategy",
     "BroadcastResult",
     "broadcast",
     "broadcast_batch",

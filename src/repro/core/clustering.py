@@ -33,10 +33,10 @@ from typing import Iterable, Optional, Sequence
 from repro.errors import ConfigurationError, GraphError
 from repro.network.graph import Graph, NodeId
 
-#: Default BFS growth radius of :func:`decompose` -- shared with
-#: :class:`~repro.core.compete.ClusteredStrategy` so that the manual
-#: ``cluster_schedule(decompose(graph))`` route and
-#: ``strategy="clustered"`` build the identical decomposition.
+#: Default BFS growth radius of :func:`decompose` -- the radius
+#: ``strategy="clustered"`` decomposes with, so that the manual
+#: ``cluster_schedule(decompose(graph))`` route and the strategy build
+#: the identical decomposition.
 DEFAULT_CLUSTER_RADIUS = 2
 
 

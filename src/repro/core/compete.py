@@ -15,17 +15,18 @@ every real candidate.  Uninformed nodes therefore transmit before ever
 hearing from a source -- the behaviour that separates this model from the
 classical one where only informed nodes may speak.
 
-The inner loop is a pluggable **strategy** deciding how informed nodes
+The inner loop is a named **strategy** deciding how informed nodes
 schedule their transmissions, selected orthogonally to the execution
-backend:
+backend.  :data:`STRATEGIES` maps each name to the compiler that turns
+the graph and its round budget into a per-node
+:class:`~repro.schedules.transmission.TransmissionSchedule`:
 
-* ``strategy="skeleton"`` (:class:`SkeletonStrategy`) runs the classical
-  uniform schedule of ``⌈margin · (D + log2 n)⌉`` Decay rounds
+* ``"skeleton"`` runs the classical uniform schedule of
+  ``⌈margin · (D + log2 n)⌉`` Decay rounds
   (:class:`~repro.core.parameters.CompeteParameters`); by Lemma 3.1 each
   round pushes the winner's frontier past any listener with constant
   probability, which is the ``O((D + log n) · log n)`` regime.
-* ``strategy="clustered"`` (:class:`ClusteredStrategy`) first decomposes
-  the graph into BFS-grown clusters
+* ``"clustered"`` first decomposes the graph into BFS-grown clusters
   (:mod:`repro.core.clustering`) and runs the Lemma 2.3 cost-charged
   schedule (:mod:`repro.schedules.cluster`): each node's Decay cycle is
   priced by its cluster neighbourhood's contention bound instead of by
@@ -67,10 +68,9 @@ passed as ``Compete(graph, config=...)``.
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 from typing import (
-    Any, Iterable, Iterator, Mapping, Optional, Sequence, Union,
+    Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
 )
 
 import numpy as np
@@ -81,11 +81,7 @@ from repro.network.messages import Message, highest_message, source_key
 from repro.network.metrics import NetworkMetrics
 from repro.network.protocol import Action, NodeProtocol
 from repro.network.radio import RadioNetwork
-from repro.core.clustering import (
-    DEFAULT_CLUSTER_RADIUS,
-    ClusterDecomposition,
-    decompose,
-)
+from repro.core.clustering import decompose
 from repro.schedules.cluster import cluster_schedule
 from repro.schedules.transmission import (
     TransmissionSchedule,
@@ -103,9 +99,6 @@ CandidateSpec = Mapping[Any, Union[Message, int]]
 #: The execution backends of :meth:`Compete.run_batch`.
 BACKENDS = ("reference", "vectorized")
 
-#: The built-in inner-loop strategies of :class:`Compete`.
-STRATEGIES = ("skeleton", "clustered")
-
 #: How many draws a :class:`CompeteProtocol` reads from its generator at
 #: once.  Any size gives the same decisions; this one spreads the cost
 #: of a ``Generator.random`` call over a short read-ahead.
@@ -115,104 +108,34 @@ _DRAW_BLOCK = 16
 _LISTEN = Action.listen()
 
 
-class CompeteStrategy(abc.ABC):
-    """How Compete's inner loop schedules transmissions.
-
-    A strategy compiles the static inputs of a run -- the graph and its
-    ``(n, D)``-derived :class:`~repro.core.parameters.CompeteParameters`
-    -- into a per-node
-    :class:`~repro.schedules.transmission.TransmissionSchedule`, which
-    both execution backends then consume identically.  Strategies are
-    stateless with respect to individual runs, so one instance can be
-    shared across Compete instances and seeds.
-
-    Custom strategies plug in by subclassing: pass an instance (instead
-    of a registered name) as ``Compete(strategy=...)``.
-    """
-
-    #: Short identifier recorded on results and benchmark artifacts.
-    name: str = "custom"
-
-    @abc.abstractmethod
-    def build_schedule(
-        self, graph: Graph, parameters: CompeteParameters
-    ) -> TransmissionSchedule:
-        """Compile the transmission schedule for one topology."""
-
-
-class SkeletonStrategy(CompeteStrategy):
-    """The classical uniform-Decay inner loop (Lemma 3.1 regime).
-
-    Every node cycles through the same ``⌈log2 n⌉``-step Decay
-    probabilities, globally aligned -- the ``O((D + log n) · log n)``
-    skeleton the paper starts from.
-    """
-
-    name = "skeleton"
-
-    def build_schedule(
-        self, graph: Graph, parameters: CompeteParameters
-    ) -> TransmissionSchedule:
-        return uniform_decay_schedule(
-            graph.nodes(), parameters.decay_steps, name=self.name
-        )
-
-
-class ClusteredStrategy(CompeteStrategy):
-    """The cluster-decomposed inner loop (Lemma 2.3 cost charging).
-
-    Decomposes the graph into BFS-grown clusters of hop radius
-    ``radius`` (:func:`~repro.core.clustering.decompose`) and gives each
-    node a Decay cycle priced by the contention bound of its own and
-    neighbouring clusters (:func:`~repro.schedules.cluster.cluster_schedule`)
-    -- amortising Decay steps across clusters instead of paying
-    ``⌈log2 n⌉`` everywhere.
-
-    Parameters
-    ----------
-    radius:
-        BFS growth radius of the decomposition (>= 0).  Contention
-        bounds -- and therefore the schedule -- depend on cluster
-        membership only through member degrees, so moderate radii trade
-        decomposition granularity against schedule coarseness.
-    """
-
-    name = "clustered"
-
-    def __init__(self, radius: int = DEFAULT_CLUSTER_RADIUS) -> None:
-        if radius < 0:
-            raise ConfigurationError(f"radius must be >= 0, got {radius}")
-        self._radius = radius
-
-    @property
-    def radius(self) -> int:
-        """The decomposition's BFS growth radius."""
-        return self._radius
-
-    def decompose(self, graph: Graph) -> ClusterDecomposition:
-        """The cluster decomposition this strategy derives for ``graph``."""
-        return decompose(graph, radius=self._radius)
-
-    def build_schedule(
-        self, graph: Graph, parameters: CompeteParameters
-    ) -> TransmissionSchedule:
-        return cluster_schedule(self.decompose(graph), name=self.name)
-
-
-def resolve_strategy(
-    strategy: Union[str, CompeteStrategy]
-) -> CompeteStrategy:
-    """Turn a strategy name or instance into a :class:`CompeteStrategy`."""
-    if isinstance(strategy, CompeteStrategy):
-        return strategy
-    if strategy == "skeleton":
-        return SkeletonStrategy()
-    if strategy == "clustered":
-        return ClusteredStrategy()
-    raise ConfigurationError(
-        f"strategy must be one of {STRATEGIES} or a CompeteStrategy "
-        f"instance, got {strategy!r}"
+def _skeleton_schedule(
+    graph: Graph, parameters: CompeteParameters
+) -> TransmissionSchedule:
+    """Every node cycles through the same ``⌈log2 n⌉``-step Decay
+    probabilities, globally aligned (the Lemma 3.1 regime)."""
+    return uniform_decay_schedule(
+        graph.nodes(), parameters.decay_steps, name="skeleton"
     )
+
+
+def _clustered_schedule(
+    graph: Graph, parameters: CompeteParameters
+) -> TransmissionSchedule:
+    """Each node's Decay cycle is priced by the contention bound of its
+    own and neighbouring clusters (Lemma 2.3 cost charging)."""
+    return cluster_schedule(decompose(graph), name="clustered")
+
+
+#: The inner-loop strategies of :class:`Compete`, by the name results
+#: and artifacts record: each compiles a graph and its round budget into
+#: the schedule both backends consume.  A new strategy is one more
+#: entry; ``ExecutionConfig(strategy=...)`` accepts exactly these keys.
+STRATEGIES: dict[
+    str, Callable[[Graph, CompeteParameters], TransmissionSchedule]
+] = {
+    "skeleton": _skeleton_schedule,
+    "clustered": _clustered_schedule,
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -510,7 +433,7 @@ class CompeteResult:
     parameters:
         The schedule the run used.
     strategy:
-        Name of the inner-loop strategy that scheduled transmissions.
+        The :data:`STRATEGIES` key whose schedule the run used.
 
     Both per-node mappings iterate in graph order and are read-only.
     The reference backend returns plain dicts; the vectorized backend
@@ -528,7 +451,7 @@ class CompeteResult:
     final_messages: Mapping[Any, Optional[Message]]
     metrics: NetworkMetrics
     parameters: CompeteParameters
-    strategy: str = "skeleton"
+    strategy: str
 
     @property
     def informed_fraction(self) -> float:
@@ -587,9 +510,9 @@ class Compete:
         return self._resolved().parameters
 
     @property
-    def strategy(self) -> CompeteStrategy:
-        """The inner-loop strategy scheduling transmissions."""
-        return self._resolved().strategy
+    def strategy(self) -> str:
+        """The name of the inner-loop strategy scheduling transmissions."""
+        return self._config.strategy
 
     def run(
         self,
@@ -679,7 +602,7 @@ class Compete:
                     final_messages=FinalMessagesView(table, ranks),
                     metrics=outcome.metrics(trial),
                     parameters=resolved.parameters,
-                    strategy=resolved.strategy.name,
+                    strategy=resolved.config.strategy,
                 )
             )
         return results
@@ -759,7 +682,7 @@ class Compete:
             final_messages=final_messages,
             metrics=metrics,
             parameters=params,
-            strategy=resolved.strategy.name,
+            strategy=resolved.config.strategy,
         )
 
     def _initial_messages(

@@ -39,27 +39,24 @@ class PreparedScenario:
 
     Produced by :func:`prepare_scenario`; holds the built topology
     (with its CSR adjacency memoized), its summary (including the
-    diameter) and the round budget derived from it.  The schedule and
-    the engine are not here: each run binds the config to the graph in
-    its own :class:`~repro.core.compete.Compete`, so runs that share a
-    prepared topology share no mutable state.  ``repro.service`` keeps
-    these in an LRU keyed by :meth:`ExecutionConfig.cache_key`, so
-    repeated requests for the same (config, topology) build the graph
-    and measure its diameter once; passing one to :func:`run_benchmark`
-    via ``prepared=`` skips that cold path.
+    diameter) and the round budget derived from it with the scenario's
+    margin.  The schedule and the engine are not here: each run binds
+    its config to the graph in its own
+    :class:`~repro.core.compete.Compete`, so runs that share a prepared
+    topology share no mutable state.  ``repro.service`` keeps these in
+    an LRU keyed by :meth:`ExecutionConfig.cache_key`, so repeated
+    requests for the same (config, topology) build the graph and
+    measure its diameter once; passing one to :func:`run_benchmark` via
+    ``prepared=`` skips that cold path.
     """
 
     scenario: Scenario
-    config: ExecutionConfig
     graph: Graph
     summary: TopologySummary
     parameters: CompeteParameters
 
 
-def prepare_scenario(
-    scenario: Scenario,
-    config: Optional[ExecutionConfig] = None,
-) -> PreparedScenario:
+def prepare_scenario(scenario: Scenario) -> PreparedScenario:
     """Prepare ``scenario``'s topology as a reusable :class:`PreparedScenario`.
 
     This is the benchmark's cold path -- topology construction, the
@@ -69,20 +66,14 @@ def prepare_scenario(
     ``repro.service`` cache) can pay it once and amortise it over many
     runs.
     """
-    if config is None:
-        config = scenario.execution_config()
     graph = scenario.build_graph()
     summary = summarize_topology(graph)
-    # An explicit round budget on the config wins; otherwise derive it
-    # once with the already-computed diameter.
-    parameters = config.parameters
-    if parameters is None:
-        parameters = CompeteParameters.from_graph(
-            graph, diameter=summary.diameter, margin=config.margin
-        )
+    # Derived once, with the already-computed diameter.
+    parameters = CompeteParameters.from_graph(
+        graph, diameter=summary.diameter, margin=scenario.margin
+    )
     return PreparedScenario(
         scenario=scenario,
-        config=config,
         graph=graph,
         summary=summary,
         parameters=parameters,
@@ -97,7 +88,7 @@ def run_benchmark(
     seed_batches: Optional[int] = None,
     reference_trials: Optional[int] = None,
     include_reference: bool = True,
-    config: Optional[ExecutionConfig] = None,
+    rng: Optional[str] = None,
     workers: Optional[int] = None,
     prepared: Optional[PreparedScenario] = None,
 ) -> dict[str, Any]:
@@ -124,12 +115,12 @@ def run_benchmark(
     include_reference:
         Set False to skip the reference pass entirely -- faster, but the
         payload then carries no speedup and no agreement check.
-    config:
-        Override the scenario's execution axes wholesale with an
-        :class:`ExecutionConfig` (its ``backend`` is ignored: the
-        benchmark always measures the vectorized backend and re-checks
-        the reference).  Defaults to
-        :meth:`Scenario.execution_config`.
+    rng:
+        Override the scenario's randomness policy (one of
+        :data:`~repro.simulation.rng.RNG_MODES`).  The run records it in
+        the payload's top-level ``rng``; every other execution axis is
+        the scenario's own (:meth:`Scenario.execution_config`), so the
+        artifact's scenario block names what ran.
     workers:
         Shard the vectorized trial batch across this many processes
         (default 1: run in-process).  Seeds are split into contiguous
@@ -142,9 +133,10 @@ def run_benchmark(
         A :class:`PreparedScenario` from :func:`prepare_scenario` to
         reuse (the ``repro.service`` cache seam): the topology, diameter
         summary and round budget are taken from it instead of being
-        recomputed.  It must have been prepared for this scenario and
-        config, explicit ``parameters`` included (checked); results are
-        identical with or without it.
+        recomputed.  It must have been prepared for this scenario's
+        topology and execution identity (checked; the rng policy is
+        free, since preparation reads none); results are identical with
+        or without it.
 
     Raises
     ------
@@ -156,7 +148,7 @@ def run_benchmark(
 
     Notes
     -----
-    Under ``config.rng == "decoupled"`` the reference pass (if any) is
+    Under the ``"decoupled"`` rng policy the reference pass (if any) is
     timing-only: the reference runner replays its per-node streams while
     the vectorized engine hashes counters, so their draws differ by
     design and round-exact agreement is not checked (the payload records
@@ -179,34 +171,29 @@ def run_benchmark(
     if num_workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {num_workers}")
     check_seed(seed)
-    if config is None:
-        config = scenario.execution_config()
+    config = scenario.execution_config(rng=rng)
     num_trials = per_batch * num_batches
     base_seed = seed if seed is not None else scenario.seed
     seeds = [base_seed + index for index in range(num_trials)]
 
     if prepared is None:
-        prepared = prepare_scenario(scenario, config)
-    elif (
-        prepared.scenario.family != scenario.family
-        or prepared.scenario.topology_args != scenario.topology_args
-        or prepared.config.identity() != config.identity()
-        or prepared.config.parameters != config.parameters
-    ):
+        prepared = prepare_scenario(scenario)
+    else:
         # Scenario *names* may differ: the service cache deliberately
         # shares one prepared topology across scenarios with identical
         # execution identity and topology (e.g. the service-cold /
         # service-warm probe pair).  What must match is everything the
         # topology and its round budget were prepared from.
-        raise ConfigurationError(
-            f"prepared resolution is for scenario "
-            f"{prepared.scenario.name!r} ({prepared.scenario.family} "
-            f"{dict(prepared.scenario.topology_args)!r} / config "
-            f"{prepared.config.identity()} / parameters "
-            f"{prepared.config.parameters}), not {scenario.name!r} "
-            f"({scenario.family} {dict(scenario.topology_args)!r} / "
-            f"{config.identity()} / parameters {config.parameters})"
-        )
+        have, want = [
+            (s.family, dict(s.topology_args), s.execution_config().identity())
+            for s in (prepared.scenario, scenario)
+        ]
+        if have != want:
+            raise ConfigurationError(
+                f"prepared resolution is for scenario "
+                f"{prepared.scenario.name!r} {have}, not "
+                f"{scenario.name!r} {want}"
+            )
     graph = prepared.graph
     summary = prepared.summary
     parameters = prepared.parameters

@@ -254,11 +254,7 @@ def _command_algorithms(arguments: argparse.Namespace) -> int:
                 {
                     "name": algorithm.name,
                     "description": algorithm.description,
-                    "collision_models": sorted(
-                        model.value for model in algorithm.collision_models
-                    ),
                     "supports_spontaneous": algorithm.supports_spontaneous,
-                    "requires_spontaneous": algorithm.requires_spontaneous,
                     "spontaneous_default": algorithm.spontaneous_default,
                 }
                 for algorithm in algorithms
@@ -268,17 +264,12 @@ def _command_algorithms(arguments: argparse.Namespace) -> int:
         return 0
     width = max(len(algorithm.name) for algorithm in algorithms)
     for algorithm in algorithms:
-        models = ",".join(sorted(
-            model.value for model in algorithm.collision_models
-        ))
         spontaneous = (
-            "required" if algorithm.requires_spontaneous
-            else "supported" if algorithm.supports_spontaneous
-            else "unsupported"
+            "supported" if algorithm.supports_spontaneous else "unsupported"
         )
         print(
             f"{algorithm.name:<{width}}  spontaneous={spontaneous:<11} "
-            f"models={models}  {algorithm.description}"
+            f"{algorithm.description}"
         )
     print(f"({len(algorithms)} algorithms)")
     return 0
@@ -292,7 +283,7 @@ def _execute(arguments: argparse.Namespace, scenario: Scenario) -> None:
         seed_batches=arguments.seeds,
         reference_trials=arguments.reference_trials,
         include_reference=not arguments.skip_reference,
-        config=scenario.execution_config(rng=arguments.rng),
+        rng=arguments.rng,
         workers=arguments.workers,
     )
     path = write_bench(payload, arguments.out)

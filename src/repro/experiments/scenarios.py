@@ -126,31 +126,26 @@ class Scenario:
         if not self.name:
             raise ConfigurationError("scenario name must be non-empty")
         # Resolving through the registry both rejects unknown names and
-        # enforces the algorithm's declared capabilities (supported
-        # collision models, spontaneous-transmission support) at
-        # registration time rather than mid-benchmark.
+        # enforces the algorithm's declared capability (spontaneous-
+        # transmission support) at registration time rather than
+        # mid-benchmark.
         algorithm = DEFAULT_ALGORITHMS.get(self.algorithm)
         if self.family not in topology.FAMILIES:
             known = ", ".join(sorted(topology.FAMILIES))
             raise ConfigurationError(
                 f"unknown topology family {self.family!r}; known: {known}"
             )
-        if not isinstance(self.strategy, str) or not isinstance(
-            self.collision_model, str
-        ):
-            # The config also takes the enum and strategy instances;
-            # a scenario keeps the names it persists.
+        if not isinstance(self.collision_model, str):
+            # The config also takes the enum; a scenario keeps the name
+            # it persists.
             raise ConfigurationError(
-                "scenario strategy and collision_model must be names, got "
-                f"{self.strategy!r} and {self.collision_model!r}"
+                "scenario collision_model must be a name, got "
+                f"{self.collision_model!r}"
             )
         # The execution axes (strategy, collision model, margin, rng,
         # dynamics) are validated once, by the config they describe.
         config = self.execution_config()
-        algorithm.check(
-            collision_model=config.collision_model,
-            spontaneous=self.spontaneous,
-        )
+        algorithm.check(spontaneous=self.spontaneous)
         object.__setattr__(self, "dynamics", config.dynamics)
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")

@@ -37,7 +37,7 @@ import time
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
-from repro.api import ExecutionConfig, topology_digest
+from repro.api import topology_digest
 from repro.experiments.bench import PreparedScenario, prepare_scenario
 from repro.experiments.scenarios import Scenario
 
@@ -48,9 +48,9 @@ from repro.experiments.scenarios import Scenario
 DEFAULT_CACHE_CAPACITY = 32
 
 
-def resolution_key(scenario: Scenario, config: ExecutionConfig) -> str:
-    """The cache key for running ``scenario`` under ``config``."""
-    return config.cache_key(
+def resolution_key(scenario: Scenario) -> str:
+    """The cache key for running ``scenario``."""
+    return scenario.execution_config().cache_key(
         topology_digest(scenario.family, scenario.topology_args)
     )
 
@@ -130,9 +130,7 @@ class CachedResolver:
         cache: Optional[ResolutionCache] = None,
         *,
         executor: concurrent.futures.Executor,
-        compile: Callable[
-            [Scenario, ExecutionConfig], PreparedScenario
-        ] = prepare_scenario,
+        compile: Callable[[Scenario], PreparedScenario] = prepare_scenario,
     ) -> None:
         self._cache = cache if cache is not None else ResolutionCache()
         self._executor = executor
@@ -154,11 +152,9 @@ class CachedResolver:
         )
 
     async def resolve(
-        self, scenario: Scenario, config: Optional[ExecutionConfig] = None
+        self, scenario: Scenario
     ) -> tuple[PreparedScenario, str, float]:
-        if config is None:
-            config = scenario.execution_config()
-        key = resolution_key(scenario, config)
+        key = resolution_key(scenario)
         started = time.perf_counter()
         prepared = self._cache.get(key)
         if prepared is not None:
@@ -176,7 +172,7 @@ class CachedResolver:
         try:
             self._compiles += 1
             prepared = await loop.run_in_executor(
-                self._executor, self._compile, scenario, config
+                self._executor, self._compile, scenario
             )
         except BaseException as error:
             future.set_exception(error)

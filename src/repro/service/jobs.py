@@ -279,9 +279,8 @@ class JobManager:
             job.started_at + timeout if timeout is not None else None
         )
         try:
-            config = spec.scenario.execution_config()
             prepared, outcome, seconds = await self.resolver.resolve(
-                spec.scenario, config
+                spec.scenario
             )
             job.resolve_outcome = outcome
             job.resolve_seconds = seconds
@@ -313,7 +312,6 @@ class JobManager:
                     self._executor,
                     self._timed_batch,
                     spec,
-                    config,
                     prepared,
                     per_batch,
                     base_seed + batch * per_batch,
@@ -348,13 +346,12 @@ class JobManager:
         payload = self._run_batch(*args)
         return payload, started, time.perf_counter()
 
-    def _run_batch(self, spec, config, prepared, trials, seed):
+    def _run_batch(self, spec, prepared, trials, seed):
         return run_benchmark(
             spec.scenario,
             trials=trials,
             seed=seed,
             include_reference=spec.overrides.include_reference,
-            config=config,
             workers=spec.overrides.workers,
             prepared=prepared,
         )

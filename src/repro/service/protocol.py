@@ -41,7 +41,7 @@ import dataclasses
 from typing import Any, Mapping, Optional
 
 from repro.errors import ConfigurationError
-from repro.experiments.scenarios import Scenario
+from repro.experiments.scenarios import Scenario, get_scenario
 
 #: Protocol identifier, echoed in every response envelope.
 SERVICE_SCHEMA = "repro-service/1"
@@ -110,17 +110,14 @@ class Request:
     id: Optional[str] = None
 
 
-def parse_request(payload: Any, *, registry) -> Request:
+def parse_request(payload: Any) -> Request:
     """Validate one decoded JSON request against the protocol.
 
-    Parameters
-    ----------
-    payload:
-        The decoded JSON value (must be an object).
-    registry:
-        The :class:`~repro.experiments.scenarios.ScenarioRegistry` used
-        to resolve scenario *names*; inline scenario objects are built
-        through :meth:`Scenario.from_dict` and need no registration.
+    ``payload`` is the decoded JSON value (must be an object).  Scenario
+    *names* resolve through
+    :func:`~repro.experiments.scenarios.get_scenario`; inline scenario
+    objects are built through :meth:`Scenario.from_dict` and need no
+    registration.
 
     Raises
     ------
@@ -154,7 +151,7 @@ def parse_request(payload: Any, *, registry) -> Request:
 
     overrides = _parse_overrides(payload)
     if op == "run":
-        scenario = _parse_scenario(payload.get("scenario"), registry)
+        scenario = _parse_scenario(payload.get("scenario"))
         return Request(
             op=op, scenario=scenario, overrides=overrides, id=request_id
         )
@@ -177,10 +174,10 @@ def parse_request(payload: Any, *, registry) -> Request:
     )
 
 
-def _parse_scenario(value: Any, registry) -> Scenario:
+def _parse_scenario(value: Any) -> Scenario:
     if isinstance(value, str) and value:
         try:
-            return registry.get(value)
+            return get_scenario(value)
         except ConfigurationError:
             raise RequestError(
                 "unknown-scenario",

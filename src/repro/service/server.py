@@ -258,7 +258,7 @@ class ServiceServer:
                     )
                 payload = _decode_body(body)
                 payload["op"] = path.rsplit("/", 1)[1]
-                request = parse_request(payload, registry=DEFAULT_REGISTRY)
+                request = parse_request(payload)
                 return await _send_json(writer, 200, self.dispatch(request))
             if path.startswith("/v1/jobs/"):
                 tail = path[len("/v1/jobs/"):]
@@ -428,7 +428,7 @@ async def serve_stdio(
             if isinstance(payload, Mapping):
                 raw_id = payload.get("id")
                 request_id = raw_id if isinstance(raw_id, str) else None
-            request = parse_request(payload, registry=DEFAULT_REGISTRY)
+            request = parse_request(payload)
             response = server.dispatch(request)
         except RequestError as error:
             response = error_response(

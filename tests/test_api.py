@@ -18,7 +18,7 @@ from repro.api import (
     resolve_execution,
 )
 from repro.core.broadcast import broadcast, broadcast_batch
-from repro.core.compete import Compete, SkeletonStrategy
+from repro.core.compete import STRATEGIES, Compete
 from repro.core.leader_election import elect_leader
 from repro.core.parameters import CompeteParameters
 from repro.dynamics import DynamicsSpec, EdgeChurn
@@ -49,8 +49,13 @@ def test_config_defaults_and_describe():
 def test_config_validation_rejects_bad_axes():
     with pytest.raises(ConfigurationError, match="backend"):
         ExecutionConfig(backend="warp-drive")
-    with pytest.raises(ConfigurationError, match="strategy"):
-        ExecutionConfig(strategy="quantum")
+    # The strategy is a key of STRATEGIES, never an object: whatever
+    # the config records is what ran.
+    for strategy in ("quantum", 1, None, ["skeleton"], STRATEGIES["skeleton"]):
+        with pytest.raises(ConfigurationError) as raised:
+            ExecutionConfig(strategy=strategy)
+        assert str(raised.value).startswith("strategy must be one of")
+        assert "\n" not in str(raised.value)
     with pytest.raises(ConfigurationError, match="collision_model"):
         ExecutionConfig(collision_model="psychic")
     with pytest.raises(ConfigurationError, match="margin"):
@@ -108,12 +113,6 @@ def test_identity_ignores_backend_and_tracks_every_result_axis():
     assert len(identities) == len(changed)
 
 
-def test_config_accepts_strategy_instances():
-    config = ExecutionConfig(strategy=SkeletonStrategy())
-    assert config.strategy_name == "skeleton"
-    assert isinstance(config.strategy_instance(), SkeletonStrategy)
-
-
 # ----------------------------------------------------------------------
 # resolve_execution: the one shared resolution path
 # ----------------------------------------------------------------------
@@ -151,10 +150,10 @@ def test_resolve_execution_derives_everything():
     graph = topology.path_graph(16)
     resolved = resolve_execution(graph, ExecutionConfig(strategy="clustered"))
     assert resolved.parameters == CompeteParameters.from_graph(graph)
-    assert resolved.strategy.name == "clustered"
     assert resolved.collision_model is CollisionModel.NO_DETECTION
     schedule = resolved.schedule
     assert schedule is resolved.schedule  # built once, cached
+    assert schedule.name == "clustered"
     assert set(schedule.nodes) == set(graph.nodes())
 
 
@@ -228,29 +227,7 @@ def test_registry_enforces_capabilities():
         DEFAULT_ALGORITHMS.run(
             "decay-broadcast", graph, seed=0, spontaneous=True
         )
-    narrow = Algorithm(
-        name="detect-only",
-        description="",
-        run_batch=lambda graph, **kwargs: None,
-        collision_models=frozenset({CollisionModel.WITH_DETECTION}),
-    )
-    with pytest.raises(ConfigurationError, match="collision model"):
-        narrow.check(
-            collision_model=CollisionModel.NO_DETECTION, spontaneous=False
-        )
-    with pytest.raises(ConfigurationError, match="requires spontaneous"):
-        Algorithm(
-            name="needs-spont", description="",
-            run_batch=lambda graph, **kwargs: None, requires_spontaneous=True,
-        ).check(
-            collision_model=CollisionModel.NO_DETECTION, spontaneous=False
-        )
-    with pytest.raises(ConfigurationError):
-        Algorithm(
-            name="broken", description="",
-            run_batch=lambda graph, **kwargs: None,
-            supports_spontaneous=False, requires_spontaneous=True,
-        )
+    DEFAULT_ALGORITHMS.get("decay-broadcast").check(spontaneous=False)
 
 
 def test_registry_rejects_duplicates_and_dispatches():
@@ -288,18 +265,18 @@ def test_batch_entries_run_on_the_config_backend(monkeypatch):
     graph = topology.grid_graph(4, 5)
     seeds = [0, 1, 2]
     calls = {"runner": 0, "schedule": 0}
-    run, build = ProtocolRunner.run, SkeletonStrategy.build_schedule
+    run, build = ProtocolRunner.run, STRATEGIES["skeleton"]
 
     def counted_run(self):
         calls["runner"] += 1
         return run(self)
 
-    def counted_build(self, graph, parameters):
+    def counted_build(graph, parameters):
         calls["schedule"] += 1
-        return build(self, graph, parameters)
+        return build(graph, parameters)
 
     monkeypatch.setattr(ProtocolRunner, "run", counted_run)
-    monkeypatch.setattr(SkeletonStrategy, "build_schedule", counted_build)
+    monkeypatch.setitem(STRATEGIES, "skeleton", counted_build)
     entries = {
         "broadcast_batch": lambda config: broadcast_batch(
             graph, 0, seeds=seeds, config=config),
@@ -365,56 +342,6 @@ def test_registry_plugin_seam_end_to_end():
         config=ExecutionConfig(backend="vectorized"),
     )
     assert outcome["success"] and outcome["rounds"] > 0
-
-
-def test_run_benchmark_honours_config_parameters():
-    from repro.experiments import prepare_scenario, run_benchmark
-    from repro.experiments.scenarios import Scenario
-
-    scenario = Scenario(
-        name="budget-check", description="", family="star",
-        topology_args={"num_leaves": 7}, algorithm="broadcast",
-        trials=2, seed=3,
-    )
-    custom = CompeteParameters(
-        num_nodes=8, diameter=2, decay_steps=3, num_decay_rounds=11
-    )
-    payload = run_benchmark(
-        scenario, include_reference=False,
-        config=scenario.execution_config().replace(parameters=custom),
-    )
-    assert payload["schedule"] == {
-        "decay_steps": 3, "num_decay_rounds": 11, "total_rounds": 33,
-    }
-    # A budget for the wrong graph size fails loudly, not silently.
-    wrong = CompeteParameters(
-        num_nodes=9, diameter=2, decay_steps=3, num_decay_rounds=11
-    )
-    with pytest.raises(ConfigurationError, match="n=9"):
-        run_benchmark(
-            scenario, include_reference=False,
-            config=scenario.execution_config().replace(parameters=wrong),
-        )
-    # A prepared topology carries the budget it was prepared with, so an
-    # explicit budget it was not prepared for is refused, not dropped.
-    derived = prepare_scenario(scenario)
-    with pytest.raises(ConfigurationError, match="prepared resolution"):
-        run_benchmark(
-            scenario, include_reference=False, prepared=derived,
-            config=scenario.execution_config().replace(parameters=custom),
-        )
-    pinned = scenario.execution_config().replace(parameters=custom)
-    with pytest.raises(ConfigurationError, match="prepared resolution"):
-        run_benchmark(
-            scenario, include_reference=False,
-            prepared=prepare_scenario(scenario, pinned),
-        )
-    reused = run_benchmark(
-        scenario, include_reference=False, config=pinned,
-        prepared=prepare_scenario(scenario, pinned),
-    )
-    assert reused["results"] == payload["results"]
-    assert reused["schedule"] == payload["schedule"]
 
 
 def test_scenarios_algorithms_constant_is_a_live_view():

@@ -8,7 +8,8 @@ Three layers are pinned here:
    (power-of-two cycle lengths, contention coverage at every listener);
 3. the strategy axis on Compete: the headline property that the
    clustered strategy beats the skeleton's round count on low-contention
-   topologies, and the custom-strategy plug-in API.
+   topologies, and a custom strategy as one more entry of the
+   ``STRATEGIES`` name table.
 
 Round-exact reference/dense/sparse agreement -- per strategy -- is
 covered by the case table in ``tests/test_engine_equivalence.py``.
@@ -23,15 +24,8 @@ from repro import topology
 from repro.api import ExecutionConfig
 from repro.core.broadcast import broadcast
 from repro.core.clustering import Cluster, ClusterDecomposition, decompose
-from repro.core.compete import (
-    STRATEGIES,
-    ClusteredStrategy,
-    Compete,
-    CompeteStrategy,
-    SkeletonStrategy,
-    compete,
-    resolve_strategy,
-)
+from repro.core.compete import STRATEGIES, Compete, compete
+from repro.core.parameters import CompeteParameters
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.schedules.cluster import charged_cycle_steps, cluster_schedule
@@ -259,17 +253,24 @@ def test_charged_cycle_steps_values():
 # ----------------------------------------------------------------------
 # the strategy axis on Compete
 # ----------------------------------------------------------------------
-def test_resolve_strategy():
-    assert isinstance(resolve_strategy("skeleton"), SkeletonStrategy)
-    assert isinstance(resolve_strategy("clustered"), ClusteredStrategy)
-    custom = ClusteredStrategy(radius=3)
-    assert resolve_strategy(custom) is custom
-    assert custom.radius == 3
-    with pytest.raises(ConfigurationError, match="strategy"):
-        resolve_strategy("quantum")
-    with pytest.raises(ConfigurationError, match="radius"):
-        ClusteredStrategy(radius=-1)
+def test_strategies_is_a_table_of_schedule_compilers():
+    # Each name compiles (graph, budget) into the schedule it names: the
+    # uniform Decay cycle, or the cost-charged schedule of the default
+    # decomposition.
     assert set(STRATEGIES) == {"skeleton", "clustered"}
+    graph = topology.grid_graph(6, 5)
+    budget = CompeteParameters.from_graph(graph)
+    expected = {
+        "skeleton": uniform_decay_schedule(graph.nodes(), budget.decay_steps),
+        "clustered": cluster_schedule(decompose(graph)),
+    }
+    for name, compile_schedule in STRATEGIES.items():
+        schedule = compile_schedule(graph, budget)
+        assert schedule.name == name
+        for node in graph.nodes():
+            assert schedule.probabilities(node) == (
+                expected[name].probabilities(node)
+            ), (name, node)
 
 
 def test_clustered_broadcast_succeeds_and_beats_skeleton_on_path():
@@ -302,28 +303,24 @@ def test_clustered_broadcast_succeeds_on_grid_and_star():
         assert result.success
 
 
-def test_custom_strategy_plugs_in():
-    class HalfStrategy(CompeteStrategy):
+def test_custom_strategy_plugs_in(monkeypatch):
+    def half(graph, parameters):
         """Every informed node transmits with probability 1/2."""
+        return TransmissionSchedule(
+            {node: (0.5,) for node in graph.nodes()}, name="half"
+        )
 
-        name = "half"
-
-        def build_schedule(self, graph, parameters):
-            return TransmissionSchedule(
-                {node: (0.5,) for node in graph.nodes()}, name=self.name
-            )
-
+    monkeypatch.setitem(STRATEGIES, "half", half)
     graph = topology.path_graph(10)
     reference = compete(
         graph, {0: 1}, seed=2, spontaneous=True,
-        config=ExecutionConfig(strategy=HalfStrategy()),
+        config=ExecutionConfig(strategy="half"),
     )
     vectorized = compete(
         graph, {0: 1}, seed=2, spontaneous=True,
-        config=ExecutionConfig(strategy=HalfStrategy(),
-                               backend="vectorized"),
+        config=ExecutionConfig(strategy="half", backend="vectorized"),
     )
-    assert reference.strategy == "half"
+    assert reference.strategy == vectorized.strategy == "half"
     assert reference.rounds == vectorized.rounds
     assert reference.metrics.as_dict() == vectorized.metrics.as_dict()
 

@@ -170,4 +170,11 @@ def test_cli_runs_the_baseline_and_lists_algorithms(tmp_path, capsys):
     listed = json.loads(capsys.readouterr().out)
     by_name = {entry["name"]: entry for entry in listed}
     assert set(by_name) == {"broadcast", "leader-election", "decay-broadcast"}
+    assert all(
+        set(entry) == {
+            "name", "description", "supports_spontaneous",
+            "spontaneous_default",
+        }
+        for entry in listed
+    )
     assert by_name["decay-broadcast"]["supports_spontaneous"] is False

@@ -80,17 +80,14 @@ def test_scenario_validation():
         Scenario(name="x", description="", family="path",
                  topology_args={"num_nodes": 8}, algorithm="broadcast",
                  strategy="quantum")
-    # Scenarios persist names: the enum and strategy instances the
-    # config accepts would not serialise.
-    from repro.core.compete import SkeletonStrategy
+    # Scenarios persist names: the collision-model enum the config
+    # accepts would not serialise.
     from repro.network.radio import CollisionModel
 
-    for axis in ({"strategy": SkeletonStrategy()},
-                 {"collision_model": CollisionModel.NO_DETECTION}):
-        with pytest.raises(ConfigurationError, match="must be names"):
-            Scenario(name="x", description="", family="path",
-                     topology_args={"num_nodes": 8}, algorithm="broadcast",
-                     **axis)
+    with pytest.raises(ConfigurationError, match="must be a name"):
+        Scenario(name="x", description="", family="path",
+                 topology_args={"num_nodes": 8}, algorithm="broadcast",
+                 collision_model=CollisionModel.NO_DETECTION)
 
 
 @pytest.mark.parametrize("margin", [0, -1.5, float("nan")])
@@ -519,8 +516,7 @@ def test_run_benchmark_workers_is_deterministic():
 
 
 def test_run_benchmark_decoupled_rng():
-    config = TINY.execution_config(rng="decoupled")
-    payload = run_benchmark(TINY, config=config)
+    payload = run_benchmark(TINY, rng="decoupled")
     validate_bench(payload)
     assert payload["rng"] == "decoupled"
     # The reference pass still ran (for the timing headline) but parity
@@ -530,7 +526,7 @@ def test_run_benchmark_decoupled_rng():
     assert payload["timing"]["speedup"] is not None
     assert payload["agreement"] == {"checked_trials": 0, "round_exact": False}
     # Decoupled results are seed-stable: same config, same numbers.
-    again = run_benchmark(TINY, config=config, include_reference=False)
+    again = run_benchmark(TINY, rng="decoupled", include_reference=False)
     assert again["results"] == payload["results"]
     # ...and differ from replay's (different draw policy).
     replay = run_benchmark(TINY, include_reference=False)
@@ -551,9 +547,7 @@ def test_validate_bench_rejects_bad_rng_and_workers_fields():
     corrupt(lambda p: p["scenario"].update(rng="quantum"))
 
     # A decoupled artifact claiming checked round-exact agreement lies.
-    decoupled = run_benchmark(
-        TINY, config=TINY.execution_config(rng="decoupled")
-    )
+    decoupled = run_benchmark(TINY, rng="decoupled")
     corrupted = copy.deepcopy(decoupled)
     corrupted["agreement"].update(checked_trials=1, round_exact=True)
     corrupted["trials"].update(reference=1)
@@ -725,40 +719,84 @@ def test_prepare_scenario_rejects_mismatched_reuse():
 
 
 def test_prepare_scenario_reuse_follows_the_execution_identity():
+    import dataclasses
+
     from repro.experiments import prepare_scenario
 
-    # The backend is outside the identity (both agree round for round),
-    # so a resolution prepared under the reference backend serves the
-    # vectorized run; a result-changing axis such as the strategy does
-    # not match and is refused.
-    config = TINY.execution_config()
-    fresh = run_benchmark(TINY, include_reference=False)
-    shared = prepare_scenario(TINY, config.replace(backend="reference"))
-    reused = run_benchmark(TINY, include_reference=False, prepared=shared)
-    assert reused["results"] == fresh["results"]
-    clustered = prepare_scenario(TINY, config.replace(strategy="clustered"))
-    with pytest.raises(ConfigurationError, match="prepared resolution"):
-        run_benchmark(TINY, prepared=clustered)
+    # A twin that differs only in presentation fields shares the
+    # prepared topology, and preparation reads no rng, so one serves
+    # either policy; a result-changing axis such as the strategy or the
+    # margin does not match and is refused.
+    renamed = dataclasses.replace(TINY, name="tiny-twin", tags=("twin",))
+    shared = prepare_scenario(renamed)
+    for rng in (None, "decoupled"):
+        fresh = run_benchmark(TINY, include_reference=False, rng=rng)
+        reused = run_benchmark(
+            TINY, include_reference=False, rng=rng, prepared=shared
+        )
+        assert reused["results"] == fresh["results"]
+    for axis in ({"strategy": "clustered"}, {"margin": 2 * TINY.margin}):
+        other = prepare_scenario(dataclasses.replace(TINY, **axis))
+        with pytest.raises(ConfigurationError, match="prepared resolution"):
+            run_benchmark(TINY, prepared=other)
 
 
 def test_prepared_run_compiles_the_schedule_once(monkeypatch):
-    from repro.core.compete import SkeletonStrategy
+    from repro.core.compete import STRATEGIES
     from repro.experiments import prepare_scenario
 
     # prepare_scenario prepares the topology only; the run's Compete
     # binds the config to the graph and compiles the schedule, once.
     compiled = []
-    build_schedule = SkeletonStrategy.build_schedule
+    build_schedule = STRATEGIES["skeleton"]
 
-    def counting(self, graph, parameters):
+    def counting(graph, parameters):
         compiled.append(graph.num_nodes)
-        return build_schedule(self, graph, parameters)
+        return build_schedule(graph, parameters)
 
-    monkeypatch.setattr(SkeletonStrategy, "build_schedule", counting)
+    monkeypatch.setitem(STRATEGIES, "skeleton", counting)
     prepared = prepare_scenario(TINY)
     assert compiled == []
     run_benchmark(TINY, include_reference=False, prepared=prepared)
     assert compiled == [8]
+
+
+@pytest.mark.parametrize("rng", [None, "decoupled"])
+@pytest.mark.parametrize("name", [
+    "broadcast-grid-n64",
+    "broadcast-grid-n64-clustered",
+    "broadcast-grid-n64-churn",
+    "broadcast-grid-n256-detect",
+    "election-grid-n64",
+    "decay-broadcast-path-n32",
+])
+def test_every_config_a_run_binds_has_its_artifact_identity(
+    monkeypatch, name, rng
+):
+    # What an artifact records is what ran: the scenario block and the
+    # top-level rng rebuild the identity of every config the run bound
+    # to its graph.  run_benchmark has no wholesale config override.
+    import repro.api.config as config_module
+    from repro.experiments import artifact_identity, prepare_scenario
+
+    bound = []
+    resolve = config_module.resolve_execution
+
+    def recording(graph, config=None):
+        bound.append(config.identity())
+        return resolve(graph, config)
+
+    monkeypatch.setattr(config_module, "resolve_execution", recording)
+    scenario = get_scenario(name)
+    payload = run_benchmark(
+        scenario, trials=2, include_reference=False, rng=rng
+    )
+    assert bound and set(bound) == {artifact_identity(payload)}
+    config = scenario.execution_config()
+    with pytest.raises(TypeError, match="config"):
+        run_benchmark(scenario, trials=2, config=config)
+    with pytest.raises(TypeError):
+        prepare_scenario(scenario, config)
 
 
 def test_merge_benchmark_batches_matches_one_shot():

@@ -93,12 +93,11 @@ def test_parse_request_rejects_malformed():
          "id must be a string"),
     ]:
         with pytest.raises(RequestError, match=None) as excinfo:
-            parse_request(payload, registry=DEFAULT_REGISTRY)
+            parse_request(payload)
         assert fragment in str(excinfo.value)
 
     unknown = pytest.raises(
-        RequestError, parse_request, {"op": "run", "scenario": "no-such"},
-        registry=DEFAULT_REGISTRY,
+        RequestError, parse_request, {"op": "run", "scenario": "no-such"}
     )
     assert unknown.value.code == "unknown-scenario"
 
@@ -106,33 +105,26 @@ def test_parse_request_rejects_malformed():
 def test_parse_request_accepts_registered_and_inline_scenarios():
     request = parse_request(
         {"op": "run", "scenario": "broadcast-path-n32", "trials": 2,
-         "seed_batches": 2, "id": "abc"},
-        registry=DEFAULT_REGISTRY,
+         "seed_batches": 2, "id": "abc"}
     )
     assert request.scenario.name == "broadcast-path-n32"
     assert request.overrides == RunOverrides(trials=2, seed_batches=2)
     assert request.id == "abc"
 
-    inline = parse_request(
-        {"op": "run", "scenario": TINY.to_dict()},
-        registry=DEFAULT_REGISTRY,
-    )
+    inline = parse_request({"op": "run", "scenario": TINY.to_dict()})
     assert inline.scenario.name == TINY.name
     assert inline.scenario.topology_args == TINY.topology_args
 
     with pytest.raises(RequestError, match="engine") as bad:
         parse_request(
-            {"op": "run", "scenario": {**TINY.to_dict(), "engine": "dense"}},
-            registry=DEFAULT_REGISTRY,
+            {"op": "run", "scenario": {**TINY.to_dict(), "engine": "dense"}}
         )
     assert bad.value.code == "bad-request"
 
     # A misspelt key is refused, not silently run as the default.
     typo = {**TINY.to_dict(), "stratgy": "clustered"}
     with pytest.raises(RequestError, match="stratgy") as bad:
-        parse_request(
-            {"op": "run", "scenario": typo}, registry=DEFAULT_REGISTRY
-        )
+        parse_request({"op": "run", "scenario": typo})
     assert bad.value.code == "bad-request"
 
 
@@ -152,10 +144,8 @@ def test_response_envelopes_echo_request_id():
 # cache
 # ----------------------------------------------------------------------
 def test_resolution_key_separates_topologies_and_unifies_identities():
-    key_a = resolution_key(TINY, TINY.execution_config())
-    key_b = resolution_key(
-        TINY_OTHER_TOPOLOGY, TINY_OTHER_TOPOLOGY.execution_config()
-    )
+    key_a = resolution_key(TINY)
+    key_b = resolution_key(TINY_OTHER_TOPOLOGY)
     # Same execution identity (the prefix) -- different topology digest.
     assert key_a.split(":")[0] == key_b.split(":")[0]
     assert key_a != key_b
@@ -163,9 +153,7 @@ def test_resolution_key_separates_topologies_and_unifies_identities():
     # The registered cold/warm probe pair shares one key by design.
     cold = DEFAULT_REGISTRY.get("service-cold")
     warm = DEFAULT_REGISTRY.get("service-warm")
-    assert resolution_key(cold, cold.execution_config()) == resolution_key(
-        warm, warm.execution_config()
-    )
+    assert resolution_key(cold) == resolution_key(warm)
 
 
 def test_resolution_cache_lru_eviction_and_counters():
@@ -188,7 +176,7 @@ def test_resolution_cache_lru_eviction_and_counters():
 def test_cached_resolver_coalesces_concurrent_compiles():
     compiles = []
 
-    def slow_compile(scenario, config):
+    def slow_compile(scenario):
         compiles.append(scenario.name)
         time.sleep(0.2)
         return f"prepared-{scenario.name}"
@@ -214,7 +202,7 @@ def test_cached_resolver_coalesces_concurrent_compiles():
 def test_cached_resolver_propagates_compile_failure_then_recovers():
     attempts = []
 
-    def flaky_compile(scenario, config):
+    def flaky_compile(scenario):
         attempts.append(1)
         if len(attempts) == 1:
             raise ConfigurationError("transient failure")
@@ -313,10 +301,10 @@ def test_job_timeout_and_cancel_paths():
             release = threading.Event()
             real_batch = manager._run_batch
 
-            def gated_batch(spec, config, prepared, trials, seed):
+            def gated_batch(spec, prepared, trials, seed):
                 started.set()
                 assert release.wait(30)
-                return real_batch(spec, config, prepared, trials, seed)
+                return real_batch(spec, prepared, trials, seed)
 
             manager._run_batch = gated_batch
             running = manager.submit(JobSpec(
@@ -392,9 +380,8 @@ def test_concurrent_jobs_prepare_and_run_on_one_thread_in_turn():
     # and every batch runs on the one CPU thread, never two at a time.
     async def drive():
         manager = JobManager(job_workers=2)
-        config = TINY.execution_config()
         manager.resolver.cache.put(
-            resolution_key(TINY, config), prepare_scenario(TINY, config)
+            resolution_key(TINY), prepare_scenario(TINY)
         )
         log = []
         _record_cpu_work(manager, log)
@@ -431,9 +418,9 @@ def test_short_job_finishes_before_a_long_jobs_last_batch_starts():
         starts = {}
         real_batch = manager._run_batch
 
-        def logged_batch(spec, config, prepared, trials, seed):
+        def logged_batch(spec, prepared, trials, seed):
             starts[seed] = time.time()
-            return real_batch(spec, config, prepared, trials, seed)
+            return real_batch(spec, prepared, trials, seed)
 
         manager._run_batch = logged_batch
         manager.start()
@@ -465,11 +452,11 @@ def test_a_batch_that_raises_fails_its_job_and_the_thread_runs_on():
         threads = {}
         real_batch = manager._run_batch
 
-        def exploding_batch(spec, config, prepared, trials, seed):
+        def exploding_batch(spec, prepared, trials, seed):
             threads[seed] = threading.get_ident()
             if seed == 100:
                 raise RuntimeError("batch exploded")
-            return real_batch(spec, config, prepared, trials, seed)
+            return real_batch(spec, prepared, trials, seed)
 
         manager._run_batch = exploding_batch
         manager.start()
@@ -507,12 +494,12 @@ def test_close_with_running_and_queued_jobs_starts_no_more_work():
         manager = JobManager(job_workers=2)
         real_batch = manager._run_batch
 
-        def gated_batch(spec, config, prepared, trials, seed):
+        def gated_batch(spec, prepared, trials, seed):
             ran.append(seed)
             cpu_threads.append(threading.current_thread())
             started.set()
             assert release.wait(30)
-            return real_batch(spec, config, prepared, trials, seed)
+            return real_batch(spec, prepared, trials, seed)
 
         manager._run_batch = gated_batch
         manager.start()
@@ -641,10 +628,10 @@ def test_http_queue_full_maps_to_429():
         release = threading.Event()
         real_batch = manager._run_batch
 
-        def gated_batch(spec, config, prepared, trials, seed):
+        def gated_batch(spec, prepared, trials, seed):
             started.set()
             assert release.wait(30)
-            return real_batch(spec, config, prepared, trials, seed)
+            return real_batch(spec, prepared, trials, seed)
 
         manager._run_batch = gated_batch
         server = ServiceServer(manager)
