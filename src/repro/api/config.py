@@ -55,6 +55,17 @@ from repro.topology.validation import validate_radio_topology
 _COLLISION_BY_NAME = {model.value: model for model in CollisionModel}
 
 
+def _strategy_compiler(strategy: Any):
+    """The :data:`STRATEGIES` entry named ``strategy``, read now: a
+    config can outlive a custom entry that was removed after it was
+    built."""
+    if not isinstance(strategy, str) or strategy not in STRATEGIES:
+        raise ConfigurationError(
+            f"strategy must be one of {tuple(STRATEGIES)}, got {strategy!r}"
+        )
+    return STRATEGIES[strategy]
+
+
 @dataclasses.dataclass(frozen=True)
 class ExecutionConfig:
     """Validated, immutable description of *how* a run executes.
@@ -115,13 +126,7 @@ class ExecutionConfig:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if not isinstance(self.strategy, str) or (
-            self.strategy not in STRATEGIES
-        ):
-            raise ConfigurationError(
-                f"strategy must be one of {tuple(STRATEGIES)}, got "
-                f"{self.strategy!r}"
-            )
+        _strategy_compiler(self.strategy)
         if isinstance(self.collision_model, str):
             try:
                 normalised = _COLLISION_BY_NAME[self.collision_model]
@@ -206,25 +211,6 @@ class ExecutionConfig:
         canonical = json.dumps(self.describe(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
-    def cache_key(self, topology: str) -> str:
-        """The resolution-cache key for this config on one topology.
-
-        ``topology`` is a topology digest (normally
-        :func:`topology_digest` over a scenario's family + generator
-        arguments).  Two (config, topology) pairs share a key exactly
-        when :meth:`identity` and the digest both agree, so configs that
-        execute identically on *different* graphs -- the classic cache
-        collision -- can never share an entry.  ``repro.service`` keys
-        its LRU of prepared topologies (graph, diameter summary, round
-        budget, CSR adjacency) with this.
-
-        Note the deliberate blind spots, matching :meth:`identity`: the
-        backend (both agree round for round) and an explicit
-        ``parameters`` round budget (the scenario path never sets one:
-        its budget derives from the scenario's margin).
-        """
-        return f"{self.identity()}:{topology}"
-
 
 def topology_digest(family: str, topology_args: Mapping[str, Any]) -> str:
     """A short stable digest identifying one generated topology.
@@ -292,7 +278,7 @@ class ResolvedExecution:
     def schedule(self) -> TransmissionSchedule:
         """The strategy's compiled schedule (built on first access)."""
         if self._schedule is None:
-            self._schedule = STRATEGIES[self._config.strategy](
+            self._schedule = _strategy_compiler(self._config.strategy)(
                 self._graph, self._parameters
             )
         return self._schedule

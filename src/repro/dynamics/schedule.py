@@ -319,14 +319,16 @@ class FaultSchedule:
             for i in np.flatnonzero(faults.jammed & faults.alive)
         }
 
-    def down_links(self, faults: RoundFaults) -> set:
-        """Links down in ``faults`` as ``(u, v)`` pairs, both orientations."""
-        if faults.edge_up is None:
-            return set()
-        down = ~faults.edge_up
-        lo = [self._nodes[i] for i in self._edge_lo[down].tolist()]
-        hi = [self._nodes[i] for i in self._edge_hi[down].tolist()]
-        return {*zip(lo, hi), *zip(hi, lo)}
+    def links(self) -> dict:
+        """Each node's links as ``(neighbour, edge id)`` pairs, both
+        orientations, so a link is up when ``edge_up[edge id]`` is."""
+        links: dict = {node: [] for node in self._nodes}
+        lo = [self._nodes[i] for i in self._edge_lo.tolist()]
+        hi = [self._nodes[i] for i in self._edge_hi.tolist()]
+        for edge, (u, v) in enumerate(zip(lo, hi)):
+            links[u].append((v, edge))
+            links[v].append((u, edge))
+        return links
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

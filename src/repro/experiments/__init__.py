@@ -65,17 +65,7 @@ from repro.experiments.scenarios import (
 )
 
 
-def __getattr__(name: str):
-    # Live view of the algorithm registry (see repro.experiments
-    # .scenarios.__getattr__): never a stale import-time snapshot.
-    if name == "ALGORITHMS":
-        from repro.experiments import scenarios
-
-        return scenarios.ALGORITHMS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "ALGORITHMS",
     "DEFAULT_REFERENCE_TRIALS",
     "DEFAULT_REGISTRY",
     "DEFAULT_TIMING_TOLERANCE",

@@ -44,7 +44,7 @@ class PreparedScenario:
     its config to the graph in its own
     :class:`~repro.core.compete.Compete`, so runs that share a prepared
     topology share no mutable state.  ``repro.service`` keeps these in
-    an LRU keyed by :meth:`ExecutionConfig.cache_key`, so repeated
+    an LRU keyed by :func:`repro.service.cache.resolution_key`, so repeated
     requests for the same (config, topology) build the graph and
     measure its diameter once; passing one to :func:`run_benchmark` via
     ``prepared=`` skips that cold path.

@@ -35,15 +35,6 @@ from repro.api import DEFAULT_ALGORITHMS, ExecutionConfig
 from repro.core.parameters import DEFAULT_MARGIN
 from repro import topology
 
-def __getattr__(name: str):
-    # ``ALGORITHMS`` (the algorithm names a scenario may benchmark) is a
-    # live view of :data:`repro.api.DEFAULT_ALGORITHMS`, not an
-    # import-time snapshot: a baseline registered after import is
-    # immediately addressable from scenarios *and* visible here.
-    if name == "ALGORITHMS":
-        return DEFAULT_ALGORITHMS.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 #: Families whose generators draw randomness.  Scenarios over these must
 #: pin an explicit ``seed`` in ``topology_args``: the persisted scenario
 #: block is documented as rebuilding the topology *exactly*, which an
@@ -67,7 +58,7 @@ class Scenario:
     topology_args:
         Keyword arguments for the family generator (JSON-serialisable).
     algorithm:
-        One of :data:`ALGORITHMS`.
+        A name in :data:`repro.api.DEFAULT_ALGORITHMS`.
     collision_model:
         ``"no-detection"`` (the paper's model) or ``"with-detection"``.
     spontaneous:

@@ -9,7 +9,8 @@ all nodes must learn the *highest* one.
 Two sentinel objects describe what a listening node hears in a round:
 
 * :data:`SILENCE` -- no neighbour transmitted (or, without collision
-  detection, more than one did);
+  detection, more than one did); a round's outcome lists only the nodes
+  that heard something else, so this is what every other node heard;
 * :data:`COLLISION` -- at least two neighbours transmitted, only reported
   when the collision-detection variant of the model is enabled.
 """

@@ -3,10 +3,10 @@
 A *protocol* is the program executed by a single station.  Each round the
 simulator asks every node's protocol for an action (transmit a message or
 listen), applies the collision semantics, and then reports to each node
-what it heard.  Protocols are deliberately passive objects: they never see
-the graph, other nodes' state, or the global round outcome -- exactly the
-information hiding the ad-hoc model requires (unknown topology, knowledge
-of ``n`` and ``D`` only).
+that heard something what it heard.  Protocols are deliberately passive
+objects: they never see the graph, other nodes' state, or the global
+round outcome -- exactly the information hiding the ad-hoc model
+requires (unknown topology, knowledge of ``n`` and ``D`` only).
 """
 
 from __future__ import annotations
@@ -63,9 +63,12 @@ _LISTEN = Action(ActionKind.LISTEN)
 class NodeProtocol(abc.ABC):
     """Abstract base class for per-node protocols.
 
-    Subclasses implement :meth:`act` and :meth:`receive`; the simulator
-    guarantees they are called alternately, once each per round, starting
-    with :meth:`act` for round 0.
+    Subclasses implement :meth:`act` and :meth:`receive`.  The simulator
+    calls :meth:`act` once every round, starting with round 0, and
+    :meth:`receive` only in the rounds the node heard something, after
+    that round's :meth:`act` and before the next one.  A round without a
+    :meth:`receive` call is a round the node heard
+    :data:`~repro.network.messages.SILENCE`.
 
     Attributes
     ----------
@@ -91,12 +94,13 @@ class NodeProtocol(abc.ABC):
     def receive(self, round_number: int, heard: Any) -> None:
         """Report what the node heard in ``round_number``.
 
-        ``heard`` is a :class:`~repro.network.messages.Message` if exactly
-        one neighbour transmitted, :data:`~repro.network.messages.SILENCE`
-        otherwise, or :data:`~repro.network.messages.COLLISION` when the
-        collision-detection variant is enabled and two or more neighbours
-        transmitted.  A transmitting node hears nothing (the model is
-        half-duplex) and is passed :data:`SILENCE`.
+        Called only when the node heard something: ``heard`` is a
+        :class:`~repro.network.messages.Message` if exactly one neighbour
+        transmitted, or :data:`~repro.network.messages.COLLISION` when
+        the collision-detection variant is enabled and two or more
+        neighbours transmitted (or the node was jammed).  A transmitting
+        node hears nothing (the model is half-duplex) and gets no call,
+        as does a listener that heard silence.
         """
 
     def output(self) -> Any:

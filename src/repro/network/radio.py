@@ -10,17 +10,17 @@ The optional collision-detection variant reports the latter case with the
 
 :meth:`RadioNetwork.run_round` applies the rule from the transmitters'
 side.  It walks each transmitter's neighbours once, over the links that
-are up this round, counting hits per listener and keeping the message
-that reached it.  A listener's bucket then follows from its count: one
-hit is a reception, two or more a collision, none an idle listen.  So
-each count is made once per round, and a round costs the transmitters'
-degrees plus one pass over the nodes.
+are up this round, keeping the first message that reaches each listener
+and marking a listener a second one reaches as a collision.  So a round
+costs the transmitters' degrees, and only the nodes that heard something
+appear in its outcome: every other node heard
+:data:`~repro.network.messages.SILENCE`.
 
 :class:`RadioNetwork` is intentionally a *pure* model object: it holds the
 graph, the collision semantics and the metric counters, and exposes a
-single :meth:`RadioNetwork.run_round` operation that maps a dictionary of
-node actions to a dictionary of receptions.  Driving protocols round by
-round is the job of :class:`repro.simulation.runner.ProtocolRunner`.
+single :meth:`RadioNetwork.run_round` operation that maps the round's
+transmit actions to the receptions they cause.  Driving protocols round
+by round is the job of :class:`repro.simulation.runner.ProtocolRunner`.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ class RoundOutcome:
     transmitters:
         Mapping from transmitting node to the message it sent.
     received:
-        Mapping from every node to what it heard: a
-        :class:`~repro.network.messages.Message`, :data:`SILENCE` or
-        :data:`COLLISION`.
+        Mapping from each node that heard something to what it heard: a
+        :class:`~repro.network.messages.Message`, or :data:`COLLISION`
+        under collision detection.  Every other node heard
+        :data:`SILENCE`; :meth:`heard` answers for any node.
 
     :class:`~repro.simulation.runner.ProtocolRunner` hands every round's
     outcome to its ``stop_when`` observer, the one place a reference run
@@ -76,6 +77,10 @@ class RoundOutcome:
     round_number: int
     transmitters: Mapping[Any, Message]
     received: Mapping[Any, Any]
+
+    def heard(self, node: Any) -> Any:
+        """What ``node`` heard this round (:data:`SILENCE` if nothing)."""
+        return self.received.get(node, SILENCE)
 
 
 class RadioNetwork:
@@ -90,14 +95,14 @@ class RadioNetwork:
         model (no detection).
     dynamics:
         Optional, keyword-only :class:`repro.dynamics.FaultSchedule`
-        (duck-typed -- anything with ``round_faults``/``crashed_nodes``/
-        ``jammed_nodes``/``down_links``).  When provided, every round
-        first resolves the schedule's fault state: crashed nodes are
-        radio-off (their transmissions are suppressed and they hear
-        :data:`SILENCE`), down links carry nothing, and jammed alive
-        listeners hear noise (:data:`COLLISION` under detection,
-        :data:`SILENCE` without).  The protocol layer is never told --
-        faults act on the channel, not on node state.
+        (duck-typed -- anything with ``spec``/``links``/
+        ``round_faults``/``crashed_nodes``/``jammed_nodes``).  When
+        provided, every round first resolves the schedule's fault state:
+        crashed nodes are radio-off (their transmissions are suppressed
+        and they hear :data:`SILENCE`), down links carry nothing, and
+        jammed alive listeners hear noise (:data:`COLLISION` under
+        detection, :data:`SILENCE` without).  The protocol layer is
+        never told -- faults act on the channel, not on node state.
     """
 
     def __init__(
@@ -112,6 +117,14 @@ class RadioNetwork:
         self._dynamics = dynamics
         self._metrics = NetworkMetrics()
         self._round_number = 0
+        spec = dynamics.spec if dynamics is not None else None
+        self._crash = spec is not None and spec.crash is not None
+        self._jam = spec is not None and spec.jamming is not None
+        # Under churn, each node's (neighbour, edge id) pairs, so "is
+        # this link up" is one index into the round's edge_up list.
+        self._links: Optional[dict[Any, list[tuple[Any, int]]]] = None
+        if spec is not None and spec.churn is not None:
+            self._links = dynamics.links()
 
     # ------------------------------------------------------------------
     # Accessors
@@ -145,40 +158,43 @@ class RadioNetwork:
         Parameters
         ----------
         actions:
-            A mapping from *every* node in the graph to its
+            A mapping from node to its
             :class:`~repro.network.protocol.Action` for this round.
-            Missing nodes default to listening, which matches the model
-            (a node that does nothing is simply silent), but unknown
-            nodes are rejected.
+            Only the transmit actions matter: missing nodes listen,
+            which matches the model (a node that does nothing is simply
+            silent), but unknown nodes are rejected.
 
         Returns
         -------
         RoundOutcome
-            What every node heard.  Transmitting nodes hear
-            :data:`SILENCE` (the model is half-duplex: a transmitter
-            cannot listen in the same round).
+            The transmitters, and what each node that heard something
+            heard.  Transmitting nodes hear :data:`SILENCE` (the model
+            is half-duplex: a transmitter cannot listen in the same
+            round).
 
         Raises
         ------
         ProtocolError
             If ``actions`` mentions a node that is not in the graph.
         """
-        # Every node hears SILENCE unless the collision rule says
-        # otherwise.  The map fixes ``received``'s graph order, and its
-        # keys make the unknown-node check one key-set comparison.
-        received: dict[Any, Any] = dict.fromkeys(self._graph, SILENCE)
-        if not actions.keys() <= received.keys():
-            unknown = next(node for node in actions if node not in received)
+        # The graph's own neighbour sets, read in place (Graph.neighbors
+        # copies one per call).
+        adjacency = self._graph._adjacency
+        if not actions.keys() <= adjacency.keys():
+            unknown = next(node for node in actions if node not in adjacency)
             raise ProtocolError(f"action supplied for unknown node {unknown!r}")
 
         crashed: AbstractSet[Any] = frozenset()
         jammed: AbstractSet[Any] = frozenset()
-        down: AbstractSet[tuple[Any, Any]] = frozenset()
+        up: Optional[list[bool]] = None
         if self._dynamics is not None:
             faults = self._dynamics.round_faults(self._round_number)
-            crashed = self._dynamics.crashed_nodes(faults)
-            jammed = self._dynamics.jammed_nodes(faults)
-            down = self._dynamics.down_links(faults)
+            if self._crash:
+                crashed = self._dynamics.crashed_nodes(faults)
+            if self._jam:
+                jammed = self._dynamics.jammed_nodes(faults)
+            if self._links is not None:
+                up = faults.edge_up.tolist()
             # Environment counters are per (entity, round) regardless of
             # traffic -- exactly what the vectorized engine charges.
             self._metrics.suppressed_links += faults.suppressed
@@ -193,52 +209,53 @@ class RadioNetwork:
             if action.kind is _TRANSMIT and node not in crashed
         }
 
-        # Push every transmission over the sender's up links: per
-        # listener, how many transmitters it can hear and the message
-        # of the last one (the one it receives when it hears only one).
-        hits: dict[Any, int] = {}
-        heard: dict[Any, Message] = {}
+        # Push every transmission over the sender's up links: a listener
+        # keeps the first message that reaches it, and a second one
+        # makes it a collision.
+        heard: dict[Any, Any] = {}
+        collided: set[Any] = set()
+        links = self._links
         for sender, message in transmitters.items():
-            for listener in self._graph.neighbors(sender):
-                if (sender, listener) not in down:
-                    hits[listener] = hits.get(listener, 0) + 1
+            if up is None:
+                reached = adjacency[sender]
+            else:
+                reached = [node for node, edge in links[sender] if up[edge]]
+            for listener in reached:
+                if listener in heard:
+                    collided.add(listener)
+                else:
                     heard[listener] = message
 
         # Bucket precedence: crashed > transmitter > jammed > the
         # reception/collision/idle split, so every node lands in exactly
         # one bucket.  Crashed nodes (radio off) and transmitters
-        # (half-duplex) keep SILENCE.  Jamming is noise on the listener's
+        # (half-duplex) hear nothing.  Jamming is noise on the listener's
         # channel, which collision detectors report as a collision.
-        detection = self._collision_model is CollisionModel.WITH_DETECTION
-        deaf = crashed | transmitters.keys()
-        jammed_listens = jammed - deaf
-        deaf |= jammed_listens
-        if detection:
-            received.update(dict.fromkeys(jammed_listens, COLLISION))
-        receptions = collisions = 0
-        for listener, count in hits.items():
-            if listener in deaf:
-                continue
-            if count == 1:
-                received[listener] = heard[listener]
-                receptions += 1
-            else:
-                # The true collision/idle split is counted whether or not
-                # the listener can observe the difference.
-                collisions += 1
-                if detection:
-                    received[listener] = COLLISION
-        # Every other node is a listener that no transmitter reached.
-        idle_listens = len(received) - len(deaf) - receptions - collisions
+        for node in (*transmitters, *crashed, *jammed):
+            heard.pop(node, None)
+        jammed_listens = jammed - crashed - transmitters.keys()
+        # The true collision/idle split is counted whether or not the
+        # listener can observe the difference.
+        collisions = heard.keys() & collided
+        receptions = len(heard) - len(collisions)
+        if self._collision_model is CollisionModel.WITH_DETECTION:
+            heard.update(dict.fromkeys(collisions | jammed_listens, COLLISION))
+        else:
+            for node in collisions:
+                del heard[node]
 
         metrics = self._metrics
         metrics.rounds += 1
         metrics.transmissions += len(transmitters)
         metrics.receptions += receptions
-        metrics.collisions += collisions
-        metrics.idle_listens += idle_listens
+        metrics.collisions += len(collisions)
+        # Every other node is a listener that no transmitter reached.
+        metrics.idle_listens += (
+            len(adjacency) - len(crashed) - len(transmitters)
+            - len(jammed_listens) - receptions - len(collisions)
+        )
         metrics.jammed_listens += len(jammed_listens)
 
-        outcome = RoundOutcome(self._round_number, transmitters, received)
+        outcome = RoundOutcome(self._round_number, transmitters, heard)
         self._round_number += 1
         return outcome

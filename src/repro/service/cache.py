@@ -5,14 +5,14 @@ summary, round-budget derivation and the CSR adjacency build before the
 first trial draws a bit (:func:`repro.experiments.bench.prepare_scenario`).
 The service amortises that over repeated requests with a small LRU of
 :class:`~repro.experiments.bench.PreparedScenario` entries keyed by
-:meth:`repro.api.ExecutionConfig.cache_key` -- the config's execution
-identity joined with a :func:`repro.api.topology_digest` of the
-scenario's topology description -- so two requests share an entry
-exactly when they would prepare the identical topology and budget, and
-two configs that execute identically on *different* graphs never
-collide.  An entry holds no schedule, engine or fault schedule: each
-job's runs bind the config to the graph themselves, so concurrent jobs
-on one entry share nothing they mutate.
+:func:`resolution_key` -- the config's execution identity joined with a
+:func:`repro.api.topology_digest` of the scenario's topology
+description -- so two requests share an entry exactly when they would
+prepare the identical topology and budget, and two configs that execute
+identically on *different* graphs never collide.  An entry holds no
+schedule, engine or fault schedule: each job's runs bind the config to
+the graph themselves, so concurrent jobs on one entry share nothing they
+mutate.
 
 :class:`ResolutionCache` is the synchronous LRU (usable on its own);
 :class:`CachedResolver` is the ``asyncio`` facade the server uses,
@@ -49,10 +49,13 @@ DEFAULT_CACHE_CAPACITY = 32
 
 
 def resolution_key(scenario: Scenario) -> str:
-    """The cache key for running ``scenario``."""
-    return scenario.execution_config().cache_key(
-        topology_digest(scenario.family, scenario.topology_args)
-    )
+    """The cache key for running ``scenario``: its config's
+    :meth:`~repro.api.ExecutionConfig.identity` and its topology digest.
+    Like the identity, it leaves out the backend, since both backends
+    agree round for round."""
+    identity = scenario.execution_config().identity()
+    topology = topology_digest(scenario.family, scenario.topology_args)
+    return f"{identity}:{topology}"
 
 
 class ResolutionCache:

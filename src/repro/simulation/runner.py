@@ -2,12 +2,13 @@
 
 :class:`ProtocolRunner` is the only place in the package that advances
 simulated time: each round it collects every node's
-:meth:`~repro.network.protocol.NodeProtocol.act`, applies the collision
-semantics via :meth:`~repro.network.radio.RadioNetwork.run_round`, and
-reports each node's reception back through
-:meth:`~repro.network.protocol.NodeProtocol.receive`.  Protocols therefore
-never see the graph or each other -- exactly the information hiding the
-ad-hoc model requires.
+:meth:`~repro.network.protocol.NodeProtocol.act`, hands the transmit
+actions to :meth:`~repro.network.radio.RadioNetwork.run_round`, and
+reports each reception back through
+:meth:`~repro.network.protocol.NodeProtocol.receive` -- only to the
+nodes that heard something, since a silent round carries nothing.
+Protocols therefore never see the graph or each other -- exactly the
+information hiding the ad-hoc model requires.
 
 Randomness is per node: :func:`spawn_node_rngs` derives one independent
 ``numpy`` generator per node from a single seed via
@@ -21,14 +22,13 @@ reference Compete node reads 16 at a time.
 
 from __future__ import annotations
 
-import types
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.network.graph import Graph
-from repro.network.protocol import NodeProtocol
+from repro.network.protocol import ActionKind, NodeProtocol
 from repro.network.radio import RadioNetwork, RoundOutcome
 from repro.simulation.results import RunResult, StopReason
 
@@ -41,6 +41,9 @@ SeededProtocolFactory = Callable[[Any, int, int, np.random.Generator], NodeProto
 #: round's outcome and the (mutable) protocol map.  Returning True ends
 #: the run with :attr:`StopReason.CONDITION`.
 StopPredicate = Callable[[RoundOutcome, Mapping[Any, NodeProtocol]], bool]
+
+# Bound once: it is compared once per node and round.
+_TRANSMIT = ActionKind.TRANSMIT
 
 
 def spawn_node_rngs(
@@ -104,7 +107,9 @@ class ProtocolRunner:
     protocols:
         Mapping from node to its :class:`~repro.network.protocol.NodeProtocol`.
         Every key must be a node of the network's graph; nodes without a
-        protocol listen passively and receive no callbacks.
+        protocol listen passively and receive no callbacks.  A protocol's
+        :meth:`~repro.network.protocol.NodeProtocol.receive` is called
+        only in the rounds its node heard something.
     max_rounds:
         The round budget for one :meth:`run` call.
     stop_when:
@@ -138,11 +143,6 @@ class ProtocolRunner:
         self._max_rounds = max_rounds
         self._stop_when = stop_when
 
-    @property
-    def protocols(self) -> Mapping[Any, NodeProtocol]:
-        """The protocol map being driven (a live read-only view)."""
-        return types.MappingProxyType(self._protocols)
-
     def run(self) -> RunResult:
         """Execute rounds until ``stop_when`` fires or the budget ends."""
         network = self._network
@@ -151,17 +151,21 @@ class ProtocolRunner:
         rounds_executed = 0
         stop_reason = StopReason.BUDGET_EXHAUSTED
 
+        protocols = self._protocols
         while rounds_executed < self._max_rounds:
             round_number = network.current_round
-            actions = {
-                node: protocol.act(round_number)
-                for node, protocol in self._protocols.items()
-            }
+            actions = {}
+            for node, protocol in protocols.items():
+                action = protocol.act(round_number)
+                if action.kind is _TRANSMIT:
+                    actions[node] = action
             outcome = network.run_round(actions)
-            for node, protocol in self._protocols.items():
-                protocol.receive(round_number, outcome.received[node])
+            for node, heard in outcome.received.items():
+                protocol = protocols.get(node)
+                if protocol is not None:
+                    protocol.receive(round_number, heard)
             rounds_executed += 1
-            if self._stop_when is not None and self._stop_when(outcome, self._protocols):
+            if self._stop_when is not None and self._stop_when(outcome, protocols):
                 stop_reason = StopReason.CONDITION
                 break
 

@@ -107,7 +107,9 @@ def simulate_decay_round(
     graph = network.graph
     num_steps = decay_round_length(graph.num_nodes)
     if listeners is None:
-        listeners = [node for node in graph if node not in participants]
+        listeners = {node for node in graph if node not in participants}
+    else:
+        listeners = set(listeners)
     heard: dict[Any, Message] = {}
     for step in range(1, num_steps + 1):
         actions: dict[Any, Action] = {}
@@ -117,10 +119,10 @@ def simulate_decay_round(
             else:
                 actions[node] = Action.listen()
         outcome = network.run_round(actions)
-        for node in listeners:
-            received = outcome.received[node]
-            if isinstance(received, Message) and node not in heard:
-                heard[node] = received
+        # Only the nodes that heard something appear in the outcome.
+        for node, received in outcome.received.items():
+            if isinstance(received, Message) and node in listeners:
+                heard.setdefault(node, received)
     return heard
 
 

@@ -342,28 +342,3 @@ def test_registry_plugin_seam_end_to_end():
         config=ExecutionConfig(backend="vectorized"),
     )
     assert outcome["success"] and outcome["rounds"] > 0
-
-
-def test_scenarios_algorithms_constant_is_a_live_view():
-    import repro.experiments as experiments
-    import repro.experiments.scenarios as scenarios
-
-    assert set(scenarios.ALGORITHMS) == set(DEFAULT_ALGORITHMS.names())
-    assert experiments.ALGORITHMS == scenarios.ALGORITHMS
-    registry_backup = dict(DEFAULT_ALGORITHMS._algorithms)
-    try:
-        DEFAULT_ALGORITHMS.register(Algorithm(
-            name="late-plugin", description="",
-            run_batch=lambda graph, **kwargs: None,
-        ))
-        # A post-import registration is visible without re-importing.
-        assert "late-plugin" in scenarios.ALGORITHMS
-        assert "late-plugin" in experiments.ALGORITHMS
-    finally:
-        DEFAULT_ALGORITHMS._algorithms.clear()
-        DEFAULT_ALGORITHMS._algorithms.update(registry_backup)
-    assert "late-plugin" not in scenarios.ALGORITHMS
-    with pytest.raises(AttributeError):
-        scenarios.NO_SUCH_NAME
-    with pytest.raises(AttributeError):
-        experiments.NO_SUCH_NAME

@@ -325,6 +325,27 @@ def test_custom_strategy_plugs_in(monkeypatch):
     assert reference.metrics.as_dict() == vectorized.metrics.as_dict()
 
 
+def test_a_config_outliving_its_custom_strategy_is_a_one_line_error(
+    monkeypatch,
+):
+    # The table is read when a run compiles its schedule, not only when
+    # the config is built: a config made while a custom entry existed
+    # fails like an unknown name once the entry is gone, on both
+    # backends.
+    monkeypatch.setitem(STRATEGIES, "half", STRATEGIES["skeleton"])
+    configs = [
+        ExecutionConfig(strategy="half", backend=backend)
+        for backend in ("reference", "vectorized")
+    ]
+    monkeypatch.delitem(STRATEGIES, "half")
+    for config in configs:
+        with pytest.raises(ConfigurationError) as raised:
+            broadcast(topology.path_graph(8), 0, seed=1, config=config)
+        assert str(raised.value) == (
+            "strategy must be one of ('skeleton', 'clustered'), got 'half'"
+        )
+
+
 def test_strategy_schedule_tracks_graph_mutation():
     # Compete re-resolves whenever the graph's memoized CSR changes, so
     # mutating the graph between runs rebuilds the round budget, the

@@ -8,6 +8,7 @@ semantics, how the fault axis enters (and stays out of)
 ``ExecutionConfig`` identities, and the new robustness counters.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -32,7 +33,9 @@ from repro.dynamics import (
 from repro.core.compete import Compete
 from repro.dynamics import schedule as schedule_module
 from repro.errors import ConfigurationError
+from repro.experiments import get_scenario
 from repro.network.metrics import NetworkMetrics
+from repro.service import resolution_key
 
 from fault_oracle import PerRoundFaults, round_bits
 from radio_oracle import edge_ids
@@ -234,19 +237,22 @@ def test_schedule_returns_fresh_arrays_and_set_helpers():
     assert all(node in graph for node in crashed | jammed)
     # jammed_nodes intersects the victim set with the living.
     assert not (jammed & crashed)
-    # The radio oracle's edge ids answer for both orientations of an
-    # undirected edge, and agree with down_links.
+    # The radio oracle's edge ids answer for both orientations of every
+    # link of the graph, and nothing else; the schedule's own per-node
+    # links carry the same ids.
     ids = edge_ids(schedule)
-    assert len(ids) == 2 * schedule.num_edges
+    assert ids.keys() == {(u, v) for u in graph for v in graph.neighbors(u)}
     lo, hi = schedule.edge_endpoints
     nodes = schedule.nodes
-    down = schedule.down_links(clean)
     for edge, (i, j) in enumerate(zip(lo.tolist(), hi.tolist())):
         u, v = nodes[i], nodes[j]
         assert ids[u, v] == ids[v, u] == edge
-        assert ((u, v) in down) == ((v, u) in down) == (
-            not clean.edge_up[edge]
-        )
+    links = schedule.links()
+    assert list(links) == list(nodes)
+    assert {
+        (u, v): edge for u in links for v, edge in links[u]
+    } == ids
+    assert int((~clean.edge_up).sum()) == clean.suppressed > 0
 
 
 def test_schedule_without_churn_keeps_links_up():
@@ -463,7 +469,15 @@ def test_identity_excludes_dynamics_when_static():
     faulty = ExecutionConfig(dynamics=CHURN_SPEC)
     assert faulty.describe()["dynamics"] == CHURN_SPEC.describe()
     assert static.identity() != faulty.identity()
-    assert static.cache_key("topo") != faulty.cache_key("topo")
+    # The service cache never serves a faulty run the static entry of
+    # the same topology.
+    clean = get_scenario("broadcast-grid-n64")
+    churned = dataclasses.replace(clean, dynamics=CHURN_SPEC)
+    assert resolution_key(clean) != resolution_key(churned)
+    assert (
+        resolution_key(clean).split(":")[1]
+        == resolution_key(churned).split(":")[1]
+    )
     # Mapping and spec spellings coerce to the same identity; different
     # fault seeds diverge (the service cache must never conflate them).
     assert (

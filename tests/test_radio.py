@@ -27,9 +27,11 @@ def _msg(value, source):
 def test_single_transmitter_is_received():
     network = RadioNetwork(topology.star_graph(3))
     outcome = network.run_round({1: Action.transmit(_msg(7, 1))})
-    assert outcome.received[0] == _msg(7, 1)
-    assert outcome.received[2] is SILENCE
-    assert outcome.received[3] is SILENCE
+    # Only the centre heard something; the transmitter and the other
+    # leaves heard SILENCE.
+    assert outcome.received == {0: _msg(7, 1)}
+    for node in (1, 2, 3):
+        assert outcome.heard(node) is SILENCE
 
 
 def test_two_transmitters_collide_silently_without_detection():
@@ -38,9 +40,10 @@ def test_two_transmitters_collide_silently_without_detection():
         {1: Action.transmit(_msg(1, 1)), 2: Action.transmit(_msg(2, 2))}
     )
     # The centre hears two neighbours: an undetected collision is SILENCE.
-    assert outcome.received[0] is SILENCE
     # Leaf 3's only neighbour is the silent centre.
-    assert outcome.received[3] is SILENCE
+    assert outcome.received == {}
+    for node in (0, 3):
+        assert outcome.heard(node) is SILENCE
 
 
 def test_collision_detection_variant_reports_collision():
@@ -50,8 +53,9 @@ def test_collision_detection_variant_reports_collision():
     outcome = network.run_round(
         {1: Action.transmit(_msg(1, 1)), 2: Action.transmit(_msg(2, 2))}
     )
-    assert outcome.received[0] is COLLISION
-    assert outcome.received[3] is SILENCE
+    assert outcome.received == {0: COLLISION}
+    assert outcome.heard(0) is COLLISION
+    assert outcome.heard(3) is SILENCE
 
 
 def test_transmitter_is_half_duplex():
@@ -61,8 +65,9 @@ def test_transmitter_is_half_duplex():
         {0: Action.transmit(_msg(1, 0)), 1: Action.transmit(_msg(2, 1))}
     )
     # Both transmitted, so neither heard the other.
-    assert outcome.received[0] is SILENCE
-    assert outcome.received[1] is SILENCE
+    assert outcome.received == {}
+    assert outcome.heard(0) is SILENCE
+    assert outcome.heard(1) is SILENCE
 
 
 def test_unknown_node_rejected():
@@ -154,14 +159,19 @@ def _random_actions(graph, rng):
     return actions
 
 
-def _assert_same_received(got, expected):
-    # Same nodes in the same (graph) order, sentinels by identity.
-    assert list(got) == list(expected)
-    for node, heard in expected.items():
+def _assert_same_hearing(graph, got, expected):
+    # Every node hears the same, sentinels by identity, and ``received``
+    # holds exactly the nodes that heard something.
+    for node in graph:
+        heard = expected.heard(node)
         if isinstance(heard, Message):
-            assert got[node] == heard
+            assert got.heard(node) == heard
         else:
-            assert got[node] is heard, node
+            assert got.heard(node) is heard, node
+    assert got.received.keys() == {
+        node for node, heard in expected.received.items()
+        if heard is not SILENCE
+    }
 
 
 @pytest.mark.parametrize(
@@ -186,7 +196,7 @@ def test_round_matches_the_listener_driven_oracle(family, faults, model):
             expected = oracle.run_round(actions)
             assert outcome.round_number == expected.round_number
             assert outcome.transmitters == expected.transmitters
-            _assert_same_received(outcome.received, expected.received)
+            _assert_same_hearing(graph, outcome, expected)
             delta = network.metrics.diff(before[0])
             assert delta == oracle.metrics.diff(before[1])
             # Every node lands in exactly one bucket each round.

@@ -1,13 +1,17 @@
-"""ProtocolRunner: the stop predicate, budgets, accounting."""
+"""ProtocolRunner: the stop predicate, budgets, accounting, and which
+nodes ``receive`` is called for."""
 
 import pytest
 
+from radio_oracle import ListenerDrivenNetwork
 from repro import topology
-from repro.dynamics import DynamicsSpec, EdgeChurn, FaultSchedule, JammingWindows
+from repro.dynamics import (
+    DynamicsSpec, EdgeChurn, FaultSchedule, JammingWindows, NodeCrash,
+)
 from repro.errors import ConfigurationError, ProtocolError
-from repro.network.messages import Message
+from repro.network.messages import COLLISION, SILENCE, Message
 from repro.network.protocol import Action, NodeProtocol
-from repro.network.radio import RadioNetwork
+from repro.network.radio import CollisionModel, RadioNetwork
 from repro.simulation import ProtocolRunner, StopReason, build_seeded_protocols
 
 
@@ -36,7 +40,8 @@ class OneShotBeacon(NodeProtocol):
 
 class Chatter(NodeProtocol):
     """Transmits a fresh message with probability 1/2 each round; keeps
-    what it sent and what it heard, by round."""
+    what it sent and what it heard, by round.  ``receive`` comes at most
+    once a round, and never with SILENCE: a silent round has no call."""
 
     def __init__(self, node_id, num_nodes, diameter, rng):
         super().__init__(node_id, num_nodes, diameter)
@@ -52,6 +57,8 @@ class Chatter(NodeProtocol):
         return Action.listen()
 
     def receive(self, round_number, heard):
+        assert round_number not in self.heard
+        assert heard is not SILENCE
         self.heard[round_number] = heard
 
 
@@ -154,9 +161,17 @@ def test_stop_when_sees_every_round_in_order():
             for node, protocol in protocols.items()
             if round_number in protocol.sent
         }
-        assert list(outcome.received) == graph.nodes()
-        for node, protocol in protocols.items():
-            assert outcome.received[node] is protocol.heard[round_number]
+        # receive was called exactly for the nodes the outcome says
+        # heard something, with that value; every other node heard
+        # SILENCE and got no call.
+        called = {
+            node: protocol.heard[round_number]
+            for node, protocol in protocols.items()
+            if round_number in protocol.heard
+        }
+        assert called.keys() == outcome.received.keys()
+        for node in graph:
+            assert outcome.heard(node) is called.get(node, SILENCE)
     assert sum(len(outcome.transmitters) for outcome in seen) == (
         result.metrics.transmissions
     )
@@ -166,6 +181,74 @@ def test_stop_when_sees_every_round_in_order():
     ) == result.metrics.receptions > 0
     assert result.metrics.suppressed_links > 0
     assert result.metrics.jammed_listens > 0
+
+
+@pytest.mark.parametrize(
+    "model", list(CollisionModel), ids=lambda model: model.value
+)
+def test_receive_is_called_only_for_what_a_node_heard(model):
+    # Every fault model at once: churn drops links, crashes silence
+    # nodes, jamming deafens listeners (COLLISION under detection).  The
+    # listener-driven oracle replays each round's chosen transmissions,
+    # crashed senders' included, on its own copy of the fault schedule
+    # and says what every node heard.
+    graph = topology.grid_graph(4, 5)
+    spec = DynamicsSpec(fault_seed=3, models=(
+        EdgeChurn(p_down=0.3, p_up=0.4),
+        NodeCrash(p_crash=0.15, p_recover=0.4),
+        JammingWindows(period=3, duration=2, fraction=0.4),
+    ))
+    network = RadioNetwork(graph, model, dynamics=FaultSchedule(spec, graph))
+    oracle_faults = FaultSchedule(spec, graph)
+    oracle = ListenerDrivenNetwork(graph, model, dynamics=oracle_faults)
+    protocols = build_seeded_protocols(network, Chatter, seed=5)
+    seen = {"crashed": 0, "silent": 0, "noise": 0}
+
+    def check(outcome, protos):
+        round_number = outcome.round_number
+        expected = oracle.run_round({
+            node: Action.transmit(protocol.sent[round_number])
+            for node, protocol in protos.items()
+            if round_number in protocol.sent
+        })
+        crashed = oracle_faults.crashed_nodes(
+            oracle_faults.round_faults(round_number)
+        )
+        called = {
+            node: protocol.heard[round_number]
+            for node, protocol in protos.items()
+            if round_number in protocol.heard
+        }
+        # Exactly the nodes that heard something, with what they heard:
+        # never a transmitter, a crashed node or an idle listener.
+        assert called.keys() == {
+            node for node in graph if expected.heard(node) is not SILENCE
+        }
+        assert not called.keys() & outcome.transmitters.keys()
+        assert not called.keys() & crashed
+        for node, heard in called.items():
+            if isinstance(heard, Message):
+                assert heard == expected.heard(node)
+            else:
+                assert heard is expected.heard(node) is COLLISION
+        seen["crashed"] += len(crashed)
+        # Listeners that heard SILENCE, and so got no call.
+        seen["silent"] += graph.num_nodes - len(
+            called.keys() | outcome.transmitters.keys() | crashed
+        )
+        seen["noise"] += sum(heard is COLLISION for heard in called.values())
+        return False
+
+    result = ProtocolRunner(
+        network, protocols, max_rounds=30, stop_when=check
+    ).run()
+    assert result.rounds == 30
+    assert seen["crashed"] > 0 and seen["silent"] > 0
+    assert result.metrics.receptions > 0
+    # Noise is delivered exactly when listeners can detect it.
+    detection = model is CollisionModel.WITH_DETECTION
+    assert (seen["noise"] > 0) is detection
+    assert result.metrics == oracle.metrics
 
 
 def test_runner_validates_inputs():
