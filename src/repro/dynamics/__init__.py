@@ -11,9 +11,10 @@ The subsystem splits into a declarative half and a compiled half:
   backend sees bit-identical fault decisions;
 * :mod:`repro.dynamics.schedule` -- :class:`FaultSchedule`, the
   per-graph compilation that evolves the Markov chains a chunk of
-  rounds at a time and hands the masks to the reference runner (one
-  :class:`RoundFaults` per round) and to the vectorized engine (one
-  block of rows per block of rounds).
+  rounds at a time.  Both backends read its masks through one call,
+  :meth:`FaultSchedule.block`: the reference network one round's rows
+  per round, the vectorized engine one block of rows per block of
+  rounds.
 
 Quick start::
 
@@ -34,7 +35,7 @@ from repro.dynamics.models import (
     JammingWindows,
     NodeCrash,
 )
-from repro.dynamics.schedule import FaultSchedule, RoundFaults
+from repro.dynamics.schedule import FaultSchedule
 from repro.dynamics.spec import DynamicsSpec, coerce_dynamics
 from repro.dynamics.streams import FAULT_SALT, FaultStreams
 
@@ -51,6 +52,5 @@ __all__ = [
     "FaultStreams",
     "JammingWindows",
     "NodeCrash",
-    "RoundFaults",
     "coerce_dynamics",
 ]

@@ -26,14 +26,14 @@ The fault trajectory is a function of ``(fault_seed, graph)`` only:
   earlier round than the chunk holds recomputes the chains from round 0
   chunk by chunk; totals already computed are never recomputed.
 
-:meth:`block` and :meth:`totals` return read-only views;
-:meth:`round_faults` returns fresh copies of one round's row, which
-callers may mutate.
+:meth:`block` and :meth:`totals` return read-only views.  :meth:`block`
+is the one read of the masks for both backends: the reference network
+takes one round's rows per round, the vectorized engine a block of rows
+per block of rounds.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -51,33 +51,6 @@ from repro.simulation.rng import bits_to_unit
 #: a chunk peaks at about 27 bytes per entry, so 2**16 keeps that near
 #: 1 MB.
 _CHUNK_ENTRIES = 1 << 16
-
-
-@dataclasses.dataclass(frozen=True)
-class RoundFaults:
-    """One round's resolved fault state, in canonical entity order.
-
-    Attributes
-    ----------
-    alive:
-        Bool ``(n,)``: node is not crashed this round.
-    jammed:
-        Bool ``(n,)``: node is in the jammer's victim set during an
-        active window (*not* masked by ``alive``; consumers intersect).
-    edge_up:
-        Bool ``(m,)`` over canonical undirected edges, or ``None`` when
-        no churn model is configured (all links up).
-    suppressed:
-        ``m - edge_up.sum()``: down links this round (0 without churn).
-    crashed_count:
-        ``n - alive.sum()``: crashed nodes this round.
-    """
-
-    alive: np.ndarray
-    jammed: np.ndarray
-    edge_up: Optional[np.ndarray]
-    suppressed: int
-    crashed_count: int
 
 
 class FaultSchedule:
@@ -267,10 +240,17 @@ class FaultSchedule:
         """Rounds ``[start, start + rounds)`` as read-only row views.
 
         Returns ``(alive, jammed, edge_up)`` with one row per round, in
-        the layout of :class:`RoundFaults`' fields: ``(rounds, n)``,
-        ``(rounds, n)`` and ``(rounds, m)``, or ``None`` for ``edge_up``
-        when no churn model is configured.  The views stay valid after
-        later calls.
+        canonical entity order:
+
+        * ``alive``, bool ``(rounds, n)``: the node is not crashed;
+        * ``jammed``, bool ``(rounds, n)``: the node is in the jammer's
+          victim set during an active window (*not* masked by ``alive``;
+          consumers intersect);
+        * ``edge_up``, bool ``(rounds, m)`` over the canonical undirected
+          edges, or ``None`` when no churn model is configured (all
+          links up).
+
+        The views stay valid after later calls.
         """
         self._load(start, rounds)
         rows = slice(start - self._first, start - self._first + rounds)
@@ -291,33 +271,6 @@ class FaultSchedule:
         view = self._totals[:rounds]
         view.flags.writeable = False
         return view
-
-    def round_faults(self, round_number: int) -> RoundFaults:
-        """The resolved fault state during ``round_number``."""
-        alive, jammed, edge_up = self.block(round_number, 1)
-        crashed, suppressed, _ = self._totals[round_number].tolist()
-        return RoundFaults(
-            alive=alive[0].copy(),
-            jammed=jammed[0].copy(),
-            edge_up=edge_up[0].copy() if edge_up is not None else None,
-            suppressed=suppressed,
-            crashed_count=crashed,
-        )
-
-    # -- reference-path helpers (node identifiers, not indices) --------
-
-    def crashed_nodes(self, faults: RoundFaults) -> set:
-        """Identifiers of nodes crashed in ``faults``."""
-        return {
-            self._nodes[i] for i in np.flatnonzero(~faults.alive)
-        }
-
-    def jammed_nodes(self, faults: RoundFaults) -> set:
-        """Identifiers of *alive* jammed nodes in ``faults``."""
-        return {
-            self._nodes[i]
-            for i in np.flatnonzero(faults.jammed & faults.alive)
-        }
 
     def links(self) -> dict:
         """Each node's links as ``(neighbour, edge id)`` pairs, both

@@ -29,6 +29,8 @@ import dataclasses
 import enum
 from typing import AbstractSet, Any, Mapping, Optional
 
+import numpy as np
+
 from repro.errors import ProtocolError
 from repro.network.graph import Graph
 from repro.network.messages import COLLISION, SILENCE, Message
@@ -95,11 +97,12 @@ class RadioNetwork:
         model (no detection).
     dynamics:
         Optional, keyword-only :class:`repro.dynamics.FaultSchedule`
-        (duck-typed -- anything with ``spec``/``links``/
-        ``round_faults``/``crashed_nodes``/``jammed_nodes``).  When
-        provided, every round first resolves the schedule's fault state:
-        crashed nodes are radio-off (their transmissions are suppressed
-        and they hear :data:`SILENCE`), down links carry nothing, and
+        (duck-typed -- anything with ``spec``/``nodes``/``links``/
+        ``block``).  When provided, every round first reads its row of
+        the schedule's masks (``block(round, 1)``, the read the
+        vectorized engine makes a block of rounds at a time): crashed
+        nodes are radio-off (their transmissions are suppressed and
+        they hear :data:`SILENCE`), down links carry nothing, and
         jammed alive listeners hear noise (:data:`COLLISION` under
         detection, :data:`SILENCE` without).  The protocol layer is
         never told -- faults act on the channel, not on node state.
@@ -118,6 +121,8 @@ class RadioNetwork:
         self._metrics = NetworkMetrics()
         self._round_number = 0
         spec = dynamics.spec if dynamics is not None else None
+        # The schedule's canonical node order: mask index -> node.
+        self._nodes = dynamics.nodes if dynamics is not None else ()
         self._crash = spec is not None and spec.crash is not None
         self._jam = spec is not None and spec.jamming is not None
         # Under churn, each node's (neighbour, edge id) pairs, so "is
@@ -188,17 +193,28 @@ class RadioNetwork:
         jammed: AbstractSet[Any] = frozenset()
         up: Optional[list[bool]] = None
         if self._dynamics is not None:
-            faults = self._dynamics.round_faults(self._round_number)
+            # Row 0 of each read-only view is this round's mask.
+            alive, jamming, edge_up = self._dynamics.block(
+                self._round_number, 1
+            )
+            nodes = self._nodes
             if self._crash:
-                crashed = self._dynamics.crashed_nodes(faults)
+                crashed = {
+                    nodes[i] for i in np.flatnonzero(~alive[0]).tolist()
+                }
             if self._jam:
-                jammed = self._dynamics.jammed_nodes(faults)
-            if self._links is not None:
-                up = faults.edge_up.tolist()
+                jammed = {
+                    nodes[i]
+                    for i in np.flatnonzero(jamming[0] & alive[0]).tolist()
+                }
             # Environment counters are per (entity, round) regardless of
             # traffic -- exactly what the vectorized engine charges.
-            self._metrics.suppressed_links += faults.suppressed
-            self._metrics.crashed_nodes += faults.crashed_count
+            self._metrics.crashed_nodes += len(crashed)
+            if edge_up is not None:
+                up = edge_up[0].tolist()
+                self._metrics.suppressed_links += len(up) - int(
+                    np.count_nonzero(edge_up)
+                )
 
         # A crashed node's transmission is suppressed here, *after* the
         # protocol consumed its draw: replay accounting must not depend

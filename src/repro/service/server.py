@@ -20,7 +20,8 @@ One :class:`ServiceServer` wraps a
 
   Protocol error codes map onto status codes: ``bad-request`` -> 400,
   ``unknown-scenario``/``unknown-job`` -> 404, ``queue-full`` -> **429**
-  (the backpressure contract), ``internal`` -> 500.
+  (the backpressure contract), ``internal`` -> 500.  A client that
+  stops reading a response is cut off after a write deadline.
 
 * **stdio JSON lines** (:func:`serve_stdio`): one request object per
   line, one response per line, correlated by the client-chosen ``id``
@@ -28,8 +29,10 @@ One :class:`ServiceServer` wraps a
   client.  This is the embedding-friendly transport (drive the service
   as a child process over pipes).
 
-``python -m repro.service`` starts either transport; see
-:mod:`repro.service.__main__`.
+Both transports answer every request through one method,
+:meth:`ServiceServer.respond`: HTTP turns each route into a request
+object, stdio decodes one per line.  ``python -m repro.service`` starts
+either transport; see :mod:`repro.service.__main__`.
 """
 
 from __future__ import annotations
@@ -84,6 +87,11 @@ _STREAM_POLL_SECONDS = 0.5
 #: quietly, so a half-open connection cannot hold its handler forever.
 _REQUEST_READ_SECONDS = 10.0
 
+#: Deadline for the client to take one write: a whole JSON response, or
+#: one line of a stream.  A client that stops reading is cut off then
+#: (the transport is aborted), so it cannot hold its handler either.
+_RESPONSE_WRITE_SECONDS = 10.0
+
 
 class ServiceServer:
     """The HTTP transport bound to one :class:`JobManager`."""
@@ -130,7 +138,30 @@ class ServiceServer:
         async with self._server:
             await self._server.serve_forever()
 
-    # -- shared op dispatch (used by both transports) -------------------
+    # -- the request path of both transports ---------------------------
+    def respond(self, payload: Any) -> dict[str, Any]:
+        """Answer one decoded request: parse, dispatch, map errors.
+
+        Every failure becomes the error envelope: a :class:`RequestError`
+        keeps its code, any other :class:`~repro.errors.ReproError` is
+        ``bad-request`` and anything else ``internal``.  A string ``id``
+        in ``payload`` is echoed on success and failure alike.
+        """
+        request_id = (
+            payload.get("id") if isinstance(payload, Mapping) else None
+        )
+        if not isinstance(request_id, str):
+            request_id = None
+        try:
+            return self.dispatch(parse_request(payload))
+        except RequestError as error:
+            code, message = error.code, str(error)
+        except ReproError as error:
+            code, message = "bad-request", str(error)
+        except Exception as error:  # pragma: no cover - defensive
+            code, message = "internal", f"{type(error).__name__}: {error}"
+        return error_response(code, message, request_id=request_id)
+
     def dispatch(self, request: Request) -> dict[str, Any]:
         """Execute one non-streaming protocol request."""
         if request.op == "ping":
@@ -186,7 +217,7 @@ class ServiceServer:
             except RequestError as error:
                 # Malformed framing, answered before any routing.
                 return await _send_json(
-                    writer, 400, error_response(error.code, str(error))
+                    writer, error_response(error.code, str(error))
                 )
             except asyncio.TimeoutError:
                 # The request did not arrive whole before the deadline
@@ -196,7 +227,8 @@ class ServiceServer:
                 return
             await self._route(method, path, body, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
-            # The client hung up, possibly mid-body: nothing to answer.
+            # The client hung up, possibly mid-body, or stopped reading
+            # past the write deadline: nothing more to answer.
             pass
         finally:
             try:
@@ -240,62 +272,38 @@ class ServiceServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         path = path.split("?", 1)[0]
-        try:
-            if path == "/healthz" and method == "GET":
+        payload: Optional[dict[str, Any]] = None
+        if path == "/healthz" and method == "GET":
+            payload = {"op": "ping"}
+        elif path == "/v1/stats" and method == "GET":
+            payload = {"op": "stats"}
+        elif path in ("/v1/run", "/v1/sweep"):
+            if method != "POST":
                 return await _send_json(
-                    writer, 200, ok_response({"pong": True})
+                    writer, error_response("bad-request", "use POST"), 405
                 )
-            if path == "/v1/stats" and method == "GET":
-                return await _send_json(
-                    writer, 200,
-                    ok_response({"stats": self.manager.stats()}),
-                )
-            if path in ("/v1/run", "/v1/sweep"):
-                if method != "POST":
-                    return await _send_json(
-                        writer, 405,
-                        error_response("bad-request", "use POST"),
-                    )
+            try:
                 payload = _decode_body(body)
-                payload["op"] = path.rsplit("/", 1)[1]
-                request = parse_request(payload)
-                return await _send_json(writer, 200, self.dispatch(request))
-            if path.startswith("/v1/jobs/"):
-                tail = path[len("/v1/jobs/"):]
-                if tail.endswith("/cancel") and method == "POST":
-                    request = Request(op="cancel", job=tail[: -len("/cancel")])
-                    return await _send_json(
-                        writer, 200, self.dispatch(request)
-                    )
-                if tail.endswith("/stream") and method == "GET":
-                    job_id = tail[: -len("/stream")]
-                    return await self._stream_job(writer, job_id)
-                if "/" not in tail and method == "GET":
-                    request = Request(op="status", job=tail)
-                    return await _send_json(
-                        writer, 200, self.dispatch(request)
-                    )
-            await _send_json(
-                writer, 404,
-                error_response("bad-request", f"no route for {method} {path}"),
-            )
-        except RequestError as error:
-            await _send_json(
+            except RequestError as error:
+                return await _send_json(
+                    writer, error_response(error.code, str(error))
+                )
+            payload["op"] = path.rsplit("/", 1)[1]
+        elif path.startswith("/v1/jobs/"):
+            tail = path[len("/v1/jobs/"):]
+            if tail.endswith("/cancel") and method == "POST":
+                payload = {"op": "cancel", "job": tail[: -len("/cancel")]}
+            elif tail.endswith("/stream") and method == "GET":
+                return await self._stream_job(writer, tail[: -len("/stream")])
+            elif "/" not in tail and method == "GET":
+                payload = {"op": "status", "job": tail}
+        if payload is None:
+            return await _send_json(
                 writer,
-                _HTTP_STATUS.get(error.code, 500),
-                error_response(error.code, str(error)),
+                error_response("bad-request", f"no route for {method} {path}"),
+                404,
             )
-        except ReproError as error:
-            await _send_json(
-                writer, 400, error_response("bad-request", str(error))
-            )
-        except Exception as error:  # pragma: no cover - defensive
-            await _send_json(
-                writer, 500,
-                error_response(
-                    "internal", f"{type(error).__name__}: {error}"
-                ),
-            )
+        await _send_json(writer, self.respond(payload))
 
     async def _stream_job(
         self, writer: asyncio.StreamWriter, job_id: str
@@ -311,7 +319,12 @@ class ServiceServer:
         then one ``{"event": "end", ...}`` with the job's final state
         (and merged result when it completed).
         """
-        job = self.manager.get(job_id)  # may raise unknown-job
+        try:
+            job = self.manager.get(job_id)
+        except RequestError as error:  # unknown-job
+            return await _send_json(
+                writer, error_response(error.code, str(error))
+            )
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
@@ -332,7 +345,7 @@ class ServiceServer:
                     sort_keys=True,
                 )
                 writer.write(line.encode("utf-8") + b"\n")
-                await writer.drain()
+                await _drain(writer)
                 sent += 1
             if job.state in TERMINAL_STATES:
                 break
@@ -353,7 +366,7 @@ class ServiceServer:
         if job.result is not None:
             end["result"] = job.result
         writer.write(json.dumps(end, sort_keys=True).encode("utf-8") + b"\n")
-        await writer.drain()
+        await _drain(writer)
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
@@ -382,8 +395,16 @@ def _decode_body(body: bytes) -> dict[str, Any]:
 
 
 async def _send_json(
-    writer: asyncio.StreamWriter, status: int, payload: Mapping[str, Any]
+    writer: asyncio.StreamWriter,
+    payload: Mapping[str, Any],
+    status: Optional[int] = None,
 ) -> None:
+    """Write one JSON response; its status, unless given, follows the
+    envelope: 200, or the error code's entry in ``_HTTP_STATUS``."""
+    if status is None:
+        status = (
+            200 if payload["ok"] else _HTTP_STATUS[payload["error"]["code"]]
+        )
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
@@ -392,7 +413,18 @@ async def _send_json(
         f"Connection: close\r\n\r\n"
     )
     writer.write(head.encode("latin-1") + body)
-    await writer.drain()
+    await _drain(writer)
+
+
+async def _drain(writer: asyncio.StreamWriter) -> None:
+    """Wait until the client takes what was written, within the write
+    deadline; past it, abort the connection.  A graceful close would
+    wait on the same unread bytes."""
+    try:
+        await asyncio.wait_for(writer.drain(), _RESPONSE_WRITE_SECONDS)
+    except asyncio.TimeoutError:
+        writer.transport.abort()
+        raise ConnectionAbortedError("the client stopped reading") from None
 
 
 async def serve_stdio(
@@ -417,32 +449,14 @@ async def serve_stdio(
         text = line.decode("utf-8", errors="replace").strip()
         if not text:
             continue
-        request_id = None
         try:
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError as error:
-                raise RequestError(
-                    "bad-request", f"not valid JSON: {error}"
-                ) from None
-            if isinstance(payload, Mapping):
-                raw_id = payload.get("id")
-                request_id = raw_id if isinstance(raw_id, str) else None
-            request = parse_request(payload)
-            response = server.dispatch(request)
-        except RequestError as error:
+            payload = json.loads(text)
+        except json.JSONDecodeError as error:
             response = error_response(
-                error.code, str(error), request_id=request_id
+                "bad-request", f"not valid JSON: {error}"
             )
-        except ReproError as error:
-            response = error_response(
-                "bad-request", str(error), request_id=request_id
-            )
-        except Exception as error:  # pragma: no cover - defensive
-            response = error_response(
-                "internal", f"{type(error).__name__}: {error}",
-                request_id=request_id,
-            )
+        else:
+            response = server.respond(payload)
         writer.write(
             json.dumps(response, sort_keys=True).encode("utf-8") + b"\n"
         )

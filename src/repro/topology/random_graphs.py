@@ -30,29 +30,20 @@ def _as_rng(seed: SeedLike) -> np.random.Generator:
 def _connect_components(graph: Graph, rng: np.random.Generator) -> None:
     """Add a minimal set of random edges to make ``graph`` connected.
 
-    One labelling pass finds the components.  The first node's component
-    absorbs the others one at a time, each through one edge between
-    uniformly drawn members of the two (both sorted).  The next one
-    absorbed holds the first node of a fresh ``set`` of the graph's nodes
-    minus those absorbed: CPython's set order, which this join has always
-    followed, so every seed keeps its graph.
+    One labelling pass finds the components, listed by their first node
+    in graph order.  The first component absorbs the others in that
+    order, each through one edge between uniformly drawn members of the
+    two (both sorted), so the joins depend on the seed alone.
     """
-    components = graph.connected_components()
-    joined = components.pop(0)
-    # A dict, so that set() lays the nodes out as it lays out the
-    # graph's own adjacency dict.
-    nodes = dict.fromkeys(graph)
-    while components:
-        remaining = set(nodes)
-        remaining -= joined
-        first = next(iter(remaining))
-        component = next(c for c in components if first in c)
-        components.remove(component)
-        old, new = sorted(joined), sorted(component)
-        u = old[int(rng.integers(len(old)))]
+    first, *rest = graph.connected_components()
+    joined = sorted(first)
+    for component in rest:
+        new = sorted(component)
+        u = joined[int(rng.integers(len(joined)))]
         v = new[int(rng.integers(len(new)))]
         graph.add_edge(u, v)
-        joined |= component
+        # Two sorted runs: one linear merge.
+        joined = sorted(joined + new)
 
 
 #: Above this node count :func:`connected_gnp_graph` samples the edge

@@ -5,8 +5,10 @@ CSR kernel and per-node counters reduced after the loop.  This module
 recomputes the same rounds the plain way: the adjacency as a dense
 float64 matrix, counts as ``T @ A``, rank sums as ``(T * ranks) @ A``,
 and every per-trial counter summed round by round.  It takes the same
-``DrawStreams`` / ``DecoupledStreams`` draws and the same fault masks,
-so on the same inputs it must return an identical ``BatchOutcome``.
+``DrawStreams`` / ``DecoupledStreams`` draws and the same fault masks
+(``FaultSchedule.block`` rows one round at a time, the environment
+counters from ``FaultSchedule.totals``), so on the same inputs it must
+return an identical ``BatchOutcome``.
 
 It is a reference implementation that tests compare against, not a
 second engine: the package has no dense path.  Rank sums are exact in
@@ -66,16 +68,17 @@ class DenseOracle:
             adjacency = self._adjacency
             alive, jammed = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
             if self._dynamics is not None:
-                faults = self._dynamics.round_faults(r)
-                alive, jammed = faults.alive, faults.jammed & faults.alive
-                if faults.edge_up is not None:
+                alive, jammed, edge_up = self._dynamics.block(r, 1)
+                alive, jammed = alive[0], jammed[0] & alive[0]
+                if edge_up is not None:
                     lo, hi = self._dynamics.edge_endpoints
-                    down = ~faults.edge_up
+                    down = ~edge_up[0]
                     adjacency = adjacency.copy()
                     adjacency[lo[down], hi[down]] = 0
                     adjacency[hi[down], lo[down]] = 0
-                total["suppressed_links"] += active * faults.suppressed
-                total["crashed_nodes"] += active * faults.crashed_count
+                crashed, suppressed, _ = self._dynamics.totals(r + 1)[r]
+                total["suppressed_links"] += active * suppressed
+                total["crashed_nodes"] += active * crashed
             transmit &= alive
             counts = transmit @ adjacency
             sums = (transmit * ranks) @ adjacency

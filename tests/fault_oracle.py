@@ -11,9 +11,12 @@ a difference.  It is a reference that tests compare against, not a
 second schedule the package uses.
 """
 
+import dataclasses
+from typing import Optional
+
 import numpy as np
 
-from repro.dynamics import CHURN, CRASH, FAULT_SALT, JAM, RoundFaults
+from repro.dynamics import CHURN, CRASH, FAULT_SALT, JAM
 from repro.simulation.rng import (
     GOLDEN_GAMMA,
     _MASK64,
@@ -36,8 +39,25 @@ def round_bits(fault_seed, round_number, kind, num_entities):
         return mix64(np.uint64(state) + entity_keys)
 
 
+@dataclasses.dataclass(frozen=True)
+class RoundState:
+    """One round's fault state, in canonical entity order.
+
+    ``alive``, ``jammed`` and ``edge_up`` are the round's rows of
+    ``FaultSchedule.block`` (``edge_up`` is ``None`` without churn);
+    ``crashed_count`` and ``suppressed`` are the first two columns of
+    its ``totals`` row.
+    """
+
+    alive: np.ndarray
+    jammed: np.ndarray
+    edge_up: Optional[np.ndarray]
+    suppressed: int
+    crashed_count: int
+
+
 class PerRoundFaults:
-    """``FaultSchedule.round_faults`` and ``totals``, one round a step."""
+    """``FaultSchedule.block`` rows and ``totals``, one round a step."""
 
     def __init__(self, spec, graph):
         indptr, indices, nodes = graph.adjacency_csr()
@@ -79,7 +99,8 @@ class PerRoundFaults:
                 self._alive, u >= crash.p_crash, u < crash.p_recover
             )
 
-    def round_faults(self, round_number):
+    def state(self, round_number):
+        """The fault state during ``round_number``."""
         if round_number < self._rounds_done - 1:
             self._reset()
         while self._rounds_done <= round_number:
@@ -92,7 +113,7 @@ class PerRoundFaults:
         edge_up = None
         if self._spec.churn is not None:
             edge_up = self._edge_up.copy()
-        return RoundFaults(
+        return RoundState(
             alive=self._alive.copy(),
             jammed=jammed,
             edge_up=edge_up,
@@ -107,7 +128,7 @@ class PerRoundFaults:
         """Per round: crashed nodes, down links, alive jammed nodes."""
         rows = []
         for round_number in range(rounds):
-            faults = self.round_faults(round_number)
+            faults = self.state(round_number)
             rows.append((
                 faults.crashed_count,
                 faults.suppressed,

@@ -20,15 +20,14 @@ def is_connected(graph):
 
 def connected_components(graph):
     """The components as node sets, found by repeated BFS from the first
-    node of a set of the nodes not yet reached.  The set is built from a
-    dict, as ``set(graph._adjacency)`` is, so the components come in the
-    order the generators' join has always taken them."""
-    remaining = set(dict.fromkeys(graph))
+    node, in graph order, not yet reached: listed by first node."""
+    reached = set()
     components = []
-    while remaining:
-        component = set(graph.bfs_distances(next(iter(remaining))))
-        components.append(component)
-        remaining -= component
+    for node in graph:
+        if node not in reached:
+            component = set(graph.bfs_distances(node))
+            components.append(component)
+            reached |= component
     return components
 
 

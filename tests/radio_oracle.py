@@ -7,7 +7,9 @@ plain per-listener form of the same rule.  Every listener scans its own
 neighbours for audible transmitters, once to decide what it hears and
 once more, if it heard nothing, to split a collision from an idle
 listen.  Churn is asked per (listener, neighbour) pair through the
-canonical edge ids of :func:`edge_ids`, built once per network.
+canonical edge ids of :func:`edge_ids`, built once per network.  The
+round's fault masks are read as ``FaultSchedule.block`` rows, node by
+node, and its two environment counters from ``FaultSchedule.totals``.
 
 It is a reference implementation that tests compare against, not a
 second round: the package has one.  It has the network's interface
@@ -42,11 +44,20 @@ class ListenerDrivenNetwork:
         self.current_round = 0
 
     def run_round(self, actions) -> RoundOutcome:
-        crashed, jammed, faults = set(), set(), None
+        crashed, jammed, edge_up = set(), set(), None
         if self._dynamics is not None:
-            faults = self._dynamics.round_faults(self.current_round)
-            crashed = self._dynamics.crashed_nodes(faults)
-            jammed = self._dynamics.jammed_nodes(faults)
+            alive, jamming, edge_up = self._dynamics.block(
+                self.current_round, 1
+            )
+            for node, up, hit in zip(
+                self._dynamics.nodes, alive[0].tolist(), jamming[0].tolist()
+            ):
+                if not up:
+                    crashed.add(node)
+                elif hit:
+                    jammed.add(node)
+            if edge_up is not None:
+                edge_up = edge_up[0]
         transmitters = {
             node: action.message
             for node, action in actions.items()
@@ -59,14 +70,14 @@ class ListenerDrivenNetwork:
             elif node in jammed:
                 received[node] = self._noise()
             else:
-                audible = self._audible(node, transmitters, faults)
+                audible = self._audible(node, transmitters, edge_up)
                 if len(audible) == 1:
                     received[node] = transmitters[audible[0]]
                 elif audible:
                     received[node] = self._noise()
                 else:
                     received[node] = SILENCE
-        self._count(transmitters, received, faults, crashed, jammed)
+        self._count(transmitters, received, edge_up, crashed, jammed)
         outcome = RoundOutcome(self.current_round, transmitters, received)
         self.current_round += 1
         return outcome
@@ -76,23 +87,25 @@ class ListenerDrivenNetwork:
             return COLLISION
         return SILENCE
 
-    def _audible(self, node, transmitters, faults):
+    def _audible(self, node, transmitters, edge_up):
         """Transmitting neighbours of ``node`` over links up this round."""
         return [
             neighbour
             for neighbour in self._graph.neighbors(node)
             if neighbour in transmitters
-            and (faults is None or faults.edge_up is None
-                 or faults.edge_up[self._edge_ids[node, neighbour]])
+            and (edge_up is None
+                 or edge_up[self._edge_ids[node, neighbour]])
         ]
 
-    def _count(self, transmitters, received, faults, crashed, jammed):
+    def _count(self, transmitters, received, edge_up, crashed, jammed):
         metrics = self.metrics
         metrics.rounds += 1
         metrics.transmissions += len(transmitters)
-        if faults is not None:
-            metrics.suppressed_links += faults.suppressed
-            metrics.crashed_nodes += faults.crashed_count
+        if self._dynamics is not None:
+            totals = self._dynamics.totals(self.current_round + 1)
+            crashed_count, suppressed, _ = totals[-1].tolist()
+            metrics.suppressed_links += suppressed
+            metrics.crashed_nodes += crashed_count
         for node, heard in received.items():
             if node in crashed or node in transmitters:
                 continue
@@ -100,7 +113,7 @@ class ListenerDrivenNetwork:
                 metrics.jammed_listens += 1
             elif isinstance(heard, Message):
                 metrics.receptions += 1
-            elif len(self._audible(node, transmitters, faults)) >= 2:
+            elif len(self._audible(node, transmitters, edge_up)) >= 2:
                 metrics.collisions += 1
             else:
                 metrics.idle_listens += 1

@@ -203,40 +203,36 @@ def test_schedule_canonical_enumeration():
 def test_schedule_rewind_replays_identically():
     graph = topology.grid_graph(5, 5)
     schedule = FaultSchedule(FULL_SPEC, graph)
-    forward = [schedule.round_faults(r) for r in range(12)]
+    # Views handed out earlier stay valid across later calls.
+    forward = [schedule.block(r, 1) for r in range(12)]
+    totals = schedule.totals(12).copy()
     # Rewinding to an earlier round resets the chains and replays from
     # round 0 -- exactly what a fresh run or the engines' silent-trial
     # prepass does -- so the trajectory must be reproduced bit for bit.
     for r in (0, 4, 11):
-        again = schedule.round_faults(r)
-        np.testing.assert_array_equal(again.alive, forward[r].alive)
-        np.testing.assert_array_equal(again.jammed, forward[r].jammed)
-        np.testing.assert_array_equal(again.edge_up, forward[r].edge_up)
-        assert again.suppressed == forward[r].suppressed
-        assert again.crashed_count == forward[r].crashed_count
+        again = schedule.block(r, 1)
+        for rows, want in zip(again, forward[r]):
+            np.testing.assert_array_equal(rows, want)
+        np.testing.assert_array_equal(schedule.totals(r + 1)[r], totals[r])
     # A second schedule over the same (spec, graph) sees the identical
     # environment: faults are a function of (fault_seed, graph) only.
     twin = FaultSchedule(FULL_SPEC, graph)
     for r in (0, 3, 7):
-        np.testing.assert_array_equal(
-            twin.round_faults(r).edge_up, forward[r].edge_up
-        )
+        np.testing.assert_array_equal(twin.block(r, 1)[2], forward[r][2])
+    np.testing.assert_array_equal(twin.totals(12), totals)
 
 
-def test_schedule_returns_fresh_arrays_and_set_helpers():
+def test_schedule_rows_are_read_only_and_links_carry_edge_ids():
     graph = topology.grid_graph(4, 4)
     schedule = FaultSchedule(FULL_SPEC, graph)
-    faults = schedule.round_faults(5)
-    faults.alive[:] = False
-    faults.edge_up[:] = False
-    clean = schedule.round_faults(5)
-    assert clean.crashed_count < schedule.num_nodes
-    crashed = schedule.crashed_nodes(clean)
-    jammed = schedule.jammed_nodes(clean)
-    assert len(crashed) == clean.crashed_count
-    assert all(node in graph for node in crashed | jammed)
-    # jammed_nodes intersects the victim set with the living.
-    assert not (jammed & crashed)
+    alive, jammed, edge_up = (rows[0] for rows in schedule.block(5, 1))
+    for row in (alive, jammed, edge_up):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = not row[0]
+    crashed, down, jammed_alive = schedule.totals(6)[5].tolist()
+    assert 0 < crashed == int((~alive).sum()) < schedule.num_nodes
+    # The jammed total counts only the living victims.
+    assert jammed_alive == int((jammed & alive).sum())
     # The radio oracle's edge ids answer for both orientations of every
     # link of the graph, and nothing else; the schedule's own per-node
     # links carry the same ids.
@@ -252,7 +248,7 @@ def test_schedule_returns_fresh_arrays_and_set_helpers():
     assert {
         (u, v): edge for u in links for v, edge in links[u]
     } == ids
-    assert int((~clean.edge_up).sum()) == clean.suppressed > 0
+    assert int((~edge_up).sum()) == down > 0
 
 
 def test_schedule_without_churn_keeps_links_up():
@@ -261,11 +257,11 @@ def test_schedule_without_churn_keeps_links_up():
         fault_seed=3, models=(NodeCrash(p_crash=0.1, p_recover=0.5),)
     )
     schedule = FaultSchedule(crash_only, graph)
-    for r in range(6):
-        faults = schedule.round_faults(r)
-        assert faults.edge_up is None
-        assert faults.suppressed == 0
-        assert not faults.jammed.any()
+    alive, jammed, edge_up = schedule.block(0, 6)
+    assert edge_up is None
+    assert not jammed.any()
+    assert not schedule.totals(6)[:, 1:].any()
+    assert not alive.all()
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +326,7 @@ def test_schedule_matches_the_per_round_oracle(spec_name, graph_name):
     ]
     horizon = 3 * chunk + 9
     oracle = PerRoundFaults(spec, graph)
-    expected = [oracle.round_faults(r) for r in range(horizon)]
+    expected = [oracle.state(r) for r in range(horizon)]
     expected_totals = oracle.totals(horizon)
     if spec_name == "stacked":
         # The jammed total counts only alive victims: some rounds must
@@ -339,7 +335,7 @@ def test_schedule_matches_the_per_round_oracle(spec_name, graph_name):
             (faults.jammed & ~faults.alive).any() for faults in expected
         )
 
-    def check_block(start, rounds):
+    def check_rows(start, rounds):
         alive, jammed, edge_up = schedule.block(start, rounds)
         assert alive.shape == jammed.shape == (rounds, schedule.num_nodes)
         assert not (alive.flags.writeable or jammed.flags.writeable)
@@ -351,20 +347,18 @@ def test_schedule_matches_the_per_round_oracle(spec_name, graph_name):
                 assert edge_up is None
             else:
                 np.testing.assert_array_equal(edge_up[k], faults.edge_up)
+
+    def check_block(start, rounds):
+        check_rows(start, rounds)
         held = schedule._stop - schedule._first
         assert held <= max(chunk, rounds)
 
     def check_round(round_number):
-        faults = schedule.round_faults(round_number)
+        # One round's rows, as the reference network reads them.
+        check_rows(round_number, 1)
         want = expected[round_number]
-        np.testing.assert_array_equal(faults.alive, want.alive)
-        np.testing.assert_array_equal(faults.jammed, want.jammed)
-        if want.edge_up is None:
-            assert faults.edge_up is None
-        else:
-            np.testing.assert_array_equal(faults.edge_up, want.edge_up)
-        assert faults.suppressed == want.suppressed
-        assert faults.crashed_count == want.crashed_count
+        crashed, suppressed, _ = schedule.totals(round_number + 1)[-1]
+        assert (crashed, suppressed) == (want.crashed_count, want.suppressed)
 
     check_block(0, 3)
     check_block(3, chunk - 3)
@@ -388,14 +382,14 @@ def test_schedule_matches_the_per_round_oracle(spec_name, graph_name):
     # A fresh schedule asked for totals first agrees as well.
     fresh = FaultSchedule(spec, graph)
     np.testing.assert_array_equal(fresh.totals(horizon), expected_totals)
-    check = fresh.round_faults(horizon - 1)
-    np.testing.assert_array_equal(check.alive, expected[-1].alive)
+    check = fresh.block(horizon - 1, 1)
+    np.testing.assert_array_equal(check[0][0], expected[-1].alive)
 
 
 def test_schedule_validates_requests():
     schedule = FaultSchedule(FULL_SPEC, topology.grid_graph(3, 3))
     with pytest.raises(ConfigurationError, match="round_number"):
-        schedule.round_faults(-1)
+        schedule.block(-1, 1)
     with pytest.raises(ConfigurationError, match="rounds"):
         schedule.block(0, 0)
     with pytest.raises(ConfigurationError, match="rounds"):
@@ -414,7 +408,7 @@ def test_chunk_stays_within_its_entry_budget_on_a_large_grid():
     for start, rounds in [(0, 1), (1, 1), (5, 3), (9, 1), (40, 2), (45, 1)]:
         schedule.block(start, rounds)
         assert schedule._edge_up.shape[0] <= max(chunk, rounds)
-    schedule.round_faults(2)
+    schedule.block(2, 1)  # a rewind
     assert schedule.totals(60).shape == (60, 3)
     assert schedule._edge_up.shape[0] <= chunk
     assert schedule._alive.shape[0] <= chunk

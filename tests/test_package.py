@@ -113,6 +113,61 @@ def test_service_cpu_work_never_runs_on_the_default_executor():
     assert offenders == {}
 
 
+#: perfbench's trace targets that name nothing in the package.  A change
+#: that deletes or moves a traced name adds it here; mending perfbench's
+#: target table (ROADMAP item 2) empties the set.
+UNRESOLVED_TRACE_TARGETS = {
+    "repro.simulation.sparse:CSRAdjacency.counts_and_rank_sums",
+    "repro.core.decay_broadcast:decay_broadcast",
+    "repro.core.decay_broadcast:decay_broadcast_batch",
+    "repro.dynamics.schedule:FaultSchedule.round_faults",
+}
+
+
+def _trace_targets():
+    """The ``module:Qual.name`` targets of perfbench's ``TRACED`` and
+    ``FIRST_ACCESS`` tables, read from the source without importing it."""
+    tree = ast.parse(
+        (REPO_ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8")
+    )
+    return [
+        entry.elts[0].value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [target.id for target in node.targets]
+        in (["TRACED"], ["FIRST_ACCESS"])
+        for entry in node.value.elts
+    ]
+
+
+def _resolves(target):
+    """Whether ``module:Qual.name`` names an object of the package."""
+    module_name, _, qualname = target.partition(":")
+    try:
+        owner = importlib.import_module(module_name)
+    except ImportError:
+        return False
+    *parents, attribute = qualname.split(".")
+    for parent in parents:
+        owner = getattr(owner, parent, None)
+        if owner is None:
+            return False
+    if isinstance(owner, type):
+        return attribute in vars(owner)
+    return hasattr(owner, attribute)
+
+
+def test_perfbench_trace_targets_resolve_but_the_known_missing():
+    # perfbench patches each target by name; a name that moved or went
+    # reads as zero in its layer.  No CI step runs perfbench's own tests,
+    # so tier-1 names the set here.
+    targets = _trace_targets()
+    assert len(targets) > 20 and UNRESOLVED_TRACE_TARGETS <= set(targets)
+    assert {
+        target for target in targets if not _resolves(target)
+    } == UNRESOLVED_TRACE_TARGETS
+
+
 def test_package_docstring_quickstart():
     results = doctest.testmod(repro, verbose=False)
     assert results.attempted > 0

@@ -211,9 +211,10 @@ def test_receive_is_called_only_for_what_a_node_heard(model):
             for node, protocol in protos.items()
             if round_number in protocol.sent
         })
-        crashed = oracle_faults.crashed_nodes(
-            oracle_faults.round_faults(round_number)
-        )
+        alive = oracle_faults.block(round_number, 1)[0][0].tolist()
+        crashed = {
+            node for node, up in zip(oracle_faults.nodes, alive) if not up
+        }
         called = {
             node: protocol.heard[round_number]
             for node, protocol in protos.items()

@@ -24,6 +24,7 @@ from repro.experiments import prepare_scenario, run_benchmark, validate_bench
 from repro.experiments.scenarios import DEFAULT_REGISTRY, Scenario
 from repro.service import (
     CachedResolver,
+    Job,
     JobManager,
     JobSpec,
     RequestError,
@@ -604,11 +605,13 @@ def test_http_end_to_end_run_status_cancel_and_errors():
             assert status == 404
             assert body["error"]["code"] == "unknown-scenario"
 
+            # A refused request echoes its string id, as stdio does.
             status, body = await loop.run_in_executor(
-                None, call, "POST", "/v1/run", {"trials": 2}
+                None, call, "POST", "/v1/run", {"trials": 2, "id": "r1"}
             )
             assert status == 400
             assert body["error"]["code"] == "bad-request"
+            assert body["id"] == "r1"
 
             status, stats = await loop.run_in_executor(
                 None, call, "GET", "/v1/stats"
@@ -795,6 +798,90 @@ def test_http_malformed_body_ends_as_response_or_quiet_close(
         assert reply == b""
     assert health[0] == 200 and health[1]["ok"] is True
     # No "Unhandled exception in client_connected_cb" traceback.
+    assert [
+        record for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ] == []
+
+
+def _read_until_closed(sock):
+    """Bytes a client gets until the server closes or resets."""
+    received = 0
+    try:
+        while chunk := sock.recv(65536):
+            received += len(chunk)
+    except ConnectionResetError:
+        pass
+    return received
+
+
+@pytest.mark.parametrize("suffix", ["", "/stream"], ids=["status", "stream"])
+def test_http_client_that_stops_reading_is_cut_off(
+    caplog, monkeypatch, suffix
+):
+    # A finished job whose status, and whose stream, are megabytes long,
+    # and a client that asks for one and never reads.  Small socket
+    # buffers at both ends leave most of the response unsent, so the
+    # handler waits in drain until the write deadline aborts the
+    # connection.
+    monkeypatch.setattr(
+        "repro.service.server._RESPONSE_WRITE_SECONDS", 0.3
+    )
+    blob = {"blob": "x" * (2 << 20)}
+
+    async def drive():
+        manager = JobManager()
+        job = Job("job-big", JobSpec(scenario=TINY))
+        job.batches.append(blob)
+        job.batch_timing.append({"wait_seconds": 0.0, "run_seconds": 0.0})
+        job.result = blob
+        job._mark("done")
+        manager._jobs[job.id] = job
+        server = ServiceServer(manager)
+        handlers = []
+        started = asyncio.Event()
+        handle = server._handle_connection
+
+        async def tracked(reader, writer):
+            handlers.append(asyncio.current_task())
+            started.set()
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            await handle(reader, writer)
+
+        server._handle_connection = tracked
+        await server.start()
+        url = f"http://127.0.0.1:{server.port}"
+        loop = asyncio.get_running_loop()
+        client = socket.socket()
+        client.settimeout(10)
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            client.connect(("127.0.0.1", server.port))
+            client.sendall(
+                f"GET /v1/jobs/job-big{suffix} HTTP/1.1\r\n\r\n".encode()
+            )
+            await asyncio.wait_for(started.wait(), 5)
+            # The handler ends while the client still holds its socket
+            # open and unread.
+            done, _ = await asyncio.wait(handlers, timeout=5)
+            assert done == set(handlers)
+            received = await loop.run_in_executor(
+                None, _read_until_closed, client
+            )
+            health = await loop.run_in_executor(
+                None, _http, url, "GET", "/healthz"
+            )
+        finally:
+            client.close()
+            await server.close()
+        return received, health
+
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        received, health = asyncio.run(drive())
+    assert received < len(blob["blob"])
+    assert health[0] == 200 and health[1]["ok"] is True
     assert [
         record for record in caplog.records
         if record.name == "asyncio" and record.levelno >= logging.ERROR
