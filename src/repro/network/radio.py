@@ -204,8 +204,7 @@ class RadioNetwork:
                 }
             if self._jam:
                 jammed = {
-                    nodes[i]
-                    for i in np.flatnonzero(jamming[0] & alive[0]).tolist()
+                    nodes[i] for i in np.flatnonzero(jamming[0]).tolist()
                 }
             # Environment counters are per (entity, round) regardless of
             # traffic -- exactly what the vectorized engine charges.

@@ -126,6 +126,9 @@ class Job:
                 "outcome": self.resolve_outcome,
                 "seconds": self.resolve_seconds,
             },
+            "created_at": self.created_at,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
             "wall_seconds": self.wall_seconds,
             "batch_timing": list(self.batch_timing),
         }

@@ -27,14 +27,21 @@ the node axis.  :class:`DecoupledStreams` hashes the per-trial round
 states ``mix64(base + round_key)`` of 128 consecutive rounds in one
 vectorized pass and keeps them while rounds of that chunk are asked
 for, so a round pays only the node-axis finalizer; the chunk holds pure
-values, so the call order never changes a draw.  All of it is ``uint64``
-*array* arithmetic, which wraps modulo 2**64 silently (NumPy scalars
-would warn on overflow).  The price is the *contract*: a
-decoupled run is seed-reproducible against itself (same seed, same
-draws, forever -- pinned by golden values in ``tests/test_rng.py``) but
-does **not** reproduce the reference runner's draws, so replay-vs-
-decoupled agreement is *distributional*, enforced statistically by
-``tests/test_rng_decoupled.py`` rather than round-exactly.
+values, so the call order never changes a draw.  The engine compares
+each word with an integer limit, and every limit of a Decay step
+``p = 2**-k`` (and of ``p = 1``) is ``2**j - 1``: the word lies at or
+below it iff its highest set bit does, which the finalizer's last
+xorshift never moves.  So where every limit of a schedule has that
+form, the engine asks :meth:`DecoupledStreams.bits` to stop before that
+step, seven ufunc passes per round instead of nine, with the same
+decisions.  All of it is ``uint64`` *array* arithmetic, which wraps
+modulo 2**64 silently (NumPy scalars would warn on overflow).  The
+price is the *contract*: a decoupled run is seed-reproducible against
+itself (same seed, same draws, forever -- pinned by golden values in
+``tests/test_rng.py``) but does **not** reproduce the reference
+runner's draws, so replay-vs-decoupled agreement is *distributional*,
+enforced statistically by ``tests/test_rng_decoupled.py`` rather than
+round-exactly.
 
 Draw quality: splitmix64 passes BigCrush as a sequential generator; used
 here as a counter-mode hash, neighbouring counters are separated by one
@@ -180,7 +187,9 @@ class DecoupledStreams:
     def num_nodes(self) -> int:
         return self._num_nodes
 
-    def bits(self, round_number: int) -> np.ndarray:
+    def bits(
+        self, round_number: int, *, stop_early: bool = False
+    ) -> np.ndarray:
         """The raw ``uint64`` hash words of one round, ``(trials, n)``.
 
         Stateless: calling this for any round, any number of times, in
@@ -188,9 +197,15 @@ class DecoupledStreams:
         The per-trial round states ``mix64(base + round_key)`` are
         hashed :data:`_STATE_CHUNK` rounds at a time, in one vectorized
         pass, and kept until a round outside that chunk is asked for, so
-        a round costs only the node-axis finalizer.  The returned array
-        is an internal buffer reused by the next call -- copy it if you
-        need it to survive.
+        a round costs only the node-axis finalizer: nine ufunc passes.
+        The returned array is an internal buffer reused by the next
+        call -- copy it if you need it to survive.
+
+        ``stop_early=True`` returns the word before the finalizer's last
+        step, ``x ^ (x >> 31)``, in seven passes.  That step leaves a
+        word's highest set bit in place, so against a limit of the form
+        ``2**j - 1`` the early word decides ``word <= limit`` exactly
+        as the full word does.  Use it for such comparisons only.
         """
         if round_number < 0:
             raise ConfigurationError(
@@ -222,8 +237,9 @@ class DecoupledStreams:
         np.right_shift(out, _SHIFT_B, out=tmp)
         out ^= tmp
         out *= _MULT_B
-        np.right_shift(out, _SHIFT_C, out=tmp)
-        out ^= tmp
+        if not stop_early:
+            np.right_shift(out, _SHIFT_C, out=tmp)
+            out ^= tmp
         return out
 
     def uniforms(self, round_number: int) -> np.ndarray:

@@ -13,10 +13,11 @@ serves one trial, many trials, or many rounds of many trials.  It
 expands only the transmitters' CSR rows, shifts each row's listeners
 into its copy, counts the hits per listener with ``np.bincount`` and
 writes each transmitter's flat index onto its listeners with an
-``int64`` scatter.  A listener with count one received exactly one
-write, so its value is its unique transmitter (a silent listener keeps
--1).  The caller reads that transmitter's rank itself, as of the round
-it needs.  ``tests/test_sparse.py`` checks the kernel against a dense
+``int64`` scatter into an uninitialized array.  A listener with count
+one received exactly one write, so its value is its unique transmitter;
+every other entry is unspecified, and the engine reads none of them.
+The caller reads that transmitter's rank itself, as of the round it
+needs.  ``tests/test_sparse.py`` checks the kernel against a dense
 matmul, per-copy churn masks included.
 """
 
@@ -119,9 +120,11 @@ class CSRAdjacency:
 
         Returns ``(counts, source)``, both ``int64`` of shape
         ``(copies, n)``: ``counts[c, j]`` is how many neighbours of
-        ``j`` transmit in copy ``c``; ``source[c, j]`` is the flat index
-        ``c * n + u`` of one of them, ``u`` -- the only one where
-        ``counts[c, j] == 1`` -- and -1 where none does.
+        ``j`` transmit in copy ``c``.  ``source[c, j]`` is defined only
+        where ``counts[c, j] == 1``: there it is the flat index
+        ``c * n + u`` of that one transmitting neighbour ``u``.  Every
+        other entry is unspecified (the array is not pre-filled), so a
+        caller reads ``source`` only where ``counts`` is one.
 
         Per call the work is ``O(copies * n)`` for the two outputs plus
         ``O(T + sum of the T transmitters' degrees)`` for the
@@ -146,7 +149,7 @@ class CSRAdjacency:
         if total == 0:
             return (
                 np.zeros((copies, n), dtype=np.int64),
-                np.full((copies, n), -1, dtype=np.int64),
+                np.empty((copies, n), dtype=np.int64),
             )
         # Transmitter i's row fills slots [ends[i] - row_lengths[i],
         # ends[i]) of the expansion and starts at indptr[node] in the
@@ -176,7 +179,7 @@ class CSRAdjacency:
         )
         # Where several transmitters write the same listener, one write
         # survives: a listener with count one holds its transmitter.
-        source = np.full(copies * n, -1, dtype=np.int64)
+        source = np.empty(copies * n, dtype=np.int64)
         source[listeners] = senders
         return counts.reshape(copies, n), source.reshape(copies, n)
 

@@ -28,6 +28,13 @@ state to a single integer -- the *rank* of the best message it knows
   themselves (adopt-if-higher, reading the transmitter's rank as of
   that round), written only at the indices that improve.
 
+A trial stops in the round its last node adopts the winner rank, which
+the caller passes as the top rank in play.  The engine counts each
+trial's holders of that rank once, from the initial ranks, and adds
+each round's winner adopters to it; with no higher rank, a holder never
+adopts again, so the trial is done when its count reaches ``n``.  No
+round rescans the ranks.
+
 ``K > 1`` only where the transmit masks cannot depend on adoptions:
 when every node of every running trial holds a message at round 0
 (every spontaneous run), every node draws in every round.  ``K`` is
@@ -51,14 +58,14 @@ and a node consumes exactly one uniform draw per round *while it holds a
 message* (uninformed nodes listen without drawing).  :class:`DrawStreams`
 replays those per-node streams: the same ``SeedSequence.spawn``
 children, whose PCG64 seed words :func:`spawned_seed_words` computes for
-all ``n`` nodes of a trial in one NumPy pass instead of through ``n``
-``SeedSequence`` objects.  It pre-draws blocks per node and consumes
-them one element per informed round, so the k-th decision of every node
-matches the reference's k-th decision exactly.  In a spontaneous run
-every stream draws every round, so the streams advance in lockstep and
-:meth:`DrawStreams.transmit_rows` stores each draw as its one-byte
-transmit decision, up to 1024 rounds per generator call, in a store
-whose rows are rounds.  The reference runner keeps NumPy's own
+all ``n`` nodes of every trial of a batch in one NumPy pass instead of
+through ``n`` ``SeedSequence`` objects per trial.  It pre-draws blocks
+per node and consumes them one element per informed round, so the k-th
+decision of every node matches the reference's k-th decision exactly.
+In a spontaneous run every stream draws every round, so the streams
+advance in lockstep and :meth:`DrawStreams.transmit_rows` stores each
+draw as its one-byte transmit decision, up to 1024 rounds per generator
+call, in a store whose rows are rounds.  The reference runner keeps NumPy's own
 ``SeedSequence``, so ``tests/test_engine_equivalence.py`` cross-checks
 the seeding as well as the rounds, across topology families, strategies
 and fault models.
@@ -131,16 +138,13 @@ def _mix(x: int, y):
     return result ^ (result >> 16)
 
 
-def spawned_seed_words(entropy: int, num_children: int) -> np.ndarray:
-    """The PCG64 seed words of every child of a spawned ``SeedSequence``.
+def _entropy_pool(entropy: int) -> tuple[list, int]:
+    """NumPy's entropy pool of one ``SeedSequence`` before spawning.
 
-    Row ``i`` of the ``(num_children, 4)`` ``uint64`` result equals
-    ``SeedSequence(entropy).spawn(num_children)[i].generate_state(4,
-    np.uint64)`` bit for bit.  A child's entropy is the parent's words,
-    zero-padded to the pool size, followed by its spawn key ``i``.  Every
-    pool step before the spawn key is the same for all children, so it
-    runs once on Python ints; only the four spawn-key mixing steps and
-    the eight output words run over the children, as ``uint32`` lanes.
+    Returns the four pool words, as Python ints, and the hash constant
+    the next mixing step starts from.  An entropy of more than four
+    32-bit words mixes the rest in after the pool, so its constant is
+    further along the sequence.
     """
     entropy = operator.index(entropy)
     if entropy < 0:
@@ -164,23 +168,59 @@ def spawned_seed_words(entropy: int, num_children: int) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             value, hash_const = _hashmix(word, hash_const, _MULT_A)
             pool[dst] = _mix(pool[dst], value)
+    return pool, hash_const
+
+
+def spawned_seed_words(
+    entropies: Sequence[int], num_children: int
+) -> np.ndarray:
+    """The PCG64 seed words of every child of spawned ``SeedSequence``s.
+
+    Row ``i`` of block ``t`` of the ``(len(entropies), num_children, 4)``
+    ``uint64`` result equals ``SeedSequence(entropies[t]).spawn(
+    num_children)[i].generate_state(4, np.uint64)`` bit for bit.  A
+    child's entropy is the parent's words, zero-padded to the pool size,
+    followed by its spawn key ``i``.  Every pool step before the spawn
+    key is the same for all children of one parent, so it runs once per
+    parent on Python ints.  The four spawn-key mixing steps and the
+    eight output words run over all children of all parents at once, as
+    ``uint32`` lanes, in one pass per hash constant the pool steps end
+    on: one pass for every entropy below ``2**128``.
+    """
+    result = np.empty((len(entropies), num_children, 4), dtype=np.uint64)
+    # Parents by the hash constant their pool ends on: rows, and each
+    # pool word's product in ``_mix``, taken on Python ints.
+    groups: dict[int, tuple[list, list]] = {}
+    for row, entropy in enumerate(entropies):
+        pool, hash_const = _entropy_pool(entropy)
+        rows, products = groups.setdefault(hash_const, ([], []))
+        rows.append(row)
+        products.append([(_MIX_MULT_L * word) & _MASK32 for word in pool])
     # Spawn key ``i`` is the one word of ``i`` (nodes number < 2**32).
     keys = np.arange(num_children, dtype=np.uint32)
-    children = []
-    for dst in range(_POOL_SIZE):
-        value, hash_const = _hashmix(keys, hash_const, _MULT_A)
-        children.append(_mix(pool[dst], value))
-    # ``generate_state(4, np.uint64)``: eight 32-bit words cycling over
-    # the pool, joined little-endian in pairs.
-    hash_const = _INIT_B
-    state = []
-    for index in range(2 * _POOL_SIZE):
-        value, hash_const = _hashmix(
-            children[index % _POOL_SIZE], hash_const, _MULT_B
-        )
-        state.append(value.astype(np.uint64))
-    low, high = np.stack(state[0::2], axis=1), np.stack(state[1::2], axis=1)
-    return low | (high << np.uint64(32))
+    for hash_const, (rows, products) in groups.items():
+        # One column per pool word, one row per parent, broadcast over
+        # the children; the lanes then run flat, parent-major.
+        product = np.array(products, dtype=np.uint32).T[:, :, None]
+        children = []
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(keys, hash_const, _MULT_A)
+            mixed = (product[dst] - _MIX_MULT_R * value) & _MASK32
+            children.append((mixed ^ (mixed >> 16)).ravel())
+        # ``generate_state(4, np.uint64)``: eight 32-bit words cycling
+        # over the pool, joined little-endian in pairs.
+        hash_const = _INIT_B
+        state = []
+        for index in range(2 * _POOL_SIZE):
+            value, hash_const = _hashmix(
+                children[index % _POOL_SIZE], hash_const, _MULT_B
+            )
+            state.append(value.astype(np.uint64))
+        low = np.stack(state[0::2], axis=1)
+        high = np.stack(state[1::2], axis=1)
+        words = low | (high << np.uint64(32))
+        result[rows] = words.reshape(len(rows), num_children, 4)
+    return result
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
@@ -205,7 +245,7 @@ class DrawStreams:
     :func:`~repro.simulation.runner.spawn_node_rngs`: stream ``i`` of
     trial ``t`` draws from ``default_rng`` of the i-th child of
     ``SeedSequence(seeds[t]).spawn(num_nodes)``.  The children's seed
-    words come from :func:`spawned_seed_words`, one NumPy pass per trial;
+    words come from :func:`spawned_seed_words`, one NumPy pass per batch;
     a ``None`` seed still takes fresh OS entropy and a negative one still
     raises, because each trial's entropy is read from
     ``SeedSequence(seeds[t])``.  :meth:`take` hands out the next element
@@ -230,12 +270,13 @@ class DrawStreams:
             raise ConfigurationError(f"block must be >= 1, got {block}")
         self._block = block
         self._num_nodes = num_nodes
+        words = spawned_seed_words(
+            [np.random.SeedSequence(seed).entropy for seed in seeds],
+            num_nodes,
+        )
         self._generators = [
-            np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            for seed in seeds
-            for words in spawned_seed_words(
-                np.random.SeedSequence(seed).entropy, num_nodes
-            )
+            np.random.Generator(np.random.PCG64(_SeedWords(row)))
+            for row in words.reshape(-1, 4)
         ]
         self._buffer = None
         # Rows ``[row, filled)`` of :meth:`transmit_rows`' store are not
@@ -489,8 +530,16 @@ class VectorizedCompeteEngine:
                 (mantissa_limits << np.uint64(11)) - np.uint64(1),
                 np.iinfo(np.uint64).max,
             )
+            # Decay steps ``p = 2**-k`` and ``p = 1`` give limits
+            # ``2**j - 1``, which the word before the hash's last step
+            # decides alike (:meth:`DecoupledStreams.bits`).  Checked a
+            # row at a time, so no ``(cycle, n)`` temporary is built.
+            self._stop_early = not any(
+                (row & (row + np.uint64(1))).any() for row in self._limits
+            )
         else:
             self._limits = None
+            self._stop_early = False
 
     @property
     def nodes(self) -> tuple:
@@ -519,7 +568,8 @@ class VectorizedCompeteEngine:
         winner_rank:
             The rank whose saturation ends a trial early, or ``None`` to
             always run the full budget (the no-candidate case, where the
-            reference run can never succeed either).
+            reference run can never succeed either).  No initial rank
+            may exceed it (a :class:`ConfigurationError`).
         seeds:
             One seed per trial, consumed exactly like the reference
             runner's ``seed`` argument.
@@ -547,7 +597,17 @@ class VectorizedCompeteEngine:
         if winner_rank is None:
             saturated = np.zeros(num_trials, dtype=bool)
         else:
-            saturated = (ranks == winner_rank).all(axis=1)
+            if (ranks > winner_rank).any():
+                raise ConfigurationError(
+                    f"winner_rank {winner_rank} is below an initial rank "
+                    f"({int(ranks.max())}); pass the top rank"
+                )
+            # Each trial's nodes holding the winner rank.  No rank is
+            # higher, so a holder never adopts again: the count grows by
+            # each round's winner adopters, and reaching ``n`` is
+            # saturation.
+            holders = (ranks == winner_rank).sum(axis=1)
+            saturated = holders == num_nodes
         # Rounds each trial runs.  A trial with no informed node can
         # never transmit again (ranks only grow through receptions), so
         # its whole remaining schedule is provably silent and it is
@@ -617,7 +677,9 @@ class VectorizedCompeteEngine:
                 window = thresholds[first:first + size]
                 for k in range(size):
                     np.less_equal(
-                        streams.bits(start + k), window[k], out=transmit[k]
+                        streams.bits(start + k, stop_early=self._stop_early),
+                        window[k],
+                        out=transmit[k],
                     )
                 transmit &= wanted
             elif lockstep:
@@ -678,22 +740,30 @@ class VectorizedCompeteEngine:
                 flat_ranks[improved] = gained
                 flat_adopted[improved] = start + k
                 flat_wanted[improved] = True
-                # A trial saturates only in a round where its last node
-                # adopts the winner rank, so only then is it rechecked
-                # (callers pass the top rank, so ``>=`` means adopted).
-                if winner_rank is not None and gained.max() >= winner_rank:
-                    done = running & (ranks == winner_rank).all(axis=1)
-                    if done.any():
-                        saturated |= done
-                        rounds[done] = start + k + 1
-                        running &= ~done
-                        wanted[done] = False
-                        # The block's later rounds are past these
-                        # trials' last one: they count for nothing.
-                        block_masks[:, k + 1:, done] = False
-                        finished = not running.any()
-                        if finished:
-                            break
+                if winner_rank is None:
+                    continue
+                won = improved.compress(gained == winner_rank)
+                if won.size == 0:
+                    continue
+                # One trial owns every adopter; several need attributing.
+                if num_trials == 1:
+                    holders += won.size
+                else:
+                    holders += np.bincount(
+                        won // num_nodes, minlength=num_trials
+                    )
+                done = running & (holders == num_nodes)
+                if done.any():
+                    saturated |= done
+                    rounds[done] = start + k + 1
+                    running &= ~done
+                    wanted[done] = False
+                    # The block's later rounds are past these trials'
+                    # last one: they count for nothing.
+                    block_masks[:, k + 1:, done] = False
+                    finished = not running.any()
+                    if finished:
+                        break
             _add_rounds(counters[:3], block_masks)
             if self._dynamics is not None:
                 _add_rounds(jammed_sent, transmit & jammed[:, None])

@@ -38,13 +38,15 @@ from repro.dynamics import (
     NodeCrash,
 )
 from repro.core.broadcast import broadcast
-from repro.core.compete import Compete, compete
+from repro.core.compete import STRATEGIES, Compete, compete
 from repro.core.leader_election import elect_leader
 from repro.core.parameters import CompeteParameters
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.network.messages import Message
 from repro.network.radio import CollisionModel
+from repro.schedules.transmission import TransmissionSchedule
+from repro.simulation.rng import DecoupledStreams
 
 from dense_oracle import dense_oracle_engines
 
@@ -288,6 +290,45 @@ def test_dense_sparse_exact_under_decoupled_rng(case):
     for seed in case.seeds:
         dense = run_case(case, seed, "oracle", rng="decoupled")
         sparse = run_case(case, seed, "vectorized", rng="decoupled")
+        assert_round_exact(case, seed, dense, sparse,
+                           "oracle vs vectorized, decoupled")
+
+
+@pytest.mark.parametrize("cycles, stop_early", [
+    pytest.param(((0.5, 0.25, 0.125), (0.3, 0.75)), False, id="mixed"),
+    pytest.param(((0.5, 0.25, 0.125), (1.0, 0.5)), True, id="decay"),
+])
+def test_decoupled_hash_stops_early_only_on_decay_limits(
+    cycles, stop_early, monkeypatch
+):
+    # Every limit of a Decay step 2**-k or of p = 1 is 2**j - 1, which
+    # the word before the hash's last xorshift decides alike, so the
+    # engine stops the hash there; one node whose cycle holds another p
+    # (0.3, 0.75) makes it hash the full word for all.  The two words
+    # differ only in bits 0-32, so the wrong word would flip about one
+    # decision in 2**31, too few for a run to show: the engine's request
+    # is recorded, and its run must equal the dense oracle, which
+    # hashes the full word and compares floats.
+    monkeypatch.setitem(STRATEGIES, "alternating", lambda graph, _: (
+        TransmissionSchedule({
+            node: cycles[i % 2] for i, node in enumerate(graph.nodes())
+        })
+    ))
+    asked = []
+    bits = DecoupledStreams.bits
+
+    def spied(streams, round_number, *, stop_early=False):
+        asked.append(stop_early)
+        return bits(streams, round_number, stop_early=stop_early)
+
+    monkeypatch.setattr(DecoupledStreams, "bits", spied)
+    case = Case("compete-grid-alternating", lambda: topology.grid_graph(5, 5),
+                strategy="alternating")
+    for seed in case.seeds:
+        dense = run_case(case, seed, "oracle", rng="decoupled")
+        asked.clear()
+        sparse = run_case(case, seed, "vectorized", rng="decoupled")
+        assert asked and set(asked) == {stop_early}
         assert_round_exact(case, seed, dense, sparse,
                            "oracle vs vectorized, decoupled")
 

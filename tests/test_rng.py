@@ -133,6 +133,33 @@ class TestDecoupledStreams:
                     bits_to_unit(words), GOLDEN_UNIFORMS[round_number]
                 )
 
+    def test_stop_early_word_decides_power_of_two_limits_alike(self):
+        # ``bits(r, stop_early=True)`` is the word before the
+        # finalizer's last step ``x ^ (x >> 31)``, which keeps a word's
+        # highest set bit where it was: against every limit 2**j - 1,
+        # j = 0..64, the early and the full word decide ``word <= limit``
+        # alike.  Hash words almost never lie below a small limit, so
+        # random words shifted to put their highest set bit anywhere
+        # join them.
+        limits = [np.uint64((1 << j) - 1) for j in range(65)]
+        streams = DecoupledStreams([0, 1, 2**40], num_nodes=512)
+        rng = np.random.default_rng(33)
+        random = np.frombuffer(rng.bytes(8 * 4096), dtype=np.uint64)
+        random = random >> rng.integers(0, 64, random.size, dtype=np.uint64)
+        for round_number in (0, 1, 200):
+            early = streams.bits(round_number, stop_early=True).copy()
+            full = streams.bits(round_number)
+            np.testing.assert_array_equal(
+                full, early ^ (early >> np.uint64(31))
+            )
+            for words, finished in (
+                (early, full), (random, random ^ (random >> np.uint64(31))),
+            ):
+                for limit in limits:
+                    np.testing.assert_array_equal(
+                        words <= limit, finished <= limit
+                    )
+
     def test_stateless_any_order(self):
         streams = DecoupledStreams([7, 8, 9], num_nodes=32)
         forward = [streams.uniforms(r).copy() for r in range(6)]

@@ -714,6 +714,10 @@ def test_http_stream_emits_batches_then_end():
                 "run_seconds": event["run_seconds"],
             })
         assert job["batch_timing"] == timing
+        # The status dates the job's life, and its wall clock is the
+        # span from start to finish.
+        assert job["created_at"] <= job["started_at"] <= job["finished_at"]
+        assert job["wall_seconds"] == job["finished_at"] - job["started_at"]
 
     asyncio.run(drive())
 

@@ -41,6 +41,8 @@ from repro.simulation.vectorized import (
     spawned_seed_words,
 )
 
+from dense_oracle import dense_oracle_engines
+
 
 def assert_same_compete_result(reference, vectorized, context=""):
     """Field-by-field equality of two CompeteResults (metrics included)."""
@@ -73,15 +75,18 @@ BATCH_FAULTS = {
 }
 
 
+@pytest.mark.parametrize("rng", ["replay", "decoupled"])
 @pytest.mark.parametrize("faults", sorted(BATCH_FAULTS))
-def test_run_batch_matches_individual_runs(faults):
-    # Trials of one batch finish at different rounds, and each trial's
-    # counters -- fault counters included -- must stop with it: every
-    # BatchOutcome field of a batched trial equals the same trial run
-    # alone, and the batched results equal the reference runner's.
+def test_run_batch_matches_individual_runs(faults, rng):
+    # Trials of one batch finish at different rounds of one block, and
+    # each trial's counters -- fault counters included -- must stop
+    # with it: every BatchOutcome field of a batched trial equals the
+    # same trial run alone, and the batched results equal the reference
+    # runner's (replay) or the dense oracle's (decoupled), which stop
+    # when every node holds the winner.
     dynamics, moved = BATCH_FAULTS[faults]
     graph = topology.grid_graph(4, 5)
-    config = ExecutionConfig(backend="vectorized", dynamics=dynamics)
+    config = ExecutionConfig(backend="vectorized", dynamics=dynamics, rng=rng)
     engine = resolve_execution(graph, config).build_engine()
     row = np.arange(1, graph.num_nodes + 1, dtype=np.int64)
     seeds = [0, 1, 2, 3, 4]
@@ -100,13 +105,22 @@ def test_run_batch_matches_individual_runs(faults):
             ), f"{faults} seed={seed}: {field.name}"
 
     candidates = {0: 5, 19: 9}
-    reference = Compete(graph, config=config.replace(backend="reference"))
     batched = Compete(graph, config=config).run_batch(
         candidates, seeds=seeds, spontaneous=True
     )
-    for seed, result in zip(seeds, batched):
-        single_ref = reference.run(candidates, seed=seed, spontaneous=True)
-        assert_same_compete_result(single_ref, result, f"seed={seed}")
+    if rng == "replay":
+        reference = Compete(graph, config=config.replace(backend="reference"))
+        expected = [
+            reference.run(candidates, seed=seed, spontaneous=True)
+            for seed in seeds
+        ]
+    else:
+        with dense_oracle_engines():
+            expected = Compete(graph, config=config).run_batch(
+                candidates, seeds=seeds, spontaneous=True
+            )
+    for seed, want, result in zip(seeds, expected, batched):
+        assert_same_compete_result(want, result, f"seed={seed}")
 
 
 @pytest.mark.parametrize("faults", sorted(BATCH_FAULTS))
@@ -256,22 +270,31 @@ def test_lockstep_run_of_1000_rounds_fills_the_store_four_times(
     assert fills == [128, 256, 512, 1024]
 
 
-@pytest.mark.parametrize("seed", [
-    0, 1, 2017, 2**32 - 1, 2**32, 2**100 + 3, 2**128 + 9, 2**200 + 1,
+@pytest.mark.parametrize("seeds", [
+    *([seed] for seed in (
+        0, 1, 2017, 2**32 - 1, 2**32, 2**100 + 3, 2**128 + 9, 2**200 + 1,
+    )),
+    [1, 2017, None],
+    [2**128 + 9, 5, 2**200 + 1, None, 2**128 + 9, 0],
 ])
 @pytest.mark.parametrize("num_children", [1, 2, 257])
-def test_spawned_seed_words_match_numpy_spawn(seed, num_children):
-    # The one-pass replica of SeedSequence.spawn must give every child
-    # NumPy's own PCG64 seed words, bit for bit: for entropy of one word
-    # (zero-padded to the pool of four), of several, and of more than
-    # four (2**128 + 9 and 2**200 + 1), which mix in after the pool.
-    expected = [
-        child.generate_state(4, np.uint64)
-        for child in np.random.SeedSequence(seed).spawn(num_children)
-    ]
-    words = spawned_seed_words(seed, num_children)
+def test_spawned_seed_words_match_numpy_spawn(seeds, num_children):
+    # The one-pass replica of SeedSequence.spawn must give every child of
+    # every parent NumPy's own PCG64 seed words, bit for bit, whatever
+    # entropies share the pass: one word (zero-padded to the pool of
+    # four), several, a None seed's fresh 128-bit entropy, and more than
+    # four (2**128 + 9 and 2**200 + 1), which mix in after the pool and
+    # so end on other hash constants than the rest.
+    entropies = [np.random.SeedSequence(seed).entropy for seed in seeds]
+    words = spawned_seed_words(entropies, num_children)
     assert words.dtype == np.uint64
-    assert words.tolist() == np.array(expected).tolist()
+    assert words.shape == (len(seeds), num_children, 4)
+    for entropy, block in zip(entropies, words):
+        expected = [
+            child.generate_state(4, np.uint64)
+            for child in np.random.SeedSequence(entropy).spawn(num_children)
+        ]
+        assert block.tolist() == np.array(expected).tolist()
 
 
 @pytest.mark.parametrize("seeds", [[5, 11], [0, 2**64 + 7], [2**128 + 9, 5]])
@@ -356,7 +379,7 @@ def test_decoupled_probability_one_transmits_the_all_ones_word(monkeypatch):
     # A p = 1 node transmits on every draw, also on the all-ones hash
     # word, whose uniform (2**53 - 1) / 2**53 is below 1: the informed
     # centre of a star reaches every leaf in round 1.
-    def all_ones(self, round_number):
+    def all_ones(self, round_number, *, stop_early=False):
         return np.full((self.num_trials, self.num_nodes),
                        np.iinfo(np.uint64).max, dtype=np.uint64)
 
@@ -402,6 +425,10 @@ def test_engine_input_validation():
         engine.run_batch(np.zeros((2, 4), dtype=int), None, [0])
     with pytest.raises(ConfigurationError):
         engine.run_batch(np.full((1, 4), -1), None, [0])
+    # A winner rank below an initial rank could lose holders; the stop
+    # rule only counts them up, so it takes the top rank alone.
+    with pytest.raises(ConfigurationError, match="winner_rank 1 is below"):
+        engine.run_batch(np.array([[1, 2, 0, 0]]), 1, [0])
     with pytest.raises(ConfigurationError, match="max_rounds"):
         VectorizedCompeteEngine(graph, schedule=schedule, max_rounds=-1)
     with pytest.raises(ConfigurationError, match="rng"):
